@@ -18,6 +18,7 @@ from .experiment import (
     ExperimentConfig,
     MomentReport,
     RateFit,
+    block_size,
     delta_sweep,
     fit_rate,
     onebit_dither_range,
@@ -35,7 +36,9 @@ from .geometry import (
     gw_bound_lowrank,
     gw_bound_sparse,
     project_l1_ball,
+    project_l1_rows,
     project_nuclear_ball,
+    project_nuclear_rows,
     sample_descent_directions,
 )
 from .quantizer import (
@@ -64,8 +67,10 @@ from .solver import (
     estimate_lipschitz,
     glasso_solve,
     gradient,
+    inverse_lipschitz_step,
     objective,
     pbp_estimate,
+    pgd_rows,
 )
 from .streams import substream
 

@@ -110,11 +110,12 @@ def _resolve(args, quantizer):
     """Merge flag > config > env (seed only) > default into a settings dict."""
     cfg = dict(_DEFAULTS)
     cfg["quantizer"] = quantizer
-    cfg.update(_load_config(getattr(args, "config", None)))
+    from_file = _load_config(getattr(args, "config", None))
+    cfg.update(from_file)
     if cfg["m_grid"] is None:
         cfg["m_grid"] = _DEFAULT_M_GRID[cfg["quantizer"]]
     env_seed = os.environ.get("QLASSO_SEED")
-    if env_seed is not None and "seed" not in _load_config(getattr(args, "config", None)):
+    if env_seed is not None and "seed" not in from_file:
         try:
             cfg["seed"] = int(env_seed)
         except ValueError:
@@ -164,6 +165,14 @@ def _ensure_out(cfg):
     return out
 
 
+def _report_nonconverged(label, m_grid, converged):
+    """One stderr line per m at which some solves stopped at max_iters."""
+    for m, flags in zip(m_grid, np.asarray(converged)):
+        if not flags.all():
+            print(f"warning: {label}: {flags.size - flags.sum()} of {flags.size} solves "
+                  f"did not converge at m={m}", file=sys.stderr)
+
+
 def _cmd_run(args, quantizer):
     cfg = _resolve(args, quantizer)
     ecfg = _experiment_config(cfg)
@@ -171,8 +180,9 @@ def _cmd_run(args, quantizer):
     chash = config_hash(_hashable(cfg))
     tag = "uniform" if quantizer == "uniform" else "onebit"
     rate_lines = ["estimator,model,coefficient,loglog_slope,residual_rms"]
-    for est in ecfg.estimators:
-        curve = run_curve(ecfg, est, jobs=args.jobs)
+    curves = run_curve(ecfg, ecfg.estimators, jobs=args.jobs)
+    for est, curve in curves.items():
+        _report_nonconverged(est, curve.m_grid, curve.converged)
         csv_path = os.path.join(out, f"{tag}_{est}.csv")
         write_error_curves_csv(csv_path, [curve], chash)
         guide = inv_sqrt_guide(curve.m_grid, float(curve.mean_err[0]))
@@ -205,7 +215,9 @@ def _cmd_compare(args):
     ecfg = _experiment_config(cfg)
     out = _ensure_out(cfg)
     chash = config_hash(_hashable(cfg))
-    curves = {est: run_curve(ecfg, est, jobs=args.jobs) for est in ecfg.estimators}
+    curves = run_curve(ecfg, ecfg.estimators, jobs=args.jobs)
+    for est, curve in curves.items():
+        _report_nonconverged(est, curve.m_grid, curve.converged)
     others = [e for e in ecfg.estimators if e != "glasso"]
     header = ["m"] + [f"{e}_mean_err" for e in ecfg.estimators]
     header += [f"winrate_glasso_vs_{e}" for e in others]
@@ -244,6 +256,8 @@ def _cmd_delta_sweep(args):
     ]
     series = []
     for est, data in sweep.items():
+        for d, converged in zip(data["deltas"], data["converged"]):
+            _report_nonconverged(f"{est} (delta={d:g})", ecfg.m_grid, [converged])
         for d, mean, std in zip(data["deltas"], data["mean_err"], data["std_err"]):
             lines.append(f"{est},{d:.17g},{mean:.17g},{std:.17g},{ecfg.trials}")
         series.append((est, list(data["deltas"]), list(data["mean_err"])))
@@ -424,7 +438,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--jobs", type=int, default=1, help="max concurrent trials")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for blocks of trials (results do not depend on it)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
 

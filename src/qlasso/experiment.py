@@ -8,12 +8,14 @@ comparisons are valid.
 """
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import erfc
 
 from .ensemble import (
     LowRank,
@@ -23,7 +25,7 @@ from .ensemble import (
     gen_signal,
     sample_measurements,
 )
-from .geometry import L1Ball, NuclearBall
+from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import (
     OneBitQuantizer,
     UniformHalfOpenDither,
@@ -31,10 +33,15 @@ from .quantizer import (
     UniformSymmetricDither,
     measure,
 )
-from .solver import GLassoProblem, SolverOptions, dm_estimate, glasso_solve, pbp_estimate
+from .solver import SolverOptions, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
 ESTIMATORS = ("glasso", "pbp", "dm")
+
+# Solver settings of every glasso trial.
+SOLVER_OPTIONS = SolverOptions()
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,8 @@ class ErrorCurve:
     trials: int
     master_seed: int
     errors: Optional[np.ndarray] = None  # (len(m_grid), trials) raw errors
+    iterations: Optional[np.ndarray] = None  # (len(m_grid), trials) PGD iterations, 0 for pbp/dm
+    converged: Optional[np.ndarray] = None  # (len(m_grid), trials) False where max_iters was hit
 
 
 @dataclass(frozen=True)
@@ -92,70 +101,150 @@ def onebit_dither_range(R: float, m: int) -> float:
     return R * math.sqrt(math.log(m))
 
 
+def _channel(cfg: ExperimentConfig, m: int):
+    """(quantizer, dither, mu) of the measurement channel at m."""
+    if cfg.quantizer == "uniform":
+        return UniformQuantizer(cfg.delta), UniformHalfOpenDither(cfg.delta), 1.0
+    T = onebit_dither_range(cfg.R, m)
+    return OneBitQuantizer(T), UniformSymmetricDither(T), T
+
+
+def block_size(n: int) -> int:
+    """Trials per block: the block's stack of n x n Gram matrices fits in 1 MiB."""
+    return max(1, 2**20 // (8 * n * n))
+
+
+def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...]) -> dict:
+    """Errors, PGD iterations and convergence flags of every estimator on a block of trials.
+
+    Each trial's (x0, A, y) is drawn once from its (seed, m, trial, purpose)
+    substreams and reduced at once to the statistics every estimator needs:
+    G = A^T A / m, b = (mu/m) A^T y, (mu^2/m) y^T y and the radius of K.
+    PBP and DM are both P_K(b); glasso runs stacked PGD on the block.
+    Returns {estimator: (errors, iterations, converged)}, one entry per trial;
+    the one-shot estimators report 0 iterations, converged.
+    """
+    k, n = len(trials), cfg.n
+    spec = SignalSpec(n, cfg.structure, cfg.norm_target)
+    kind = ensemble_by_name(cfg.ensemble)
+    q, d, mu = _channel(cfg, m)
+    x0s = np.empty((k, n))
+    G = np.empty((k, n, n))
+    b = np.empty((k, n))
+    const = np.empty(k)
+    radii = np.empty(k)
+    for i, t in enumerate(trials):
+        x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
+        A = sample_measurements(kind, m, n, substream(cfg.master_seed, m, t, "matrix"))
+        y = measure(A, x0, q, d, substream(cfg.master_seed, m, t, "dither")).y
+        G[i] = A.entries.T @ A.entries / m
+        b[i] = (mu / m) * (A.entries.T @ y)
+        const[i] = (mu**2 / m) * float(y @ y)
+        del A  # free this trial's m x n matrix before the next one is drawn
+        x0s[i] = x0
+        if isinstance(cfg.structure, Sparse):
+            radii[i] = np.sum(np.abs(x0))
+        else:
+            d_side = cfg.structure.d
+            radii[i] = np.linalg.norm(np.linalg.svd(x0.reshape(d_side, d_side), compute_uv=False), 1)
+    project = project_l1_rows if isinstance(cfg.structure, Sparse) else project_nuclear_rows
+
+    out = {}
+    one_shot = [e for e in estimators if e in ("pbp", "dm")]
+    if one_shot:
+        err = np.linalg.norm(project(b, radii) - x0s, axis=1)
+        for est in one_shot:
+            out[est] = (err, np.zeros(k, dtype=int), np.ones(k, dtype=bool))
+    if "glasso" in estimators:
+        eta = inverse_lipschitz_step(G)
+        X, iterations, converged = pgd_rows(G, b, const, radii, project, eta, SOLVER_OPTIONS)
+        out["glasso"] = (np.linalg.norm(X - x0s, axis=1), iterations, converged)
+    return out
+
+
+def _solve_block_star(args):
+    return _solve_block(*args)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Environment in which spawned workers start with a single BLAS thread each."""
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update({k: "1" for k in _BLAS_THREAD_VARS})
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+def _map_blocks(tasks: list, jobs: int) -> list:
+    if jobs <= 1 or len(tasks) <= 1:
+        return [_solve_block(*t) for t in tasks]
+    # Workers are spawned, not forked, so that each one starts its own BLAS
+    # with one thread: jobs workers with one BLAS thread per core each.
+    ctx = multiprocessing.get_context("spawn")
+    with _one_blas_thread(), ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=ctx) as pool:
+        return list(pool.map(_solve_block_star, tasks))
+
+
+def _check_estimators(names) -> Tuple[str, ...]:
+    names = (names,) if isinstance(names, str) else tuple(names)
+    for est in names:
+        if est not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {est!r}")
+    return names
+
+
 def run_trial(cfg: ExperimentConfig, m: int, trial_id: int, estimator: str) -> float:
     """One Monte Carlo trial: fresh (x0, A, dither), solve, return ||x_hat - x0||_2."""
     if m not in cfg.m_grid:
         raise ValueError(f"m={m} is not in the configured grid")
-    spec = SignalSpec(cfg.n, cfg.structure, cfg.norm_target, seed=cfg.master_seed)
-    x0 = gen_signal(spec, substream(cfg.master_seed, m, trial_id, "signal"))
-    A = sample_measurements(
-        ensemble_by_name(cfg.ensemble), m, cfg.n,
-        substream(cfg.master_seed, m, trial_id, "matrix"),
-        seed=cfg.master_seed,
-    )
-
-    if cfg.quantizer == "uniform":
-        q = UniformQuantizer(cfg.delta)
-        d = UniformHalfOpenDither(cfg.delta)
-        mu = 1.0
-    else:
-        T = onebit_dither_range(cfg.R, m)
-        q = OneBitQuantizer(T)
-        d = UniformSymmetricDither(T)
-        mu = T
-
-    y = measure(A, x0, q, d, substream(cfg.master_seed, m, trial_id, "dither"))
-
-    if isinstance(cfg.structure, Sparse):
-        K = L1Ball(float(np.sum(np.abs(x0))))
-    else:
-        d_side = cfg.structure.d
-        K = NuclearBall(float(np.linalg.norm(np.linalg.svd(x0.reshape(d_side, d_side), compute_uv=False), 1)))
-
-    if estimator == "glasso":
-        result = glasso_solve(GLassoProblem(A, y, mu, K), SolverOptions())
-        x_hat = result.x_hat
-    elif estimator == "pbp":
-        x_hat = pbp_estimate(A, y, K, mu)
-    elif estimator == "dm":
-        x_hat = dm_estimate(A, y, K, mu)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return float(np.linalg.norm(x_hat - x0))
+    names = _check_estimators(estimator)
+    errors, _, _ = _solve_block(cfg, m, range(trial_id, trial_id + 1), names)[estimator]
+    return float(errors[0])
 
 
-def _trial_star(args):
-    return run_trial(*args)
+def run_curve(
+    cfg: ExperimentConfig, estimator: Union[str, Sequence[str]], jobs: int = 1
+) -> Union[ErrorCurve, dict]:
+    """Mean/std of the per-trial error over cfg.trials independent trials, per m.
 
-
-def run_curve(cfg: ExperimentConfig, estimator: str, jobs: int = 1) -> ErrorCurve:
-    """Mean/std of run_trial over cfg.trials independent trials, per m."""
-    tasks = [(cfg, m, t, estimator) for m in cfg.m_grid for t in range(cfg.trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_trial_star, tasks, chunksize=8))
-    else:
-        flat = [run_trial(*t) for t in tasks]
-    errors = np.asarray(flat).reshape(len(cfg.m_grid), cfg.trials)
-    return ErrorCurve(
-        estimator=estimator,
-        m_grid=tuple(cfg.m_grid),
-        mean_err=errors.mean(axis=1),
-        std_err=errors.std(axis=1),
-        trials=cfg.trials,
-        master_seed=cfg.master_seed,
-        errors=errors,
-    )
+    `estimator` is one name, which returns its ErrorCurve, or a sequence of
+    names, which returns {name: ErrorCurve} computed from the same draws.
+    Trials run in blocks of block_size(cfg.n); with jobs > 1 the (m, block)
+    tasks are spread over that many worker processes. Results do not depend
+    on jobs.
+    """
+    names = _check_estimators(estimator)
+    step = block_size(cfg.n)
+    tasks = [
+        (cfg, m, range(start, min(start + step, cfg.trials)), names)
+        for m in cfg.m_grid
+        for start in range(0, cfg.trials, step)
+    ]
+    blocks = _map_blocks(tasks, jobs)
+    curves = {}
+    for est in names:
+        errors, iterations, converged = (
+            np.concatenate([blk[est][i] for blk in blocks]).reshape(len(cfg.m_grid), cfg.trials)
+            for i in range(3)
+        )
+        curves[est] = ErrorCurve(
+            estimator=est,
+            m_grid=tuple(cfg.m_grid),
+            mean_err=errors.mean(axis=1),
+            std_err=errors.std(axis=1),
+            trials=cfg.trials,
+            master_seed=cfg.master_seed,
+            errors=errors,
+            iterations=iterations,
+            converged=converged,
+        )
+    return curves[estimator] if isinstance(estimator, str) else curves
 
 
 def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
@@ -187,16 +276,16 @@ def delta_sweep(
     """Per-resolution error curves at fixed m, paired seeds across deltas and estimators."""
     if len(cfg.m_grid) != 1:
         raise ValueError("delta_sweep expects a single fixed m in cfg.m_grid")
+    by_delta = [run_curve(replace(cfg, delta=float(d)), estimators, jobs=jobs) for d in deltas]
     out = {}
     for est in estimators:
-        curves = []
-        for delta in deltas:
-            curves.append(run_curve(replace(cfg, delta=float(delta)), est, jobs=jobs))
+        curves = [c[est] for c in by_delta]
         out[est] = {
             "deltas": tuple(float(d) for d in deltas),
             "mean_err": np.asarray([c.mean_err[0] for c in curves]),
             "std_err": np.asarray([c.std_err[0] for c in curves]),
             "errors": np.stack([c.errors[0] for c in curves]),
+            "converged": np.stack([c.converged[0] for c in curves]),
         }
     return out
 
@@ -205,7 +294,7 @@ def delta_sweep(
 
 def qfunc(x: float) -> float:
     """Standard normal tail probability Q(x)."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def onebit_xi_mean_literal(norm_x0: float, T: float, mu: float) -> float:

@@ -3,7 +3,8 @@
 Shipped sets: scaled l1 ball, nuclear-norm ball on vectorized d x d matrices,
 and the unconstrained (whole-space) set. The l1 projection is the sort-based
 soft-threshold selection (Duchi et al.) in O(n log n); the nuclear projection
-applies it to the singular values.
+applies it to the singular values. Both work row-wise on a stack of points;
+the single-point functions are stacks of one.
 """
 
 import math
@@ -12,38 +13,58 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_radii(radii, rows: int) -> np.ndarray:
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim == 0:
+        radii = np.full(rows, radii)
+    if radii.shape != (rows,):
+        raise ValueError(f"need one radius per row, got shape {radii.shape} for {rows} rows")
+    if not (radii > 0).all():
+        raise ValueError(f"radius must be positive, got {radii}")
+    return radii
+
+
+def project_l1_rows(V: np.ndarray, radii) -> np.ndarray:
+    """Row-wise Euclidean projection of a (k, n) stack onto {x : ||x||_1 <= radii[i]}.
+
+    `radii` is a scalar or one radius per row. Rows already inside their
+    ball are returned unchanged.
+    """
+    V = np.asarray(V, dtype=float)
+    radii = _check_radii(radii, V.shape[0])
+    U = np.abs(V)
+    # With each row's magnitudes sorted in decreasing order and S_j their
+    # partial sums, (S_j - r) / j increases while j is in the support of the
+    # projection and decreases after it, so its maximum is the soft threshold
+    # theta (Duchi et al.). It is <= 0 exactly when the row is inside its ball.
+    cumsum = np.cumsum(np.sort(U, axis=1)[:, ::-1], axis=1)
+    theta = np.max((cumsum - radii[:, None]) / np.arange(1, V.shape[1] + 1), axis=1)
+    return np.sign(V) * np.maximum(U - np.maximum(theta, 0.0)[:, None], 0.0)
+
+
+def project_nuclear_rows(V: np.ndarray, radii) -> np.ndarray:
+    """Row-wise projection of a (k, d*d) stack of row-major vectorized matrices
+    onto the nuclear-norm balls of radii[i]."""
+    V = np.asarray(V, dtype=float)
+    radii = _check_radii(radii, V.shape[0])
+    d = math.isqrt(V.shape[1])
+    if d * d != V.shape[1]:
+        raise ValueError(f"length {V.shape[1]} is not a square; cannot reshape to d x d")
+    U, s, Vt = np.linalg.svd(V.reshape(-1, d, d), full_matrices=False)
+    s_proj = project_l1_rows(s, radii)
+    out = (U @ (s_proj[:, :, None] * Vt)).reshape(V.shape)
+    inside = s.sum(axis=1) <= radii
+    return np.where(inside[:, None], V, out)
+
+
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {x : ||x||_1 <= radius}."""
-    if not (radius > 0):
-        raise ValueError(f"radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=float)
-    u = np.abs(v)
-    if u.sum() <= radius:
-        return v.copy()
-    # Largest-magnitude-first scan for the soft threshold; ties at the
-    # threshold do not change theta, the sort is stable for determinism.
-    u_sorted = np.sort(u, kind="stable")[::-1]
-    cumsum = np.cumsum(u_sorted)
-    ks = np.arange(1, u.size + 1)
-    rho = np.nonzero(u_sorted * ks > cumsum - radius)[0][-1]
-    theta = (cumsum[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(u - theta, 0.0)
+    return project_l1_rows(np.asarray(v, dtype=float)[None], radius)[0]
 
 
 def project_nuclear_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Projection onto the nuclear-norm ball, on row-major vectorized matrices."""
-    if not (radius > 0):
-        raise ValueError(f"radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=float)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"length {v.size} is not a square; cannot reshape to d x d")
-    X = v.reshape(d, d)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if s.sum() <= radius:
-        return v.copy()
-    s_proj = project_l1_ball(s, radius)
-    return (U @ (s_proj[:, None] * Vt)).reshape(-1)
+    return project_nuclear_rows(np.asarray(v, dtype=float)[None], radius)[0]
 
 
 class ConstraintSet:

@@ -2,9 +2,10 @@
 
 The objective is L(x) = (1/2m) sum_i (mu * y_i - a_i^T x)^2 minimized over a
 constraint set K via x+ = P_K(x - eta * grad L(x)) from x = 0, with
-eta = 1 / Lipschitz(grad L) or backtracking. Internally the quadratic is
-evaluated through the precomputed Gram matrix A^T A / m, so the per-iteration
-cost does not grow with m.
+eta = 1 / (1.01 lambda_max(A^T A / m)) or backtracking. Internally the
+quadratic is evaluated through the precomputed Gram matrix A^T A / m, so the
+per-iteration cost does not grow with m. glasso_solve solves one problem;
+pgd_rows runs the fixed step on a stack of problems at once.
 
 Also houses the one-shot baselines: projected back projection (PBP) and the
 regularized correlation maximizer, which coincide as P_K of the same point.
@@ -85,29 +86,32 @@ def gradient(p: GLassoProblem, x: np.ndarray) -> np.ndarray:
     return A.T @ (A @ x - p.mu * _yvec(p.y)) / A.shape[0]
 
 
+# The fixed step is 1 / (LIPSCHITZ_MARGIN * lambda_max(G)). lambda_max comes
+# from a dense symmetric eigensolve, so the step is below 1 / lambda_max by the
+# margin up to rounding, which makes every fixed-step PGD iteration a descent step.
+LIPSCHITZ_MARGIN = 1.01
+
+
+def _lipschitz(G: np.ndarray) -> np.ndarray:
+    return LIPSCHITZ_MARGIN * np.linalg.eigvalsh(G)[..., -1]
+
+
+def inverse_lipschitz_step(G: np.ndarray) -> np.ndarray:
+    """Fixed PGD step 1 / (1.01 lambda_max(G)) for a Gram matrix or a (k, n, n) stack of them.
+
+    A zero Gram matrix (every direction is flat) gets step 1.
+    """
+    lipschitz = _lipschitz(G)
+    with np.errstate(divide="ignore"):
+        return np.where(lipschitz > 0, 1.0 / lipschitz, 1.0)
+
+
 def estimate_lipschitz(A) -> float:
-    """lambda_max(A^T A) / m by power iteration, inflated 1% as a safety factor."""
+    """Lipschitz constant lambda_max(A^T A) / m of grad L, inflated 1% as a safety factor."""
     entries = _entries(A)
     if entries.size == 0:
         raise ValueError("A must be nonempty")
-    m = entries.shape[0]
-    G = entries.T @ entries / m
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(100):
-        w = G @ v
-        lam_new = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0:
-            return 0.0
-        v = w / norm_w
-        if abs(lam_new - lam) <= 1e-8 * max(abs(lam_new), 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-    return 1.01 * lam
+    return float(_lipschitz(entries.T @ entries / entries.shape[0]))
 
 
 def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> SolverResult:
@@ -122,8 +126,7 @@ def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> Sol
     def f(x, Gx):
         return 0.5 * float(x @ Gx) - float(b @ x) + 0.5 * const
 
-    lipschitz = estimate_lipschitz(A)
-    eta = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    eta = float(inverse_lipschitz_step(G))
     x = np.zeros(n)
     Gx = np.zeros(n)
     trace = [f(x, Gx)]
@@ -165,6 +168,60 @@ def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> Sol
         converged=converged,
         step_size=eta,
     )
+
+
+def pgd_rows(G, b, const, radii, project, eta, opts: SolverOptions = SolverOptions()):
+    """Fixed-step PGD from x = 0 on a stack of k problems, one per row.
+
+    Row i minimizes 0.5 x^T G[i] x - b[i]^T x + 0.5 const[i] over the set
+    project(., radii[i]) maps onto, with step eta[i]; this is the problem
+    glasso_solve builds from (A, y, mu), with G = A^T A / m,
+    b = (mu / m) A^T y and const = (mu^2 / m) y^T y. Every row keeps
+    glasso_solve's stopping rule and finite-objective check. `project` maps
+    a (j, n) stack and j radii to the projected stack.
+
+    Rows that stop are compacted out, so later iterations cost only the rows
+    still running. G (k, n, n) is compacted in place: its contents are
+    unspecified on return. Returns (X, iterations, converged) by row.
+    """
+    if opts.step_rule != "fixed_inverse_lipschitz":
+        raise ValueError("stacked PGD runs the fixed inverse-Lipschitz step only")
+    k, n = np.shape(b)
+    b, radii = np.asarray(b, dtype=float), np.asarray(radii, dtype=float)
+    half_const = 0.5 * np.asarray(const, dtype=float)
+    eta = np.asarray(eta, dtype=float)[:, None]
+    rows = np.arange(k)
+    X_out = np.zeros((k, n))
+    iterations = np.full(k, opts.max_iters)
+    converged = np.zeros(k, dtype=bool)
+    X = np.zeros((k, n))
+    GX = np.zeros((k, n))
+    f = half_const
+    tiny = np.finfo(float).tiny
+    for it in range(1, opts.max_iters + 1):
+        X = project(X - eta * (GX - b), radii)
+        GX = np.matmul(G[:k], X[:, :, None])[:, :, 0]
+        f_new = np.einsum("ij,ij->i", X, 0.5 * GX - b) + half_const
+        if not np.isfinite(f_new).all():
+            raise RuntimeError("objective diverged to a non-finite value")
+        stop = ((f - f_new) / np.maximum(np.abs(f), tiny) < opts.rel_tol) & (f_new <= f)
+        f = f_new
+        if stop.any():
+            X_out[rows[stop]] = X[stop]
+            iterations[rows[stop]] = it
+            converged[rows[stop]] = True
+            keep = ~stop
+            for dst, src in enumerate(np.flatnonzero(keep)):
+                if dst != src:
+                    G[dst] = G[src]
+            X, GX, f, b, half_const, radii, eta, rows = (
+                a[keep] for a in (X, GX, f, b, half_const, radii, eta, rows)
+            )
+            k = rows.size
+            if k == 0:
+                break
+    X_out[rows] = X
+    return X_out, iterations, converged
 
 
 def pbp_estimate(A, y, K: ConstraintSet, mu: float) -> np.ndarray:

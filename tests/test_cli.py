@@ -94,6 +94,49 @@ def test_run_deterministic_across_invocations(tmp_path):
     assert a == b
 
 
+def test_jobs_do_not_change_outputs(tmp_path):
+    # Pool workers run BLAS on one thread. OpenBLAS rounds a Gram matrix
+    # differently with more threads, so the contract holds for a main process
+    # whose BLAS also runs one thread: the runs get their own interpreters.
+    # n=100 runs 15 trials as blocks of 13 and 2, so two workers share six tasks.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qlasso
+
+    src = str(Path(qlasso.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300], trials=15)
+    outs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        subprocess.run([sys.executable, "-m", "qlasso.cli", "run-uniform", "--config", cfg,
+                        "--out", str(out), "--jobs", jobs], env=env, check=True, timeout=120,
+                       capture_output=True)
+        outs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert set(outs["1"]) == {"uniform_glasso.csv", "uniform_glasso.svg", "uniform_pbp.csv",
+                              "uniform_pbp.svg", "uniform_rates.csv"}
+    assert outs["1"] == outs["2"]
+
+
+def test_nonconverged_solves_reported(tmp_path, capsys, monkeypatch):
+    import qlasso.experiment
+    from qlasso import SolverOptions
+
+    monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions(max_iters=2))
+    cfg = _write_cfg(tmp_path, trials=3)
+    assert main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"warning: glasso: 3 of 3 solves did not converge at m={m}" for m in (100, 200, 400)
+    ]
+    monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions())
+    assert main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_compare_outputs(tmp_path):
     cfg = _write_cfg(tmp_path, m_grid=[100], trials=3, estimators=["glasso", "pbp"])
     rc = main(["compare", "--config", cfg, "--out", str(tmp_path / "out")])

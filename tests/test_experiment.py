@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import qlasso.experiment
 from qlasso import (
     ErrorCurve,
     ExperimentConfig,
+    SolverOptions,
     Sparse,
+    block_size,
     delta_sweep,
     fit_rate,
     onebit_dither_range,
@@ -16,6 +19,7 @@ from qlasso import (
     substream,
 )
 from qlasso.experiment import (
+    ESTIMATORS,
     onebit_eta2_formula,
     onebit_xi2_formula,
     onebit_xi_mean_literal,
@@ -96,6 +100,44 @@ def test_run_curve_shapes_and_determinism():
     assert c1.errors.shape == (2, 3)
     np.testing.assert_array_equal(c1.errors, c2.errors)
     np.testing.assert_array_equal(c1.mean_err, c1.errors.mean(axis=1))
+
+
+def test_block_size_bounds_gram_stack():
+    assert block_size(100) == 13
+    assert block_size(256) == 2
+    assert block_size(2000) == 1
+    for n in (30, 100, 256):
+        assert block_size(n) * 8 * n * n <= 2**20
+
+
+def test_curves_share_draws_across_blocks_and_estimators():
+    # 15 trials at n=100 run as blocks of 13 and 2; every trial's error is
+    # the one run_trial computes alone, and each estimator's curve is the
+    # same whether it is computed alone or with the others.
+    cfg = _cfg(n=100, structure=Sparse(10), m_grid=(150,), trials=15, estimators=ESTIMATORS)
+    curves = run_curve(cfg, ESTIMATORS)
+    assert set(curves) == set(ESTIMATORS)
+    for est in ESTIMATORS:
+        alone = run_curve(cfg, est)
+        np.testing.assert_array_equal(alone.errors, curves[est].errors)
+        for t in (0, 12, 13, 14):
+            assert run_trial(cfg, 150, t, est) == curves[est].errors[0, t]
+    np.testing.assert_array_equal(curves["pbp"].errors, curves["dm"].errors)
+    assert curves["glasso"].converged.all()
+    assert (curves["glasso"].iterations > 0).all()
+    assert (curves["pbp"].iterations == 0).all() and curves["pbp"].converged.all()
+    with pytest.raises(ValueError):
+        run_curve(cfg, ("glasso", "mle"))
+
+
+def test_nonconverged_solves_are_counted(monkeypatch):
+    monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions(max_iters=3))
+    cfg = _cfg(trials=4)
+    curves = run_curve(cfg, ("glasso", "pbp"))
+    g = curves["glasso"]
+    np.testing.assert_array_equal((~g.converged).sum(axis=1), [4, 4])
+    np.testing.assert_array_equal(g.iterations, np.full((2, 4), 3))
+    assert curves["pbp"].converged.all()
 
 
 def test_fit_rate_exact_inverse_sqrt():

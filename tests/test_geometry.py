@@ -11,7 +11,9 @@ from qlasso import (
     gw_bound_lowrank,
     gw_bound_sparse,
     project_l1_ball,
+    project_l1_rows,
     project_nuclear_ball,
+    project_nuclear_rows,
     sample_descent_directions,
     substream,
 )
@@ -61,6 +63,42 @@ def test_l1_projection_against_qp_oracle():
                 tol_feas=1e-12,
             )
             np.testing.assert_allclose(project_l1_ball(v, radius), x.value, atol=1e-6)
+
+
+def test_l1_rows_equal_single_projection():
+    rng = substream(10, "rows")
+    V = np.vstack([
+        rng.standard_normal((6, 8)) * 3,        # outside the ball
+        [[0.2, -0.3, 0.1, 0, 0, 0, 0, 0]],      # inside
+        [[0.5, -0.25, 0.25, 0, 0, 0, 0, 0]],    # exactly on the boundary
+        [[2.0, 2.0, -2.0, 1.0, 2.0, 0, 0, 0]],  # ties at the threshold
+        np.zeros((1, 8)),                       # the zero vector
+    ])
+    radii = np.concatenate([rng.uniform(0.2, 4.0, 6), [1.0, 1.0, 1.0, 1.0]])
+    P = project_l1_rows(V, radii)
+    for v, r, p in zip(V, radii, P):
+        np.testing.assert_array_equal(p, project_l1_ball(v, r))
+    np.testing.assert_array_equal(P[6:8], V[6:8])
+    np.testing.assert_allclose(P[8], [0.25, 0.25, -0.25, 0.0, 0.25, 0, 0, 0], atol=1e-15)
+    np.testing.assert_array_equal(P[9], np.zeros(8))
+    # one radius for every row
+    np.testing.assert_array_equal(project_l1_rows(V, 1.5), project_l1_rows(V, np.full(len(V), 1.5)))
+    with pytest.raises(ValueError):
+        project_l1_rows(V, np.where(np.arange(len(V)) == 3, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        project_l1_rows(V, np.ones(3))
+
+
+def test_nuclear_rows_equal_single_projection():
+    rng = substream(11, "rows")
+    d = 5
+    V = rng.standard_normal((7, d * d)) * 2
+    V[0] *= 1e-3  # inside its ball
+    radii = rng.uniform(0.5, 4.0, 7)
+    P = project_nuclear_rows(V, radii)
+    for v, r, p in zip(V, radii, P):
+        np.testing.assert_array_equal(p, project_nuclear_ball(v, r))
+    np.testing.assert_array_equal(P[0], V[0])
 
 
 def test_nonexpansiveness():

@@ -48,16 +48,28 @@ def test_midriser_residual_bound(x, delta):
     assert abs(q - x) <= delta / 2 + 1e-9 * delta
 
 
+# Scaling by a power of two is exact in floating point, so Q(c x, c Delta) and
+# c Q(x, Delta) round identically and must agree bit for bit. For a general c,
+# c x and c Delta round independently and the two sides can fall in different
+# cells at a cell edge (x=1.01, Delta=0.01, c=0.01 gives 0.01005 vs 0.01015).
+# Subnormal x is excluded because c x could underflow to a signed zero.
 @settings(deadline=None, max_examples=100)
 @given(
-    x=st.floats(min_value=-1e3, max_value=1e3),
+    x=st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
     delta=st.floats(min_value=1e-2, max_value=1e2),
-    c=st.floats(min_value=1e-2, max_value=1e2),
+    c=st.integers(min_value=-7, max_value=7).map(lambda k: 2.0**k),
 )
 def test_scale_equivariance(x, delta, c):
-    lhs = uniform_quantize(c * x, c * delta)
-    rhs = c * uniform_quantize(x, delta)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    assert uniform_quantize(c * x, c * delta) == c * uniform_quantize(x, delta)
+
+
+def test_cell_edges():
+    # A point on a cell edge k * Delta belongs to the cell above it, before
+    # and after scaling by a power of two.
+    for delta in (0.25, 1.0, 3.0):
+        for k in (-3, -1, 0, 1, 4):
+            for c in (0.125, 1.0, 8.0):
+                assert uniform_quantize(c * k * delta, c * delta) == c * (k + 0.5) * delta
 
 
 def test_one_bit_quantize():

@@ -19,9 +19,16 @@ from qlasso import (
     gen_sparse_signal,
     glasso_solve,
     gradient,
+    inverse_lipschitz_step,
+    LowRank,
+    NuclearBall,
+    gen_lowrank_signal,
     measure,
     objective,
     pbp_estimate,
+    pgd_rows,
+    project_l1_rows,
+    project_nuclear_rows,
     sample_measurements,
     substream,
 )
@@ -96,6 +103,88 @@ def test_lipschitz_matches_dense_eigensolve():
     G = A.T @ A / 120
     lam = np.linalg.eigvalsh(G)[-1]
     assert estimate_lipschitz(A) == pytest.approx(1.01 * lam, rel=1e-6)
+
+
+def test_exact_step_near_degenerate_top_pair():
+    # A^T A / m has eigenvalues 1 and 1 - 1e-4 on top of a cluster at 0.98.
+    # 100 power iterations from a random start end 0.2% below lambda_max on
+    # this spectrum, so a step from them would exceed 1 / lambda_max; the step
+    # from the dense eigensolve is below 1 / (1.01 lambda_max) up to rounding.
+    m, n = 300, 60
+    rng = substream(15, "spectrum")
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    lam = np.full(n, 0.98)
+    lam[:2] = (1.0, 1.0 - 1e-4)
+    A = np.sqrt(m) * (W * np.sqrt(lam)) @ Q.T
+    G = A.T @ A / m
+    bound = (1.0 / 1.01) * (1.0 + 1e-12)
+    assert float(inverse_lipschitz_step(G)) * 1.0 <= bound
+    assert estimate_lipschitz(A) >= 1.01 * (1.0 - 1e-12)
+    res = glasso_solve(GLassoProblem(A, np.ones(m), 1.0, Unconstrained()), SolverOptions(max_iters=5))
+    assert res.step_size * 1.0 <= bound
+    steps = inverse_lipschitz_step(np.stack([G, 2.0 * G, np.zeros((n, n))]))
+    np.testing.assert_allclose(steps * [1.0, 2.0, 1.0], [1 / 1.01, 1 / 1.01, 1.0], rtol=1e-12)
+
+
+def _stack_problems(instances, mu):
+    G = np.stack([A.entries.T @ A.entries / A.m for A, _ in instances])
+    b = np.stack([(mu / A.m) * (A.entries.T @ y.y) for A, y in instances])
+    const = np.array([(mu**2 / A.m) * float(y.y @ y.y) for A, y in instances])
+    return G, b, const
+
+
+def test_pgd_rows_matches_glasso_solve_l1():
+    instances, radii = [], []
+    for seed in range(9):
+        x0, A, y = _instance(200 + seed, m=150 + 40 * seed, n=40, s=6)
+        instances.append((A, y))
+        radii.append(float(np.abs(x0).sum()))
+    G, b, const = _stack_problems(instances, 1.0)
+    X, iters, conv = pgd_rows(G, b, const, radii, project_l1_rows, inverse_lipschitz_step(G))
+    for (A, y), r, x, it, c in zip(instances, radii, X, iters, conv):
+        ref = glasso_solve(GLassoProblem(A, y, 1.0, L1Ball(r)))
+        assert c and ref.converged
+        assert abs(int(it) - ref.iterations) <= 1
+        assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
+
+
+def test_pgd_rows_matches_glasso_solve_nuclear():
+    d = 5
+    instances, radii = [], []
+    for seed in range(4):
+        rng = substream(300 + seed, "lr")
+        x0 = gen_lowrank_signal(SignalSpec(d * d, LowRank(d, 1), 2.0), rng)
+        A = sample_measurements(GAUSSIAN, 200, d * d, rng)
+        y = measure(A, x0, UniformQuantizer(0.5), UniformHalfOpenDither(0.5), rng)
+        instances.append((A, y))
+        radii.append(float(np.linalg.svd(x0.reshape(d, d), compute_uv=False).sum()))
+    G, b, const = _stack_problems(instances, 1.0)
+    X, iters, conv = pgd_rows(G, b, const, radii, project_nuclear_rows, inverse_lipschitz_step(G))
+    for (A, y), r, x, it, c in zip(instances, radii, X, iters, conv):
+        ref = glasso_solve(GLassoProblem(A, y, 1.0, NuclearBall(r)))
+        assert c and ref.converged
+        assert abs(int(it) - ref.iterations) <= 1
+        assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
+
+
+def test_pgd_rows_reports_max_iters():
+    instances, radii = [], []
+    for seed in range(3):
+        x0, A, y = _instance(400 + seed, n=40, s=6)
+        instances.append((A, y))
+        radii.append(float(np.abs(x0).sum()))
+    G, b, const = _stack_problems(instances, 1.0)
+    eta = inverse_lipschitz_step(G)
+    opts = SolverOptions(max_iters=4)
+    X, iters, conv = pgd_rows(G.copy(), b, const, radii, project_l1_rows, eta, opts)
+    np.testing.assert_array_equal(iters, [4, 4, 4])
+    assert not conv.any()
+    for (A, y), r, x in zip(instances, radii, X):
+        ref = glasso_solve(GLassoProblem(A, y, 1.0, L1Ball(r)), opts)
+        np.testing.assert_allclose(x, ref.x_hat, rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError):
+        pgd_rows(G, b, const, radii, project_l1_rows, eta, SolverOptions(step_rule="backtracking"))
 
 
 def test_glasso_matches_normal_equations():
