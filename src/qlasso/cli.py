@@ -438,7 +438,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for blocks of trials (results do not depend on it)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for blocks of trials (one BLAS thread each)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
 

@@ -162,10 +162,6 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     return out
 
 
-def _solve_block_star(args):
-    return _solve_block(*args)
-
-
 @contextmanager
 def _one_blas_thread():
     """Environment in which spawned workers start with a single BLAS thread each."""
@@ -184,11 +180,12 @@ def _one_blas_thread():
 def _map_blocks(tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [_solve_block(*t) for t in tasks]
-    # Workers are spawned, not forked, so that each one starts its own BLAS
-    # with one thread: jobs workers with one BLAS thread per core each.
+    # Spawned, not forked: each worker loads BLAS afresh and reads the
+    # one-thread setting from its environment, so N workers keep N cores busy
+    # instead of starting N BLAS thread pools.
     ctx = multiprocessing.get_context("spawn")
     with _one_blas_thread(), ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=ctx) as pool:
-        return list(pool.map(_solve_block_star, tasks))
+        return list(pool.map(_solve_block, *zip(*tasks)))
 
 
 def _check_estimators(names) -> Tuple[str, ...]:
@@ -216,8 +213,10 @@ def run_curve(
     `estimator` is one name, which returns its ErrorCurve, or a sequence of
     names, which returns {name: ErrorCurve} computed from the same draws.
     Trials run in blocks of block_size(cfg.n); with jobs > 1 the (m, block)
-    tasks are spread over that many worker processes. Results do not depend
-    on jobs.
+    tasks are spread over that many worker processes, each with one BLAS
+    thread. A trial's result does not depend on its block, so the curves do
+    not depend on jobs wherever BLAS rounds alike in the calling process and
+    the workers (for OpenBLAS: OPENBLAS_NUM_THREADS=1).
     """
     names = _check_estimators(estimator)
     step = block_size(cfg.n)
