@@ -1,9 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlasso
+import qlasso.experiment
+from qlasso import SolverOptions
 from qlasso.cli import build_parser, main
 from qlasso.output import read_error_curves_csv
 
@@ -99,15 +105,8 @@ def test_jobs_do_not_change_outputs(tmp_path):
     # differently with more threads, so the contract holds for a main process
     # whose BLAS also runs one thread: the runs get their own interpreters.
     # n=100 runs 15 trials as blocks of 13 and 2, so two workers share six tasks.
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import qlasso
-
-    src = str(Path(qlasso.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+               PYTHONPATH=str(Path(qlasso.__file__).resolve().parents[1]))
     cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300], trials=15)
     outs = {}
     for jobs in ("1", "2"):
@@ -122,9 +121,6 @@ def test_jobs_do_not_change_outputs(tmp_path):
 
 
 def test_nonconverged_solves_reported(tmp_path, capsys, monkeypatch):
-    import qlasso.experiment
-    from qlasso import SolverOptions
-
     monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions(max_iters=2))
     cfg = _write_cfg(tmp_path, trials=3)
     assert main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
