@@ -27,7 +27,6 @@ from .experiment import (
     run_trial,
 )
 from .geometry import (
-    ConeDiagnostics,
     ConstraintSet,
     L1Ball,
     NuclearBall,

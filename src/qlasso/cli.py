@@ -16,42 +16,16 @@ import sys
 
 import numpy as np
 
-from .ensemble import GAUSSIAN, Sparse, sample_measurements
-from .experiment import (
-    ExperimentConfig,
-    delta_sweep,
-    fit_rate,
-    onebit_moment_check,
-    run_curve,
-)
-from .geometry import (
-    L1Ball,
-    NuclearBall,
-    Unconstrained,
-    estimate_smallball_inf,
-    gw_bound_lowrank,
-    gw_bound_sparse,
-    project_l1_ball,
-    project_nuclear_ball,
-)
+from .ensemble import Sparse
+from .experiment import ExperimentConfig, delta_sweep, fit_rate, run_curve
+from .geometry import gw_bound_lowrank, gw_bound_sparse
 from .output import (
     config_hash,
     inv_sqrt_guide,
     write_error_curves_csv,
     write_svg_lineplot,
 )
-from .quantizer import (
-    KFoldUniformDither,
-    OneBitQuantizer,
-    UniformHalfOpenDither,
-    UniformQuantizer,
-    UniformSymmetricDither,
-    dither_mean_residual,
-    one_bit_mean_formula,
-    uniform_quantize,
-)
-from .solver import GLassoProblem, gradient, objective
-from .streams import substream
+from .quantizer import uniform_quantize
 
 
 class ConfigError(Exception):
@@ -275,14 +249,21 @@ def _cmd_delta_sweep(args):
     return 0
 
 
+def _width_row(flag, text, bound):
+    """Table row `a,b,width` for a `--sparse N:S` or `--lowrank D:R` argument."""
+    parts = text.split(":")
+    try:
+        if len(parts) != 2:
+            raise ValueError("expected two integers separated by ':'")
+        a, b = int(parts[0]), int(parts[1])
+        return f"{a},{b},{bound(a, b):.3f}"
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text}: {exc}") from exc
+
+
 def _cmd_widths(args):
-    rows = []
-    for pair in args.sparse or []:
-        n, s = (int(v) for v in pair.split(":"))
-        rows.append(f"{n},{s},{gw_bound_sparse(n, s):.3f}")
-    for pair in args.lowrank or []:
-        d, r = (int(v) for v in pair.split(":"))
-        rows.append(f"{d},{r},{gw_bound_lowrank(d, r):.3f}")
+    rows = [_width_row("--sparse", text, gw_bound_sparse) for text in args.sparse or []]
+    rows += [_width_row("--lowrank", text, gw_bound_lowrank) for text in args.lowrank or []]
     if not rows:
         raise ConfigError("widths needs at least one --sparse n:s or --lowrank d:r")
     print("n_or_d,s_or_r,width")
@@ -293,6 +274,12 @@ def _cmd_widths(args):
 
 def _cmd_quantize_demo(args):
     deltas = args.delta or [2.0]
+    if not all(d > 0 for d in deltas):
+        raise ConfigError(f"--delta must be positive, got {deltas}")
+    if not (args.step > 0):
+        raise ConfigError(f"--step must be positive, got {args.step}")
+    if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin <= args.xmax):
+        raise ConfigError(f"need finite --xmin <= --xmax, got {args.xmin} and {args.xmax}")
     xs = np.arange(args.xmin, args.xmax + 1e-12, args.step)
     header = "x," + ",".join(f"Q_delta_{d:g}" for d in deltas)
     print(header)
@@ -302,122 +289,17 @@ def _cmd_quantize_demo(args):
     return 0
 
 
-# --- verify ---------------------------------------------------------------
-
-def _verify_checks(seed):
-    """Run the hermetic verification suite; yield (name, passed, detail)."""
-    N = 200_000
-
-    # uniform dither unbiasedness on the (x, delta) grid
-    for delta in (0.5, 1.0, 3.0):
-        worst = 0.0
-        ok = True
-        for i, x in enumerate((-3.3, -1.0, 0.0, 0.25, 0.5, 7.9)):
-            rng = substream(seed, "verify-uniform", i, int(delta * 1000))
-            res = dither_mean_residual(
-                x, UniformQuantizer(delta), UniformHalfOpenDither(delta), 1.0, N, rng
-            )
-            worst = max(worst, abs(res.mean) / max(res.stderr, 1e-300))
-            ok &= abs(res.mean) <= 5 * res.stderr + 1e-12
-        yield (f"uniform dither unbiased (delta={delta})", ok, f"worst |mean|/se = {worst:.2f}")
-
-    # k-fold dither unbiasedness
-    for k in (2, 3):
-        ok = True
-        worst = 0.0
-        for i, x in enumerate((-1.0, 0.25, 7.9)):
-            rng = substream(seed, "verify-kfold", k, i)
-            res = dither_mean_residual(
-                x, UniformQuantizer(1.0), KFoldUniformDither(k, 1.0), 1.0, N, rng
-            )
-            worst = max(worst, abs(res.mean) / max(res.stderr, 1e-300))
-            ok &= abs(res.mean) <= 5 * res.stderr + 1e-12
-        yield (f"{k}-fold dither unbiased", ok, f"worst |mean|/se = {worst:.2f}")
-
-    # one-bit bias identity vs Monte Carlo
-    T = 4.0
-    ok = True
-    worst = 0.0
-    for i, x in enumerate((0.0, 0.5 * T, 2 * T, -2 * T, 3 * T, -3 * T)):
-        rng = substream(seed, "verify-onebit", i)
-        res = dither_mean_residual(
-            x, OneBitQuantizer(T), UniformSymmetricDither(T), T, N, rng
-        )
-        exact = one_bit_mean_formula(x, T, T)
-        worst = max(worst, abs(res.mean - exact) / max(res.stderr, 1e-300))
-        ok &= abs(res.mean - exact) <= 5 * res.stderr + 1e-12
-    yield ("one-bit bias identity", ok, f"worst |mc-exact|/se = {worst:.2f}")
-
-    # projections: feasibility, idempotence, nonexpansiveness, candidate optimality
-    rng = substream(seed, "verify-proj")
-    ok = True
-    worst = 0.0
-    for _ in range(200):
-        v = rng.standard_normal(16) * 3
-        u = rng.standard_normal(16) * 3
-        for proj, rad in ((project_l1_ball, 2.0), (project_nuclear_ball, 2.0)):
-            pv, pu = proj(v, rad), proj(u, rad)
-            ok &= np.linalg.norm(proj(pv, rad) - pv) <= 1e-12
-            gap = np.linalg.norm(pv - pu) - np.linalg.norm(v - u)
-            worst = max(worst, gap)
-            ok &= gap <= 1e-12
-    yield ("projection nonexpansive + idempotent", ok, f"worst expansion = {worst:.2e}")
-
-    rng = substream(seed, "verify-proj-opt")
-    ok = True
-    for _ in range(20):
-        v = rng.standard_normal(9) * 2
-        best = np.linalg.norm(project_l1_ball(v, 1.0) - v)
-        dirs = rng.standard_normal((1000, 9))
-        cands = dirs / np.abs(dirs).sum(axis=1, keepdims=True) * rng.random((1000, 1))
-        ok &= np.all(np.linalg.norm(cands - v, axis=1) >= best - 1e-9)
-    yield ("l1 projection beats random feasible candidates", ok, "1000 candidates x 20 vectors")
-
-    # gradient vs central finite differences
-    rng = substream(seed, "verify-grad")
-    A = sample_measurements(GAUSSIAN, 40, 15, rng)
-    y = rng.standard_normal(40)
-    p = GLassoProblem(A, y, 1.0, Unconstrained())
-    x = rng.standard_normal(15)
-    g = gradient(p, x)
-    fd = np.empty(15)
-    h = 1e-6
-    for i in range(15):
-        e = np.zeros(15)
-        e[i] = h
-        fd[i] = (objective(p, x + e) - objective(p, x - e)) / (2 * h)
-    rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-300)
-    yield ("gradient matches central differences", rel <= 1e-5, f"relative error {rel:.2e}")
-
-    # one-bit second-moment formula, with the first-moment comparison reported
-    ok = True
-    details = []
-    for i, (s, Tm) in enumerate(((4.0, 8.0), (8.0, 26.0), (1.0, 3.0))):
-        rng = substream(seed, "verify-moments", i)
-        rep = onebit_moment_check(s, Tm, Tm, N, rng)
-        ok &= abs(rep.eta2_mc - rep.eta2_formula) <= 5 * rep.eta2_se
-        details.append(
-            f"s={s} T={Tm}: E[xi] mc={rep.xi_mc:.4f} literal={rep.xi_formula_literal:.4f} "
-            f"norm-scaled={rep.xi_formula_norm_scaled:.4f}"
-        )
-    yield ("one-bit E[eta^2] closed form", ok, "; ".join(details))
-
-    # small-ball diagnostic for an isotropic well-conditioned case
-    rng = substream(seed, "verify-smallball")
-    A = sample_measurements(GAUSSIAN, 1000, 20, rng)
-    val = estimate_smallball_inf(A, Unconstrained(), np.zeros(20), 500, rng)
-    yield ("small-ball diagnostic in [0.5, 1.5]", 0.5 <= val <= 1.5, f"inf estimate {val:.3f}")
-
-
 def _cmd_verify(args):
+    from . import verify  # imported here so that other subcommands do not load the checks
+
     cfg = _resolve(args, "uniform")
     out = _ensure_out(cfg)
     lines = []
     all_ok = True
-    for name, ok, detail in _verify_checks(int(cfg["seed"])):
-        status = "PASS" if ok else "FAIL"
+    for check in verify.CHECKS:
+        name, ok, detail = check(int(cfg["seed"]), verify.QUICK_SIZE)
         all_ok &= ok
-        line = f"[{status}] {name}: {detail}"
+        line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
         lines.append(line)
         print(line)
     path = os.path.join(out, "verify.txt")
@@ -436,15 +318,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name in ("run-uniform", "run-onebit", "compare", "delta-sweep", "verify"):
+        p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for blocks of trials (one BLAS thread each)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
-
-    for name in ("run-uniform", "run-onebit", "compare", "delta-sweep", "verify"):
-        common(sub.add_parser(name))
+        if name != "verify":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for blocks of trials (one BLAS thread each)")
 
     widths = sub.add_parser("widths")
     widths.add_argument("--sparse", action="append", metavar="N:S")
@@ -462,6 +343,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "run-uniform":
             return _cmd_run(args, "uniform")
         if args.command == "run-onebit":

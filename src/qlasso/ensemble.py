@@ -5,7 +5,6 @@ rank r, rescaled to a prescribed l2 (Frobenius) norm. Measurement matrices
 stack iid isotropic rows: standard Gaussian or Rademacher entries.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,7 +31,6 @@ class SignalSpec:
     n: int
     structure: Union[Sparse, LowRank]
     norm_target: float
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -55,24 +53,17 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class EnsembleKind:
-    """Measurement row distribution plus sub-gaussian metadata (L, alpha).
-
-    L and alpha are reporting-only proxies; they never enter estimators.
-    """
+    """Measurement row distribution: iid standard Gaussian or Rademacher entries."""
 
     kind: str
-    L: float
-    alpha: float
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "rademacher"):
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.L <= 0 or self.alpha <= 0:
-            raise ValueError("L and alpha must be positive")
 
 
-GAUSSIAN = EnsembleKind("gaussian", L=1.0, alpha=math.sqrt(2.0 / math.pi))
-RADEMACHER = EnsembleKind("rademacher", L=1.0, alpha=1.0)
+GAUSSIAN = EnsembleKind("gaussian")
+RADEMACHER = EnsembleKind("rademacher")
 
 
 def ensemble_by_name(name: str) -> EnsembleKind:
@@ -86,7 +77,6 @@ def ensemble_by_name(name: str) -> EnsembleKind:
 class MeasurementMatrix:
     entries: np.ndarray
     kind: EnsembleKind
-    seed: int = 0
 
     def __post_init__(self):
         if self.entries.ndim != 2:
@@ -140,9 +130,7 @@ def gen_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
     return gen_lowrank_signal(spec, rng)
 
 
-def sample_measurements(
-    kind: EnsembleKind, m: int, n: int, rng: np.random.Generator, seed: int = 0
-) -> MeasurementMatrix:
+def sample_measurements(kind: EnsembleKind, m: int, n: int, rng: np.random.Generator) -> MeasurementMatrix:
     """Sample an m x n matrix with iid rows of the requested ensemble."""
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -152,4 +140,4 @@ def sample_measurements(
         entries = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
     else:
         raise ValueError(f"unknown ensemble kind {kind.kind!r}")
-    return MeasurementMatrix(entries=entries, kind=kind, seed=seed)
+    return MeasurementMatrix(entries=entries, kind=kind)

@@ -335,10 +335,6 @@ def onebit_eta2_formula(norm_x0: float, T: float, mu: float) -> float:
 
 @dataclass(frozen=True)
 class MomentReport:
-    norm_x0: float
-    T: float
-    mu: float
-    n_samples: int
     xi_mc: float
     xi_se: float
     xi_formula_literal: float
@@ -368,10 +364,6 @@ def onebit_moment_check(
     xi = eta * zeta
     sqn = math.sqrt(N)
     return MomentReport(
-        norm_x0=norm_x0,
-        T=T,
-        mu=mu,
-        n_samples=N,
         xi_mc=float(xi.mean()),
         xi_se=float(xi.std() / sqn),
         xi_formula_literal=onebit_xi_mean_literal(norm_x0, T, mu),

@@ -121,14 +121,6 @@ def gw_bound_lowrank(d: int, r: int) -> float:
     return math.sqrt(6.0 * d * r)
 
 
-@dataclass(frozen=True)
-class ConeDiagnostics:
-    width_bound: float
-    smallball_inf: float
-    num_directions: int
-    seed: int
-
-
 def sample_descent_directions(
     K: ConstraintSet, x0: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:

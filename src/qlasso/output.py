@@ -12,8 +12,6 @@ import json
 import math
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .experiment import ErrorCurve
 
 

@@ -86,7 +86,6 @@ class QuantizedObservations:
     y: np.ndarray
     quantizer: QuantizerConfig
     dither: DitherKind
-    dither_seed: int = 0
 
 
 def uniform_quantize(x, delta: float):
@@ -154,7 +153,6 @@ def measure(
     q: QuantizerConfig,
     d: DitherKind,
     rng: np.random.Generator,
-    dither_seed: int = 0,
 ) -> QuantizedObservations:
     """Quantized channel y_i = Q(a_i^T x0 + tau_i) with fresh iid dither."""
     x0 = np.asarray(x0, dtype=float)
@@ -163,7 +161,7 @@ def measure(
     _check_pairing(q, d)
     tau = sample_dither(d, rng, size=A.m)
     y = apply_quantizer(q, A.entries @ x0 + tau)
-    return QuantizedObservations(y=y, quantizer=q, dither=d, dither_seed=dither_seed)
+    return QuantizedObservations(y=y, quantizer=q, dither=d)
 
 
 def quantization_noise(y: QuantizedObservations, A: MeasurementMatrix, x0, mu: float) -> np.ndarray:
@@ -178,7 +176,6 @@ def quantization_noise(y: QuantizedObservations, A: MeasurementMatrix, x0, mu: f
 class MeanResidual:
     mean: float
     stderr: float
-    n_samples: int
 
 
 def dither_mean_residual(
@@ -196,7 +193,7 @@ def dither_mean_residual(
     vals = mu * apply_quantizer(q, x + tau) - x
     mean = float(np.mean(vals))
     stderr = float(np.std(vals) / np.sqrt(N))
-    return MeanResidual(mean=mean, stderr=stderr, n_samples=N)
+    return MeanResidual(mean=mean, stderr=stderr)
 
 
 def one_bit_mean_formula(x: float, T: float, mu: float) -> float:

@@ -1,17 +1,17 @@
 """Projected gradient descent for the constrained quantized least-squares program.
 
 The objective is L(x) = (1/2m) sum_i (mu * y_i - a_i^T x)^2 minimized over a
-constraint set K via x+ = P_K(x - eta * grad L(x)) from x = 0, with
-eta = 1 / (1.01 lambda_max(A^T A / m)) or backtracking. Internally the
-quadratic is evaluated through the precomputed Gram matrix A^T A / m, so the
+constraint set K via x+ = P_K(x - eta * grad L(x)) from x = 0, with the fixed
+step eta = 1 / (1.01 lambda_max(A^T A / m)). Internally the quadratic is
+evaluated through the precomputed Gram matrix A^T A / m, so the
 per-iteration cost does not grow with m. glasso_solve solves one problem;
-pgd_rows runs the fixed step on a stack of problems at once.
+pgd_rows runs the same iteration on a stack of problems at once.
 
 Also houses the one-shot baselines: projected back projection (PBP) and the
 regularized correlation maximizer, which coincide as P_K of the same point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -47,15 +47,12 @@ class GLassoProblem:
 class SolverOptions:
     max_iters: int = 10000
     rel_tol: float = 1e-10
-    step_rule: str = "fixed_inverse_lipschitz"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be positive")
-        if self.step_rule not in ("fixed_inverse_lipschitz", "backtracking"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass
@@ -133,24 +130,9 @@ def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> Sol
     converged = False
     iterations = 0
     for k in range(opts.max_iters):
-        grad = Gx - b
-        if opts.step_rule == "fixed_inverse_lipschitz":
-            x_new = p.K.project(x - eta * grad)
-            Gx_new = G @ x_new
-            f_new = f(x_new, Gx_new)
-        else:
-            # Backtrack from 1/L until the local quadratic model holds.
-            step = eta
-            while True:
-                x_new = p.K.project(x - step * grad)
-                Gx_new = G @ x_new
-                f_new = f(x_new, Gx_new)
-                d = x_new - x
-                if f_new <= trace[-1] + float(grad @ d) + float(d @ d) / (2.0 * step) + 1e-12:
-                    break
-                step *= 0.5
-                if step < 1e-20:
-                    break
+        x_new = p.K.project(x - eta * (Gx - b))
+        Gx_new = G @ x_new
+        f_new = f(x_new, Gx_new)
         if not np.isfinite(f_new):
             raise RuntimeError("objective diverged to a non-finite value")
         f_prev = trace[-1]
@@ -184,8 +166,6 @@ def pgd_rows(G, b, const, radii, project, eta, opts: SolverOptions = SolverOptio
     still running. G (k, n, n) is compacted in place: its contents are
     unspecified on return. Returns (X, iterations, converged) by row.
     """
-    if opts.step_rule != "fixed_inverse_lipschitz":
-        raise ValueError("stacked PGD runs the fixed inverse-Lipschitz step only")
     k, n = np.shape(b)
     b, radii = np.asarray(b, dtype=float), np.asarray(radii, dtype=float)
     half_const = 0.5 * np.asarray(const, dtype=float)

@@ -1,0 +1,198 @@
+"""Numeric identity and correctness checks behind `qlasso verify` and the acceptance suite.
+
+CHECKS holds functions (seed, size) -> (name, ok, detail). A check fixes its own
+grid, substream keys and tolerances; the caller picks the master seed and the
+Monte Carlo sample size N = size, from which sweeps take their counts.
+`qlasso verify` runs every check at QUICK_SIZE, the acceptance suite at 10**6.
+"""
+
+import math
+
+import numpy as np
+
+from .ensemble import GAUSSIAN, SignalSpec, Sparse, gen_sparse_signal, sample_measurements
+from .experiment import onebit_moment_check
+from .geometry import Unconstrained, estimate_smallball_inf, project_l1_rows, project_nuclear_rows
+from .quantizer import (
+    KFoldUniformDither,
+    OneBitQuantizer,
+    UniformHalfOpenDither,
+    UniformQuantizer,
+    UniformSymmetricDither,
+    dither_mean_residual,
+    measure,
+    one_bit_mean_formula,
+)
+from .solver import GLassoProblem, SolverOptions, glasso_solve, gradient, objective
+from .streams import substream
+
+QUICK_SIZE = 200_000
+
+
+def _z(gap: float, se: float) -> float:
+    return abs(gap) / max(se, 1e-300)
+
+
+def _residual_gaps(seed, tag, size, cases):
+    """(MC mean - exact, standard error) of mu Q(x + tau) - x per case (q, d, mu, x, exact)."""
+    gaps = []
+    for i, (q, d, mu, x, exact) in enumerate(cases):
+        res = dither_mean_residual(x, q, d, mu, size, substream(seed, tag, i))
+        gaps.append((res.mean - exact, res.stderr))
+    return gaps
+
+
+def uniform_dither(seed: int, size: int):
+    """E[Q(x + tau)] = x on a 7 x 3 grid of (x, Delta): within 5 se (+1e-12) and 5 Delta / sqrt(N)."""
+    cases = [
+        (UniformQuantizer(delta), UniformHalfOpenDither(delta), 1.0, x, 0.0)
+        for delta in (0.5, 1.0, 3.0)
+        for x in (-3.3, -1.0, 0.0, 0.25, 0.37, 0.5, 7.9)
+    ]
+    gaps = _residual_gaps(seed, "verify-uniform", size, cases)
+    budget = max(abs(gap) * math.sqrt(size) / (5.0 * q.delta) for (gap, _), (q, *_) in zip(gaps, cases))
+    worst = max(_z(gap, se) for gap, se in gaps)
+    ok = all(abs(gap) <= 5.0 * se + 1e-12 for gap, se in gaps) and budget < 1.0
+    return (
+        "uniform dither unbiased (7 x 3 grid of x and Delta)",
+        ok,
+        f"worst |mean|/se = {worst:.2f} (<= 5); worst |mean| at {budget:.3f} of 5 Delta/sqrt(N) (< 1)",
+    )
+
+
+def kfold_dither(seed: int, size: int):
+    """E[Q(x + tau)] = x when tau sums k = 2, 3 half-open uniform draws: within 5 se."""
+    cases = [
+        (UniformQuantizer(1.0), KFoldUniformDither(k, 1.0), 1.0, x, 0.0)
+        for k in (2, 3)
+        for x in (-1.0, 0.25, 0.37, 7.9)
+    ]
+    worst = max(_z(gap, se) for gap, se in _residual_gaps(seed, "verify-kfold", size, cases))
+    return ("k-fold dither unbiased (k = 2, 3)", worst <= 5.0, f"worst |mean|/se = {worst:.2f} (<= 5)")
+
+
+def one_bit_bias(seed: int, size: int):
+    """E[T sign(x + tau)] - x for tau ~ Unif[-T, T], T = 4, is the exact clipping bias: within 5 se."""
+    T = 4.0
+    cases = [
+        (OneBitQuantizer(T), UniformSymmetricDither(T), T, x, one_bit_mean_formula(x, T, T))
+        for x in (0.0, 0.5 * T, 2 * T, -2 * T, 3 * T, -3 * T)
+    ]
+    worst = max(_z(gap, se) for gap, se in _residual_gaps(seed, "verify-onebit", size, cases))
+    return ("one-bit bias identity", worst <= 5.0, f"worst |mc - exact|/se = {worst:.2f} (<= 5)")
+
+
+# (||x0||, T) pairs of the Gaussian one-bit moment check, with mu = T.
+MOMENT_PAIRS = ((0.5, 2.0), (1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.0, 6.0), (2.0, 6.0), (4.0, 6.0),
+                (4.0, 8.0), (4.0, 12.0), (4.0, 24.0), (8.0, 12.0), (8.0, 24.0), (8.0, 26.0), (8.0, 48.0))
+
+
+def one_bit_moments(seed: int, size: int):
+    """E[eta^2], E[xi^2] and the norm-scaled E[xi] match their closed forms within 5 se.
+
+    The first-moment formula as printed (`literal`) is reported, not asserted.
+    """
+    worst = 0.0
+    details = []
+    for i, (s, T) in enumerate(MOMENT_PAIRS):
+        rep = onebit_moment_check(s, T, T, size, substream(seed, "verify-moments", i))
+        worst = max(worst, _z(rep.eta2_mc - rep.eta2_formula, rep.eta2_se),
+                    _z(rep.xi2_mc - rep.xi2_formula, rep.xi2_se),
+                    _z(rep.xi_mc - rep.xi_formula_norm_scaled, rep.xi_se))
+        details.append(f"s={s:g} T={T:g}: E[xi] mc={rep.xi_mc:+.4f} "
+                       f"literal={rep.xi_formula_literal:+.4f} norm-scaled={rep.xi_formula_norm_scaled:+.4f}")
+    return ("one-bit moment closed forms", worst <= 5.0,
+            f"worst |mc - formula|/se = {worst:.2f} (<= 5); " + "; ".join(details))
+
+
+def project_l1_bisection(V, radii) -> np.ndarray:
+    """Row-wise l1-ball projection by bisection on the soft threshold theta, which solves
+    sum_i max(|v_i| - theta, 0) = r; it shares no step with the sort-based projection."""
+    U = np.abs(np.asarray(V, dtype=float))
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), U.shape[:1])
+    lo, hi = np.zeros(len(U)), U.max(axis=1)
+    for _ in range(200):  # more halvings than bits in a double
+        mid = 0.5 * (lo + hi)
+        over = np.maximum(U - mid[:, None], 0.0).sum(axis=1) > radii
+        lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+    theta = np.where(U.sum(axis=1) > radii, hi, 0.0)
+    return np.sign(V) * np.maximum(U - theta[:, None], 0.0)
+
+
+def _matrices(V):
+    d = math.isqrt(V.shape[1])
+    return V.reshape(-1, d, d)
+
+
+def _project_nuclear_bisection(V, radius):
+    U, s, Vt = np.linalg.svd(_matrices(V))
+    return (U @ (project_l1_bisection(s, radius)[:, :, None] * Vt)).reshape(V.shape)
+
+
+# (name, projection, oracle, norm, dimension, radius) of each ball the projection check covers
+_BALLS = (
+    ("l1", project_l1_rows, project_l1_bisection, lambda V: np.abs(V).sum(axis=1), 12, 2.0),
+    ("nuclear", project_nuclear_rows, _project_nuclear_bisection,
+     lambda V: np.linalg.svd(_matrices(V), compute_uv=False).sum(axis=1), 16, 1.5),
+)
+
+
+def projections(seed: int, size: int):
+    """On N/100 pairs of points at random scales, each projection is feasible, idempotent,
+    nonexpansive and equal to its bisection oracle; no closer point is found among N/10
+    random feasible candidates for 20 points."""
+    rng = substream(seed, "verify-proj")
+    norm = np.linalg.norm
+    ok, details = True, []
+    for name, project, oracle, ball_norm, n, radius in _BALLS:
+        U, V = rng.standard_normal((2, size // 100, n)) * rng.uniform(0.0, 3.0, (2, size // 100, 1))
+        PU, PV = project(U, radius), project(V, radius)
+        excess = float(np.max(ball_norm(PU) - radius))
+        idempotence = float(np.max(norm(project(PU, radius) - PU, axis=1)))
+        expansive = int(np.sum(norm(PU - PV, axis=1) > norm(U - V, axis=1) + 1e-12))
+        deviation = float(np.max(np.abs(PU - oracle(U, radius))))
+        closer = 0
+        for v in rng.standard_normal((20, n)) * 2:
+            C = rng.standard_normal((size // 200, n))
+            C *= (radius * rng.random(len(C)) / ball_norm(C))[:, None]
+            closer += int(np.sum(norm(C - v, axis=1) < norm(project(v[None], radius)[0] - v) - 1e-9))
+        ok &= excess <= 1e-9 and idempotence <= 1e-12 and expansive == 0 and deviation <= 1e-10 and closer == 0
+        details.append(f"{name}: norm excess {excess:.1e}, idempotence {idempotence:.1e}, expansive pairs "
+                       f"{expansive}, oracle deviation {deviation:.1e}, closer candidates {closer}")
+    return ("l1 and nuclear projections", ok, "; ".join(details))
+
+
+def solver_correctness(seed: int, size: int):
+    """On N/50000 problems glasso_solve matches least squares to 1e-6 with a monotone objective
+    trace, and the gradient matches central differences to 1e-5."""
+    worst_rel, monotone = 0.0, True
+    for i in range(size // 50_000):
+        x0 = gen_sparse_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
+        A = sample_measurements(GAUSSIAN, 300, 50, substream(seed, "verify-solver", i, "matrix"))
+        y = measure(A, x0, UniformQuantizer(1.0), UniformHalfOpenDither(1.0),
+                    substream(seed, "verify-solver", i, "dither"))
+        res = glasso_solve(GLassoProblem(A, y, 1.0, Unconstrained()), SolverOptions(max_iters=50000, rel_tol=1e-14))
+        monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
+        x_ls = np.linalg.lstsq(A.entries, y.y, rcond=None)[0]
+        worst_rel = max(worst_rel, float(np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)))
+
+    rng = substream(seed, "verify-solver", "gradient")
+    p = GLassoProblem(sample_measurements(GAUSSIAN, 60, 15, rng), rng.standard_normal(60), 1.0, Unconstrained())
+    x, h = rng.standard_normal(15), 1e-6
+    g = gradient(p, x)
+    err = np.abs([(objective(p, x + h * e) - objective(p, x - h * e)) / (2 * h) for e in np.eye(15)] - g)
+    grad_rel = float(np.linalg.norm(err) / np.linalg.norm(g))
+    ok = worst_rel <= 1e-6 and monotone and grad_rel <= 1e-5 and bool(np.all(err <= 1e-5 * np.maximum(1.0, abs(g))))
+    return ("solver matches least squares, monotone descent, gradient", ok,
+            f"worst solution rel err {worst_rel:.2e}, monotone={monotone}, gradient rel err {grad_rel:.2e}")
+
+
+def small_ball(seed: int, size: int):
+    """The small-ball infimum over N/400 directions of a 1000 x 20 Gaussian matrix lies in [0.5, 1.5]."""
+    rng = substream(seed, "verify-smallball")
+    A = sample_measurements(GAUSSIAN, 1000, 20, rng)
+    val = estimate_smallball_inf(A, Unconstrained(), np.zeros(20), size // 400, rng)
+    return ("small-ball diagnostic in [0.5, 1.5]", 0.5 <= val <= 1.5, f"inf estimate {val:.3f}")
+
+
+CHECKS = (uniform_dither, kfold_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball)

@@ -1,51 +1,44 @@
 """End-to-end acceptance suite.
 
-Each test prints a single PASS/FAIL line (visible under `pytest -s` or in the
-captured output of a failing test) and then asserts, so the suite doubles as
-a human-readable report. Tolerances are fixed here on purpose; loosening them
+Each test prints one PASS/FAIL line per criterion (visible under `pytest -s`
+or in the captured output of a failing test) and then asserts, so the suite
+doubles as a human-readable report. Tests 01, 02, 07, 08 and 10 run the checks
+of qlasso.verify, the code behind `qlasso verify`, at a larger sample size.
+Tolerances are fixed here and in qlasso.verify on purpose; loosening them
 would defeat the point of the suite.
 """
 
-import math
-
 import numpy as np
-import pytest
 
 from qlasso import (
     ErrorCurve,
     ExperimentConfig,
-    GAUSSIAN,
     GLassoProblem,
     L1Ball,
-    OneBitQuantizer,
     RADEMACHER,
     SignalSpec,
-    SolverOptions,
     Sparse,
-    Unconstrained,
     UniformHalfOpenDither,
     UniformQuantizer,
-    UniformSymmetricDither,
     delta_sweep,
-    dither_mean_residual,
     fit_rate,
     gen_sparse_signal,
     glasso_solve,
-    gradient,
     gw_bound_lowrank,
     gw_bound_sparse,
     measure,
-    objective,
-    one_bit_mean_formula,
-    onebit_moment_check,
     project_l1_ball,
-    project_nuclear_ball,
     run_curve,
     sample_measurements,
     substream,
+    verify,
 )
 
 SEED = 20240901
+
+# Sample size of the verification checks: 1e4 nonexpansiveness pairs and 1e5
+# feasible candidates per ball, 20 solver instances (see qlasso.verify).
+N = 10**6
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -53,48 +46,17 @@ def _report(label: str, ok: bool, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
+def _check(check) -> None:
+    _report(*check(SEED, N))
+
+
 def test_01_uniform_dither_unbiased():
-    # |MC mean of Q(x+tau) - x| below 5 Delta / sqrt(N) on a 6 x 3 grid
-    N = 10**6
-    xs = (-3.3, -1.0, 0.0, 0.25, 0.5, 7.9)
-    deltas = (0.5, 1.0, 3.0)
-    worst = 0.0
-    ok = True
-    for i, x in enumerate(xs):
-        for j, delta in enumerate(deltas):
-            rng = substream(SEED, "acc1", i, j)
-            res = dither_mean_residual(
-                x, UniformQuantizer(delta), UniformHalfOpenDither(delta), 1.0, N, rng
-            )
-            ratio = abs(res.mean) / (5.0 * delta / math.sqrt(N))
-            worst = max(worst, ratio)
-            ok &= ratio < 1.0
-    _report(
-        "uniform dither unbiasedness (6x3 grid, N=1e6)",
-        ok,
-        f"worst |mean| at {worst:.2f} of the 5*Delta/sqrt(N) budget",
-    )
+    _check(verify.uniform_dither)
+    _check(verify.kfold_dither)
 
 
 def test_02_one_bit_bias_identity():
-    N = 10**6
-    T = 4.0
-    worst = 0.0
-    ok = True
-    for i, x in enumerate((0.0, 0.5 * T, 2 * T, -2 * T, 3 * T, -3 * T)):
-        rng = substream(SEED, "acc2", i)
-        res = dither_mean_residual(
-            x, OneBitQuantizer(T), UniformSymmetricDither(T), T, N, rng
-        )
-        exact = one_bit_mean_formula(x, T, T)
-        z = abs(res.mean - exact) / max(res.stderr, 1e-300)
-        worst = max(worst, z)
-        ok &= z <= 5.0
-    _report(
-        "one-bit dither bias identity (N=1e6)",
-        ok,
-        f"worst |mc - closed form| = {worst:.2f} standard errors",
-    )
+    _check(verify.one_bit_bias)
 
 
 def _uniform_cfg(s, trials, m_grid=(200, 400, 700, 1000, 1400, 2000), delta=3.0):
@@ -204,100 +166,24 @@ def test_06_one_bit_rate_model():
 
 
 def test_07_solver_correctness():
-    ok = True
-    worst_rel = 0.0
-    monotone = True
-    for seed in range(20):
-        rng_sig = substream(SEED, "acc7", seed, "sig")
-        rng_mat = substream(SEED, "acc7", seed, "mat")
-        rng_dith = substream(SEED, "acc7", seed, "dith")
-        x0 = gen_sparse_signal(SignalSpec(50, Sparse(10), 3.0), rng_sig)
-        A = sample_measurements(GAUSSIAN, 300, 50, rng_mat)
-        y = measure(A, x0, UniformQuantizer(1.0), UniformHalfOpenDither(1.0), rng_dith)
-        p = GLassoProblem(A, y, 1.0, Unconstrained())
-        res = glasso_solve(p, SolverOptions(max_iters=50000, rel_tol=1e-14))
-        monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
-        x_ls, *_ = np.linalg.lstsq(A.entries, y.y, rcond=None)
-        rel = np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)
-        worst_rel = max(worst_rel, rel)
-        ok &= rel <= 1e-6
-
-    # gradient vs central differences on a random instance
-    rng = substream(SEED, "acc7", "fd")
-    A = sample_measurements(GAUSSIAN, 60, 15, rng)
-    yv = rng.standard_normal(60)
-    p = GLassoProblem(A, yv, 1.0, Unconstrained())
-    x = rng.standard_normal(15)
-    g = gradient(p, x)
-    h = 1e-6
-    fd = np.array(
-        [
-            (objective(p, x + h * e) - objective(p, x - h * e)) / (2 * h)
-            for e in np.eye(15)
-        ]
-    )
-    grad_rel = np.linalg.norm(fd - g) / np.linalg.norm(g)
-    ok &= grad_rel <= 1e-5 and monotone
-    _report(
-        "solver matches normal equations, gradient, monotone descent",
-        ok,
-        f"worst solution rel err {worst_rel:.2e} (<=1e-6), "
-        f"gradient rel err {grad_rel:.2e} (<=1e-5), monotone={monotone}",
-    )
+    _check(verify.solver_correctness)
 
 
-def test_08_projection_oracles():
-    cvxpy = pytest.importorskip("cvxpy")
-    ok = True
-    worst = 0.0
+def test_08_projection_oracles(l1_qp):
+    _check(verify.projections)
+    if l1_qp is None:
+        return
     rng = substream(SEED, "acc8", "qp")
+    worst = 0.0
     for n in (2, 4, 8):
         for _ in range(10):
             v = rng.standard_normal(n) * 2
             radius = float(rng.uniform(0.2, 2.0))
-            xv = cvxpy.Variable(n)
-            prob = cvxpy.Problem(
-                cvxpy.Minimize(cvxpy.sum_squares(xv - v)),
-                [cvxpy.norm1(xv) <= radius],
-            )
-            prob.solve(
-                solver="CLARABEL", tol_gap_abs=1e-12, tol_gap_rel=1e-12, tol_feas=1e-12
-            )
-            dev = float(np.max(np.abs(project_l1_ball(v, radius) - xv.value)))
-            worst = max(worst, dev)
-            ok &= dev <= 1e-6
-
-    # nuclear projection dominates 1e5 random feasible candidates
-    rng = substream(SEED, "acc8", "nuc")
-    d = 4
-    v = rng.standard_normal(d * d) * 2
-    radius = 1.5
-    best = np.linalg.norm(project_nuclear_ball(v, radius) - v)
-    dominated = True
-    for _ in range(100):
-        C = rng.standard_normal((1000, d, d))
-        s = np.linalg.svd(C, compute_uv=False).sum(axis=1)
-        scale = radius * rng.random(1000) / s
-        cands = (C * scale[:, None, None]).reshape(1000, -1)
-        dominated &= bool(
-            np.all(np.linalg.norm(cands - v, axis=1) >= best - 1e-9)
-        )
-
-    # nonexpansiveness on 1e4 random pairs
-    rng = substream(SEED, "acc8", "ne")
-    expansive = 0
-    for _ in range(10_000):
-        a = rng.standard_normal(12) * 3
-        b = rng.standard_normal(12) * 3
-        lhs = np.linalg.norm(project_l1_ball(a, 2.0) - project_l1_ball(b, 2.0))
-        expansive += lhs > np.linalg.norm(a - b) + 1e-12
-    ok &= dominated and expansive == 0
+            worst = max(worst, float(np.max(np.abs(project_l1_ball(v, radius) - l1_qp(v, radius)))))
     _report(
-        "projection oracles: quadratic program, candidate sweep, nonexpansive",
-        ok,
-        f"worst deviation from the quadratic-program solution {worst:.2e} (<=1e-6); "
-        f"nuclear projection dominated 1e5 candidates={dominated}; "
-        f"expansive pairs {expansive}/10000",
+        "l1 projection against the quadratic program",
+        worst <= 1e-6,
+        f"worst deviation {worst:.2e} (<=1e-6)",
     )
 
 
@@ -325,29 +211,7 @@ def test_09_noiseless_limit():
 
 
 def test_10_one_bit_moment_formulas():
-    N = 10**6
-    ok = True
-    worst = 0.0
-    xi_lines = []
-    for i, s in enumerate((1.0, 4.0, 8.0)):
-        for j, ratio in enumerate((1.5, 3.0, 6.0)):
-            T = ratio * s
-            rep = onebit_moment_check(s, T, T, N, substream(SEED, "acc10", i, j))
-            z = abs(rep.eta2_mc - rep.eta2_formula) / max(rep.eta2_se, 1e-300)
-            worst = max(worst, z)
-            ok &= z <= 5.0
-            xi_lines.append(
-                f"s={s},T={T}: E[xi] mc={rep.xi_mc:+.4f} "
-                f"literal={rep.xi_formula_literal:+.4f}"
-            )
-    # the first-moment comparison is reported, not asserted: the printed
-    # formula and the Monte Carlo mean are shown side by side
-    print("  first-moment comparison: " + "; ".join(xi_lines))
-    _report(
-        "one-bit E[eta^2] closed form (3x3 grid, N=1e6)",
-        ok,
-        f"worst |mc - formula| = {worst:.2f} standard errors",
-    )
+    _check(verify.one_bit_moments)
 
 
 def test_11_width_table():

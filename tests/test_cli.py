@@ -4,11 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import qlasso
 import qlasso.experiment
+import qlasso.verify
 from qlasso import SolverOptions
 from qlasso.cli import build_parser, main
 from qlasso.output import read_error_curves_csv
@@ -45,6 +45,24 @@ def test_widths_table(capsys):
 
 def test_widths_requires_arguments(capsys):
     assert main(["widths"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["widths", "--sparse", "100"],
+    ["widths", "--sparse", "100:200"],
+    ["widths", "--sparse", "100:25", "--lowrank", "5:x"],
+    ["quantize-demo", "--step", "0"],
+    ["quantize-demo", "--step", "-1"],
+    ["quantize-demo", "--delta", "2", "--delta", "0"],
+    ["quantize-demo", "--xmin", "1", "--xmax", "0"],
+    ["run-uniform", "--jobs", "0"],
+    ["compare", "--jobs", "-2"],
+])
+def test_bad_arguments_exit_2_before_any_output(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
 
 
 def test_quantize_demo(capsys):
@@ -202,6 +220,8 @@ def test_parser_subcommands():
     args = parser.parse_args(["run-onebit", "--jobs", "2"])
     assert args.command == "run-onebit"
     assert args.jobs == 2
+    with pytest.raises(SystemExit):  # verify runs in-process and takes no --jobs
+        parser.parse_args(["verify", "--jobs", "2"])
 
 
 def test_verify_passes(tmp_path, capsys):
@@ -212,3 +232,15 @@ def test_verify_passes(tmp_path, capsys):
     assert "[FAIL]" not in report
     # the first-moment comparison is reported, not asserted
     assert "literal=" in report and "norm-scaled=" in report
+
+
+def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a wrong closed form must make the one-bit bias check, and only it, fail
+    monkeypatch.setattr(qlasso.verify, "one_bit_mean_formula", lambda x, T, mu: 0.0)
+    rc = main(["verify", "--out", str(tmp_path / "v"), "--seed", "0"])
+    assert rc == 1
+    report = (tmp_path / "v" / "verify.txt").read_text().splitlines()
+    assert len(report) == len(qlasso.verify.CHECKS)
+    failed = [line for line in report if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] one-bit bias identity:")
+    assert "verification failed" in capsys.readouterr().err

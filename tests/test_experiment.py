@@ -21,7 +21,6 @@ from qlasso import (
 from qlasso.experiment import (
     ESTIMATORS,
     onebit_eta2_formula,
-    onebit_xi2_formula,
     onebit_xi_mean_literal,
     onebit_xi_mean_norm_scaled,
     qfunc,
@@ -193,17 +192,6 @@ def test_eta2_formula_limits():
     # mu = T and T >> s: 1 - 2Q(T/s) -> 1, value -> T^2 - s^2
     val = onebit_eta2_formula(0.1, 50.0, 50.0)
     assert val == pytest.approx(50.0**2 - 0.1**2, rel=1e-6)
-
-
-def test_moment_check_matches_closed_forms():
-    rng = substream(0, "moments")
-    for i, (s, ratio) in enumerate([(1.0, 2.0), (2.0, 3.0), (0.5, 4.0)]):
-        T = ratio * s
-        rep = onebit_moment_check(s, T, T, 200_000, substream(0, "mom", i))
-        assert abs(rep.eta2_mc - rep.eta2_formula) <= 5 * rep.eta2_se
-        assert abs(rep.xi2_mc - rep.xi2_formula) <= 5 * rep.xi2_se
-        # the dimensionally consistent first-moment variant tracks the MC mean
-        assert abs(rep.xi_mc - rep.xi_formula_norm_scaled) <= 5 * rep.xi_se
 
 
 def test_xi_literal_vs_norm_scaled():

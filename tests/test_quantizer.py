@@ -11,7 +11,6 @@ from qlasso import (
     UniformHalfOpenDither,
     UniformQuantizer,
     UniformSymmetricDither,
-    dither_mean_residual,
     measure,
     one_bit_mean_formula,
     one_bit_quantize,
@@ -117,7 +116,7 @@ def test_measure_zero_signal_one_bit_mean():
 def test_measure_scalar_enumeration():
     # n = 1, a = 1, x0 = 10, delta = 2: Q(10 + tau) with tau in (-1, 1] is 9 or 11
     rng = substream(4, "m")
-    from qlasso.ensemble import EnsembleKind, MeasurementMatrix
+    from qlasso.ensemble import MeasurementMatrix
 
     A = MeasurementMatrix(np.ones((200, 1)), GAUSSIAN)
     y = measure(A, np.array([10.0]), UniformQuantizer(2.0), UniformHalfOpenDither(2.0), rng)
@@ -157,24 +156,6 @@ def test_quantization_noise_one_bit_zero_signal():
     assert set(np.unique(e)) <= {-T, T}
 
 
-def test_dither_mean_residual_unbiased_grid():
-    for i, (x, delta) in enumerate([(-3.3, 0.5), (0.25, 1.0), (7.9, 3.0)]):
-        res = dither_mean_residual(
-            x, UniformQuantizer(delta), UniformHalfOpenDither(delta), 1.0,
-            200_000, substream(8, "mc", i),
-        )
-        assert abs(res.mean) <= 5 * res.stderr + 1e-12
-
-
-def test_dither_mean_residual_kfold():
-    for k in (2, 3):
-        res = dither_mean_residual(
-            0.37, UniformQuantizer(1.0), KFoldUniformDither(k, 1.0), 1.0,
-            200_000, substream(9, "mc", k),
-        )
-        assert abs(res.mean) <= 5 * res.stderr + 1e-12
-
-
 def test_one_bit_mean_formula_values():
     T = 4.0
     assert one_bit_mean_formula(0.5 * T, T, T) == 0.0
@@ -182,14 +163,3 @@ def test_one_bit_mean_formula_values():
     assert one_bit_mean_formula(-3 * T, T, T) == 2 * T
     with pytest.raises(ValueError):
         one_bit_mean_formula(1.0, T, 2.0)
-
-
-def test_one_bit_residual_matches_formula():
-    T = 4.0
-    for i, x in enumerate([0.0, 0.5 * T, 2 * T, -2 * T, 3 * T]):
-        res = dither_mean_residual(
-            x, OneBitQuantizer(T), UniformSymmetricDither(T), T,
-            200_000, substream(10, "mc", i),
-        )
-        exact = one_bit_mean_formula(x, T, T)
-        assert abs(res.mean - exact) <= 5 * res.stderr + 1e-12
