@@ -1,11 +1,7 @@
 """Recovery of structured signals from dithered quantized measurements."""
 
 from .ensemble import (
-    GAUSSIAN,
-    RADEMACHER,
-    EnsembleKind,
     LowRank,
-    MeasurementMatrix,
     SignalSpec,
     Sparse,
     gen_lowrank_signal,
@@ -41,15 +37,8 @@ from .geometry import (
     sample_descent_directions,
 )
 from .quantizer import (
-    DitherKind,
-    KFoldUniformDither,
-    NoDither,
     OneBitQuantizer,
-    QuantizedObservations,
-    QuantizerConfig,
-    UniformHalfOpenDither,
     UniformQuantizer,
-    UniformSymmetricDither,
     dither_mean_residual,
     measure,
     one_bit_mean_formula,

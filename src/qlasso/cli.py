@@ -150,6 +150,8 @@ def _report_nonconverged(label, m_grid, converged):
 def _cmd_run(args, quantizer):
     cfg = _resolve(args, quantizer)
     ecfg = _experiment_config(cfg)
+    if len(ecfg.m_grid) < 3:
+        raise ConfigError(f"{args.command} fits rates and needs at least 3 m values, got {len(ecfg.m_grid)}")
     out = _ensure_out(cfg)
     chash = config_hash(_hashable(cfg))
     tag = "uniform" if quantizer == "uniform" else "onebit"
@@ -187,6 +189,8 @@ def _cmd_compare(args):
     if len(cfg["estimators"]) < 2:
         cfg["estimators"] = ["glasso", "pbp", "dm"]
     ecfg = _experiment_config(cfg)
+    if "glasso" not in ecfg.estimators:
+        raise ConfigError(f"compare scores the estimators against glasso, got {list(ecfg.estimators)}")
     out = _ensure_out(cfg)
     chash = config_hash(_hashable(cfg))
     curves = run_curve(ecfg, ecfg.estimators, jobs=args.jobs)
@@ -214,13 +218,15 @@ def _cmd_delta_sweep(args):
     deltas = cfg["delta"]
     if not isinstance(deltas, (list, tuple)):
         deltas = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
-    if not isinstance(cfg["m_grid"], (list, tuple)) or len(cfg["m_grid"]) != 1:
-        cfg["m_grid"] = [cfg["m_grid"][0]] if isinstance(cfg["m_grid"], (list, tuple)) else [int(cfg["m_grid"])]
+    if not deltas or not all(isinstance(d, (int, float)) and d > 0 for d in deltas):
+        raise ConfigError(f"delta-sweep needs a nonempty list of positive 'delta' values, got {deltas}")
+    grid = cfg["m_grid"] if isinstance(cfg["m_grid"], (list, tuple)) else [int(cfg["m_grid"])]
+    if not grid:
+        raise ConfigError("delta-sweep needs an m in 'm_grid'")
+    cfg["m_grid"] = grid[:1]
     if len(cfg["estimators"]) < 2:
         cfg["estimators"] = ["glasso", "pbp"]
-    base = dict(cfg)
-    base["delta"] = float(deltas[0])
-    ecfg = _experiment_config(base)
+    ecfg = _experiment_config(dict(cfg, delta=float(deltas[0])))
     out = _ensure_out(cfg)
     chash = config_hash(_hashable(cfg))
     sweep = delta_sweep(ecfg, deltas, estimators=ecfg.estimators, jobs=args.jobs)

@@ -51,46 +51,7 @@ class SignalSpec:
             raise ValueError(f"unknown structure {self.structure!r}")
 
 
-@dataclass(frozen=True)
-class EnsembleKind:
-    """Measurement row distribution: iid standard Gaussian or Rademacher entries."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "rademacher"):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-
-
-GAUSSIAN = EnsembleKind("gaussian")
-RADEMACHER = EnsembleKind("rademacher")
-
-
-def ensemble_by_name(name: str) -> EnsembleKind:
-    try:
-        return {"gaussian": GAUSSIAN, "rademacher": RADEMACHER}[name]
-    except KeyError:
-        raise ValueError(f"unknown ensemble kind {name!r}") from None
-
-
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    entries: np.ndarray
-    kind: EnsembleKind
-
-    def __post_init__(self):
-        if self.entries.ndim != 2:
-            raise ValueError("measurement matrix must be 2-d")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("measurement matrix has non-finite entries")
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
+ENSEMBLES = ("gaussian", "rademacher")
 
 
 def gen_sparse_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
@@ -130,14 +91,12 @@ def gen_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
     return gen_lowrank_signal(spec, rng)
 
 
-def sample_measurements(kind: EnsembleKind, m: int, n: int, rng: np.random.Generator) -> MeasurementMatrix:
-    """Sample an m x n matrix with iid rows of the requested ensemble."""
+def sample_measurements(kind: str, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample an m x n matrix with iid rows of the named ensemble (one of ENSEMBLES)."""
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if kind.kind == "gaussian":
-        entries = rng.standard_normal((m, n))
-    elif kind.kind == "rademacher":
-        entries = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
-    else:
-        raise ValueError(f"unknown ensemble kind {kind.kind!r}")
-    return MeasurementMatrix(entries=entries, kind=kind)
+    if kind == "gaussian":
+        return rng.standard_normal((m, n))
+    if kind == "rademacher":
+        return rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
+    raise ValueError(f"unknown ensemble kind {kind!r}")

@@ -17,22 +17,9 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ensemble import (
-    LowRank,
-    SignalSpec,
-    Sparse,
-    ensemble_by_name,
-    gen_signal,
-    sample_measurements,
-)
+from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
 from .geometry import project_l1_rows, project_nuclear_rows
-from .quantizer import (
-    OneBitQuantizer,
-    UniformHalfOpenDither,
-    UniformQuantizer,
-    UniformSymmetricDither,
-    measure,
-)
+from .quantizer import OneBitQuantizer, UniformQuantizer, measure, sample_dither
 from .solver import SolverOptions, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
@@ -63,16 +50,20 @@ class ExperimentConfig:
             raise ValueError("R must be an upper bound on the signal norm")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        SignalSpec(self.n, self.structure, self.norm_target)  # validates n, structure and norm
         if list(self.m_grid) != sorted(set(self.m_grid)):
             raise ValueError("m_grid must be strictly increasing")
         if self.quantizer not in ("uniform", "one_bit"):
             raise ValueError(f"unknown quantizer {self.quantizer!r}")
+        # one-bit needs ln m > 0 for its dither range T = R sqrt(ln m)
+        m_min = 2 if self.quantizer == "one_bit" else 1
+        if not self.m_grid or self.m_grid[0] < m_min:
+            raise ValueError(f"m_grid must be nonempty with every m >= {m_min}, got {self.m_grid}")
         if self.quantizer == "uniform" and not (self.delta and self.delta > 0):
             raise ValueError("uniform quantizer needs delta > 0")
-        for est in self.estimators:
-            if est not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {est!r}")
-        ensemble_by_name(self.ensemble)  # validates
+        _check_estimators(self.estimators)
+        if self.ensemble not in ENSEMBLES:
+            raise ValueError(f"unknown ensemble kind {self.ensemble!r}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +93,11 @@ def onebit_dither_range(R: float, m: int) -> float:
 
 
 def _channel(cfg: ExperimentConfig, m: int):
-    """(quantizer, dither, mu) of the measurement channel at m."""
+    """(quantizer, mu) of the measurement channel at m."""
     if cfg.quantizer == "uniform":
-        return UniformQuantizer(cfg.delta), UniformHalfOpenDither(cfg.delta), 1.0
+        return UniformQuantizer(cfg.delta), 1.0
     T = onebit_dither_range(cfg.R, m)
-    return OneBitQuantizer(T), UniformSymmetricDither(T), T
+    return OneBitQuantizer(T), T
 
 
 def block_size(n: int) -> int:
@@ -126,8 +117,7 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     """
     k, n = len(trials), cfg.n
     spec = SignalSpec(n, cfg.structure, cfg.norm_target)
-    kind = ensemble_by_name(cfg.ensemble)
-    q, d, mu = _channel(cfg, m)
+    q, mu = _channel(cfg, m)
     x0s = np.empty((k, n))
     G = np.empty((k, n, n))
     b = np.empty((k, n))
@@ -135,10 +125,10 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     radii = np.empty(k)
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
-        A = sample_measurements(kind, m, n, substream(cfg.master_seed, m, t, "matrix"))
-        y = measure(A, x0, q, d, substream(cfg.master_seed, m, t, "dither")).y
-        G[i] = A.entries.T @ A.entries / m
-        b[i] = (mu / m) * (A.entries.T @ y)
+        A = sample_measurements(cfg.ensemble, m, n, substream(cfg.master_seed, m, t, "matrix"))
+        y = measure(A, x0, q, substream(cfg.master_seed, m, t, "dither"))
+        G[i] = A.T @ A / m
+        b[i] = (mu / m) * (A.T @ y)
         const[i] = (mu**2 / m) * float(y @ y)
         del A  # free this trial's m x n matrix before the next one is drawn
         x0s[i] = x0
@@ -275,7 +265,10 @@ def delta_sweep(
     """Per-resolution error curves at fixed m, paired seeds across deltas and estimators."""
     if len(cfg.m_grid) != 1:
         raise ValueError("delta_sweep expects a single fixed m in cfg.m_grid")
-    by_delta = [run_curve(replace(cfg, delta=float(d)), estimators, jobs=jobs) for d in deltas]
+    if not deltas:
+        raise ValueError("delta_sweep needs at least one delta")
+    cfgs = [replace(cfg, delta=float(d)) for d in deltas]  # validates every delta before any trial runs
+    by_delta = [run_curve(c, estimators, jobs=jobs) for c in cfgs]
     out = {}
     for est in estimators:
         curves = [c[est] for c in by_delta]
@@ -358,7 +351,7 @@ def onebit_moment_check(
     if N < 10**4:
         raise ValueError("N < 1e4 gives uninformative standard errors; refuse")
     zeta = rng.standard_normal(N)
-    tau = T * (2.0 * rng.random(N) - 1.0)
+    tau = sample_dither(OneBitQuantizer(T), rng, N)
     sgn = np.where(norm_x0 * zeta + tau >= 0, 1.0, -1.0)
     eta = mu * sgn - norm_x0 * zeta
     xi = eta * zeta

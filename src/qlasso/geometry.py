@@ -154,9 +154,9 @@ def estimate_smallball_inf(A, K: ConstraintSet, x0, N_d: int, rng: np.random.Gen
     This is an upper estimate of the restricted-eigenvalue infimum used as a
     diagnostic that the lower-bound side of the error analysis is active.
     """
-    entries = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=float)
-    if entries.shape[1] != np.asarray(x0).shape[0]:
+    A = np.asarray(A, dtype=float)
+    if A.shape[1] != np.asarray(x0).shape[0]:
         raise ValueError("dimension mismatch between A and x0")
     W = sample_descent_directions(K, x0, N_d, rng)
-    vals = np.sum((entries @ W.T) ** 2, axis=0) / entries.shape[0]
+    vals = np.sum((A @ W.T) ** 2, axis=0) / A.shape[0]
     return float(vals.min())

@@ -12,32 +12,27 @@ regularized correlation maximizer, which coincide as P_K of the same point.
 """
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .ensemble import MeasurementMatrix
 from .geometry import ConstraintSet
-from .quantizer import QuantizedObservations
-
-
-def _entries(A) -> np.ndarray:
-    return A.entries if isinstance(A, MeasurementMatrix) else np.asarray(A, dtype=float)
-
-
-def _yvec(y) -> np.ndarray:
-    return y.y if isinstance(y, QuantizedObservations) else np.asarray(y, dtype=float)
 
 
 @dataclass(frozen=True)
 class GLassoProblem:
-    A: MeasurementMatrix
-    y: Union[QuantizedObservations, np.ndarray]
+    A: np.ndarray
+    y: np.ndarray
     mu: float
     K: ConstraintSet
 
     def __post_init__(self):
-        if _entries(self.A).shape[0] != _yvec(self.y).shape[0]:
+        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        if self.A.ndim != 2:
+            raise ValueError("measurement matrix must be 2-d")
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("measurement matrix has non-finite entries")
+        if self.A.shape[0] != self.y.shape[0]:
             raise ValueError("rows(A) must equal length(y)")
         if not np.isfinite(self.mu):
             raise ValueError("mu must be finite")
@@ -66,21 +61,19 @@ class SolverResult:
 
 def objective(p: GLassoProblem, x: np.ndarray) -> float:
     """L(x) = (1/2m) sum_i (mu * y_i - a_i^T x)^2."""
-    A = _entries(p.A)
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != A.shape[1]:
+    if x.shape[0] != p.A.shape[1]:
         raise ValueError("dimension mismatch between x and A")
-    r = p.mu * _yvec(p.y) - A @ x
-    return float(r @ r) / (2.0 * A.shape[0])
+    r = p.mu * p.y - p.A @ x
+    return float(r @ r) / (2.0 * p.A.shape[0])
 
 
 def gradient(p: GLassoProblem, x: np.ndarray) -> np.ndarray:
     """grad L(x) = (1/m) A^T (A x - mu * y)."""
-    A = _entries(p.A)
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != A.shape[1]:
+    if x.shape[0] != p.A.shape[1]:
         raise ValueError("dimension mismatch between x and A")
-    return A.T @ (A @ x - p.mu * _yvec(p.y)) / A.shape[0]
+    return p.A.T @ (p.A @ x - p.mu * p.y) / p.A.shape[0]
 
 
 # The fixed step is 1 / (LIPSCHITZ_MARGIN * lambda_max(G)). lambda_max comes
@@ -105,20 +98,19 @@ def inverse_lipschitz_step(G: np.ndarray) -> np.ndarray:
 
 def estimate_lipschitz(A) -> float:
     """Lipschitz constant lambda_max(A^T A) / m of grad L, inflated 1% as a safety factor."""
-    entries = _entries(A)
-    if entries.size == 0:
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
         raise ValueError("A must be nonempty")
-    return float(_lipschitz(entries.T @ entries / entries.shape[0]))
+    return float(_lipschitz(A.T @ A / A.shape[0]))
 
 
 def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> SolverResult:
     """Minimize the quantized least-squares objective over K from x = 0."""
-    A = _entries(p.A)
-    yv = _yvec(p.y)
+    A, y = p.A, p.y
     m, n = A.shape
     G = A.T @ A / m
-    b = (p.mu / m) * (A.T @ yv)
-    const = (p.mu**2 / m) * float(yv @ yv)
+    b = (p.mu / m) * (A.T @ y)
+    const = (p.mu**2 / m) * float(y @ y)
 
     def f(x, Gx):
         return 0.5 * float(x @ Gx) - float(b @ x) + 0.5 * const
@@ -206,11 +198,10 @@ def pgd_rows(G, b, const, radii, project, eta, opts: SolverOptions = SolverOptio
 
 def pbp_estimate(A, y, K: ConstraintSet, mu: float) -> np.ndarray:
     """Projected back projection: P_K((mu/m) A^T y)."""
-    entries = _entries(A)
-    yv = _yvec(y)
-    if entries.shape[0] != yv.shape[0]:
+    A, y = np.asarray(A, dtype=float), np.asarray(y, dtype=float)
+    if A.shape[0] != y.shape[0]:
         raise ValueError("rows(A) must equal length(y)")
-    return K.project((mu / entries.shape[0]) * (entries.T @ yv))
+    return K.project((mu / A.shape[0]) * (A.T @ y))
 
 
 def dm_estimate(A, y, K: ConstraintSet, lam: float) -> np.ndarray:

@@ -10,19 +10,10 @@ import math
 
 import numpy as np
 
-from .ensemble import GAUSSIAN, SignalSpec, Sparse, gen_sparse_signal, sample_measurements
+from .ensemble import SignalSpec, Sparse, gen_sparse_signal, sample_measurements
 from .experiment import onebit_moment_check
 from .geometry import Unconstrained, estimate_smallball_inf, project_l1_rows, project_nuclear_rows
-from .quantizer import (
-    KFoldUniformDither,
-    OneBitQuantizer,
-    UniformHalfOpenDither,
-    UniformQuantizer,
-    UniformSymmetricDither,
-    dither_mean_residual,
-    measure,
-    one_bit_mean_formula,
-)
+from .quantizer import OneBitQuantizer, UniformQuantizer, dither_mean_residual, measure, one_bit_mean_formula
 from .solver import GLassoProblem, SolverOptions, glasso_solve, gradient, objective
 from .streams import substream
 
@@ -34,10 +25,10 @@ def _z(gap: float, se: float) -> float:
 
 
 def _residual_gaps(seed, tag, size, cases):
-    """(MC mean - exact, standard error) of mu Q(x + tau) - x per case (q, d, mu, x, exact)."""
+    """(MC mean - exact, standard error) of mu Q(x + tau) - x per case (q, mu, x, exact)."""
     gaps = []
-    for i, (q, d, mu, x, exact) in enumerate(cases):
-        res = dither_mean_residual(x, q, d, mu, size, substream(seed, tag, i))
+    for i, (q, mu, x, exact) in enumerate(cases):
+        res = dither_mean_residual(x, q, mu, size, substream(seed, tag, i))
         gaps.append((res.mean - exact, res.stderr))
     return gaps
 
@@ -45,7 +36,7 @@ def _residual_gaps(seed, tag, size, cases):
 def uniform_dither(seed: int, size: int):
     """E[Q(x + tau)] = x on a 7 x 3 grid of (x, Delta): within 5 se (+1e-12) and 5 Delta / sqrt(N)."""
     cases = [
-        (UniformQuantizer(delta), UniformHalfOpenDither(delta), 1.0, x, 0.0)
+        (UniformQuantizer(delta), 1.0, x, 0.0)
         for delta in (0.5, 1.0, 3.0)
         for x in (-3.3, -1.0, 0.0, 0.25, 0.37, 0.5, 7.9)
     ]
@@ -63,7 +54,7 @@ def uniform_dither(seed: int, size: int):
 def kfold_dither(seed: int, size: int):
     """E[Q(x + tau)] = x when tau sums k = 2, 3 half-open uniform draws: within 5 se."""
     cases = [
-        (UniformQuantizer(1.0), KFoldUniformDither(k, 1.0), 1.0, x, 0.0)
+        (UniformQuantizer(1.0, folds=k), 1.0, x, 0.0)
         for k in (2, 3)
         for x in (-1.0, 0.25, 0.37, 7.9)
     ]
@@ -75,7 +66,7 @@ def one_bit_bias(seed: int, size: int):
     """E[T sign(x + tau)] - x for tau ~ Unif[-T, T], T = 4, is the exact clipping bias: within 5 se."""
     T = 4.0
     cases = [
-        (OneBitQuantizer(T), UniformSymmetricDither(T), T, x, one_bit_mean_formula(x, T, T))
+        (OneBitQuantizer(T), T, x, one_bit_mean_formula(x, T, T))
         for x in (0.0, 0.5 * T, 2 * T, -2 * T, 3 * T, -3 * T)
     ]
     worst = max(_z(gap, se) for gap, se in _residual_gaps(seed, "verify-onebit", size, cases))
@@ -168,16 +159,15 @@ def solver_correctness(seed: int, size: int):
     worst_rel, monotone = 0.0, True
     for i in range(size // 50_000):
         x0 = gen_sparse_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
-        A = sample_measurements(GAUSSIAN, 300, 50, substream(seed, "verify-solver", i, "matrix"))
-        y = measure(A, x0, UniformQuantizer(1.0), UniformHalfOpenDither(1.0),
-                    substream(seed, "verify-solver", i, "dither"))
+        A = sample_measurements("gaussian", 300, 50, substream(seed, "verify-solver", i, "matrix"))
+        y = measure(A, x0, UniformQuantizer(1.0), substream(seed, "verify-solver", i, "dither"))
         res = glasso_solve(GLassoProblem(A, y, 1.0, Unconstrained()), SolverOptions(max_iters=50000, rel_tol=1e-14))
         monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
-        x_ls = np.linalg.lstsq(A.entries, y.y, rcond=None)[0]
+        x_ls = np.linalg.lstsq(A, y, rcond=None)[0]
         worst_rel = max(worst_rel, float(np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)))
 
     rng = substream(seed, "verify-solver", "gradient")
-    p = GLassoProblem(sample_measurements(GAUSSIAN, 60, 15, rng), rng.standard_normal(60), 1.0, Unconstrained())
+    p = GLassoProblem(sample_measurements("gaussian", 60, 15, rng), rng.standard_normal(60), 1.0, Unconstrained())
     x, h = rng.standard_normal(15), 1e-6
     g = gradient(p, x)
     err = np.abs([(objective(p, x + h * e) - objective(p, x - h * e)) / (2 * h) for e in np.eye(15)] - g)
@@ -190,7 +180,7 @@ def solver_correctness(seed: int, size: int):
 def small_ball(seed: int, size: int):
     """The small-ball infimum over N/400 directions of a 1000 x 20 Gaussian matrix lies in [0.5, 1.5]."""
     rng = substream(seed, "verify-smallball")
-    A = sample_measurements(GAUSSIAN, 1000, 20, rng)
+    A = sample_measurements("gaussian", 1000, 20, rng)
     val = estimate_smallball_inf(A, Unconstrained(), np.zeros(20), size // 400, rng)
     return ("small-ball diagnostic in [0.5, 1.5]", 0.5 <= val <= 1.5, f"inf estimate {val:.3f}")
 

@@ -15,10 +15,8 @@ from qlasso import (
     ExperimentConfig,
     GLassoProblem,
     L1Ball,
-    RADEMACHER,
     SignalSpec,
     Sparse,
-    UniformHalfOpenDither,
     UniformQuantizer,
     delta_sweep,
     fit_rate,
@@ -196,8 +194,8 @@ def test_09_noiseless_limit():
         rng_mat = substream(SEED, "acc9", trial, "mat")
         rng_dith = substream(SEED, "acc9", trial, "dith")
         x0 = gen_sparse_signal(SignalSpec(100, Sparse(10), 8.0), rng_sig)
-        A = sample_measurements(RADEMACHER, 500, 100, rng_mat)
-        y = measure(A, x0, UniformQuantizer(delta), UniformHalfOpenDither(delta), rng_dith)
+        A = sample_measurements("rademacher", 500, 100, rng_mat)
+        y = measure(A, x0, UniformQuantizer(delta), rng_dith)
         K = L1Ball(float(np.abs(x0).sum()))
         res = glasso_solve(GLassoProblem(A, y, 1.0, K))
         err = float(np.linalg.norm(res.x_hat - x0))

@@ -185,6 +185,25 @@ def test_unknown_config_field(tmp_path):
     assert main(["run-uniform", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("compare", dict(estimators=["pbp", "dm"])),
+    ("delta-sweep", dict(m_grid=[])),
+    ("delta-sweep", dict(delta=[])),
+    ("delta-sweep", dict(delta=[1.0, -1.0])),
+    ("run-uniform", dict(m_grid=[0, 200, 400])),
+    ("run-onebit", dict(quantizer="one_bit", m_grid=[1, 200, 400])),
+    ("run-uniform", dict(s=0)),
+    ("run-uniform", dict(m_grid=[200, 400])),
+    ("run-onebit", dict(quantizer="one_bit", m_grid=[400])),
+])
+def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert list(out.glob("*")) == []
+
+
 def test_scalar_delta_required_for_run(tmp_path):
     cfg = _write_cfg(tmp_path, delta=[1.0, 2.0])
     assert main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -196,15 +215,15 @@ def test_invalid_experiment_values(tmp_path):
 
 
 def test_seed_precedence(tmp_path, monkeypatch):
-    cfg = _write_cfg(tmp_path, estimators=["glasso"], m_grid=[100], trials=1)
+    cfg = _write_cfg(tmp_path, estimators=["glasso"], m_grid=[100, 150, 200], trials=1)
     out = str(tmp_path / "env")
     monkeypatch.setenv("QLASSO_SEED", "99")
     # config seed wins over the environment
-    main(["run-uniform", "--config", cfg, "--out", out])
+    assert main(["run-uniform", "--config", cfg, "--out", out]) == 0
     head = (tmp_path / "env" / "uniform_glasso.csv").read_text().splitlines()[0]
     assert "master_seed=11" in head
     # flag wins over both
-    main(["run-uniform", "--config", cfg, "--seed", "5", "--out", out])
+    assert main(["run-uniform", "--config", cfg, "--seed", "5", "--out", out]) == 0
     head = (tmp_path / "env" / "uniform_glasso.csv").read_text().splitlines()[0]
     assert "master_seed=5" in head
     monkeypatch.delenv("QLASSO_SEED")

@@ -62,6 +62,15 @@ def test_config_validation():
         _cfg(estimators=("glasso", "mle"))
     with pytest.raises(ValueError):
         _cfg(ensemble="cauchy")
+    with pytest.raises(ValueError):
+        _cfg(m_grid=())
+    with pytest.raises(ValueError):
+        _cfg(m_grid=(0, 200))
+    with pytest.raises(ValueError):
+        _cfg(structure=Sparse(0))
+    _cfg(m_grid=(1, 200))  # the uniform channel is defined at m = 1
+    with pytest.raises(ValueError):  # the one-bit dither range R sqrt(ln m) is 0 at m = 1
+        _cfg(quantizer="one_bit", delta=None, m_grid=(1, 200))
 
 
 def test_onebit_dither_range_value():
@@ -179,6 +188,8 @@ def test_delta_sweep_paired():
     assert out["pbp"]["mean_err"][1] > out["pbp"]["mean_err"][0] * 0.5
     with pytest.raises(ValueError):
         delta_sweep(_cfg(m_grid=(200, 400)), [1.0])
+    with pytest.raises(ValueError):
+        delta_sweep(cfg, [])
 
 
 def test_qfunc_values():

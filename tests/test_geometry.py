@@ -178,10 +178,10 @@ def test_smallball_orthonormal_exact():
 
 
 def test_smallball_gaussian_range():
-    from qlasso import GAUSSIAN, sample_measurements
+    from qlasso import sample_measurements
 
     rng = substream(9, "sb")
-    A = sample_measurements(GAUSSIAN, 2000, 40, rng)
+    A = sample_measurements("gaussian", 2000, 40, rng)
     x0 = np.zeros(40)
     x0[:5] = 1.0
     K = L1Ball(5.0)

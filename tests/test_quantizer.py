@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlasso import (
-    GAUSSIAN,
-    KFoldUniformDither,
-    NoDither,
     OneBitQuantizer,
-    UniformHalfOpenDither,
     UniformQuantizer,
-    UniformSymmetricDither,
     measure,
     one_bit_mean_formula,
     one_bit_quantize,
@@ -79,16 +74,29 @@ def test_one_bit_quantize():
 
 def test_dither_supports():
     rng = substream(0, "d")
-    sym = sample_dither(UniformSymmetricDither(5.0), rng, size=10000)
+    sym = sample_dither(OneBitQuantizer(5.0), rng, size=10000)
     assert np.all((sym >= -5.0) & (sym <= 5.0))
-    half = sample_dither(UniformHalfOpenDither(2.0), rng, size=10000)
+    half = sample_dither(UniformQuantizer(2.0), rng, size=10000)
     assert np.all((half > -1.0) & (half <= 1.0))
-    assert sample_dither(NoDither(), rng) == 0.0
+
+
+def test_dither_draws_pinned():
+    # The seed contract: each dither is a fixed map of the substream's uniforms.
+    delta, T, n = 2.5, 4.0, 1000
+
+    def draw(q):
+        return sample_dither(q, substream(8, "pin"), n)
+
+    u = substream(8, "pin").random((3, n))
+    np.testing.assert_array_equal(draw(UniformQuantizer(delta)), delta * (u[0] - 0.5))
+    np.testing.assert_array_equal(draw(OneBitQuantizer(T)), T * (2.0 * u[0] - 1.0))
+    folded = delta * ((u[0] - 0.5) + (u[1] - 0.5) + (u[2] - 0.5))
+    np.testing.assert_array_equal(draw(UniformQuantizer(delta, folds=3)), folded)
 
 
 def test_kfold_dither_triangular_density():
     rng = substream(1, "kfold")
-    draws = sample_dither(KFoldUniformDither(2, 1.0), rng, size=10**6)
+    draws = sample_dither(UniformQuantizer(1.0, folds=2), rng, size=10**6)
     assert np.all((draws > -1.0) & (draws <= 1.0))
     hist, edges = np.histogram(draws, bins=40, range=(-1, 1), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -98,60 +106,50 @@ def test_kfold_dither_triangular_density():
 
 def test_measure_zero_signal_uniform():
     rng = substream(2, "m")
-    A = sample_measurements(GAUSSIAN, 500, 10, rng)
-    y = measure(A, np.zeros(10), UniformQuantizer(2.0), UniformHalfOpenDither(2.0), rng)
-    assert np.all(np.isin(y.y, (-1.0, 1.0)))
+    A = sample_measurements("gaussian", 500, 10, rng)
+    y = measure(A, np.zeros(10), UniformQuantizer(2.0), rng)
+    assert np.all(np.isin(y, (-1.0, 1.0)))
     # outputs are odd multiples of delta/2
-    ratio = y.y / 1.0
+    ratio = y / 1.0
     assert np.all(np.mod(ratio, 2) == 1)
 
 
 def test_measure_zero_signal_one_bit_mean():
     rng = substream(3, "m")
-    A = sample_measurements(GAUSSIAN, 10**5, 5, rng)
-    y = measure(A, np.zeros(5), OneBitQuantizer(4.0), UniformSymmetricDither(4.0), rng)
-    assert abs(np.mean(y.y)) < 0.02
+    A = sample_measurements("gaussian", 10**5, 5, rng)
+    y = measure(A, np.zeros(5), OneBitQuantizer(4.0), rng)
+    assert abs(np.mean(y)) < 0.02
 
 
 def test_measure_scalar_enumeration():
     # n = 1, a = 1, x0 = 10, delta = 2: Q(10 + tau) with tau in (-1, 1] is 9 or 11
     rng = substream(4, "m")
-    from qlasso.ensemble import MeasurementMatrix
-
-    A = MeasurementMatrix(np.ones((200, 1)), GAUSSIAN)
-    y = measure(A, np.array([10.0]), UniformQuantizer(2.0), UniformHalfOpenDither(2.0), rng)
-    assert set(np.unique(y.y)) <= {9.0, 11.0}
+    y = measure(np.ones((200, 1)), np.array([10.0]), UniformQuantizer(2.0), rng)
+    assert set(np.unique(y)) <= {9.0, 11.0}
 
 
 def test_measure_pairing_errors():
     rng = substream(5, "m")
-    A = sample_measurements(GAUSSIAN, 10, 4, rng)
-    x0 = np.zeros(4)
+    A = sample_measurements("gaussian", 10, 4, rng)
     with pytest.raises(ValueError):
-        measure(A, x0, UniformQuantizer(2.0), UniformSymmetricDither(2.0), rng)
-    with pytest.raises(ValueError):
-        measure(A, x0, OneBitQuantizer(2.0), UniformHalfOpenDither(2.0), rng)
-    with pytest.raises(ValueError):
-        measure(A, x0, UniformQuantizer(2.0), UniformHalfOpenDither(1.0), rng)
-    with pytest.raises(ValueError):
-        measure(A, np.zeros(5), UniformQuantizer(2.0), UniformHalfOpenDither(2.0), rng)
+        measure(A, np.zeros(5), UniformQuantizer(2.0), rng)
 
 
 def test_quantization_noise_bounds():
     rng = substream(6, "m")
-    A = sample_measurements(GAUSSIAN, 2000, 20, rng)
+    A = sample_measurements("gaussian", 2000, 20, rng)
     x0 = rng.standard_normal(20)
     delta = 1.5
-    y = measure(A, x0, UniformQuantizer(delta), UniformHalfOpenDither(delta), rng)
+    y = measure(A, x0, UniformQuantizer(delta), rng)
     e = quantization_noise(y, A, x0, 1.0)
     assert np.all(np.abs(e) <= delta)
 
 
 def test_quantization_noise_one_bit_zero_signal():
     rng = substream(7, "m")
-    A = sample_measurements(GAUSSIAN, 100, 3, rng)
+    A = sample_measurements("gaussian", 100, 3, rng)
     T = 4.0
-    y = measure(A, np.zeros(3), OneBitQuantizer(T), UniformSymmetricDither(T), rng)
+    y = measure(A, np.zeros(3), OneBitQuantizer(T), rng)
     e = quantization_noise(y, A, np.zeros(3), T)
     assert set(np.unique(e)) <= {-T, T}
 

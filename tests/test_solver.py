@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qlasso import (
-    GAUSSIAN,
     GLassoProblem,
     L1Ball,
     LowRank,
@@ -12,9 +11,7 @@ from qlasso import (
     SolverOptions,
     Sparse,
     Unconstrained,
-    UniformHalfOpenDither,
     UniformQuantizer,
-    UniformSymmetricDither,
     dm_estimate,
     estimate_lipschitz,
     gen_lowrank_signal,
@@ -38,16 +35,16 @@ def _instance(seed, m=300, n=50, s=10, delta=1.0):
     rng_mat = substream(seed, "mat")
     rng_dith = substream(seed, "dith")
     x0 = gen_sparse_signal(SignalSpec(n, Sparse(s), 3.0), rng_sig)
-    A = sample_measurements(GAUSSIAN, m, n, rng_mat)
-    y = measure(A, x0, UniformQuantizer(delta), UniformHalfOpenDither(delta), rng_dith)
+    A = sample_measurements("gaussian", m, n, rng_mat)
+    y = measure(A, x0, UniformQuantizer(delta), rng_dith)
     return x0, A, y
 
 
 def test_objective_zero_point():
     x0, A, y = _instance(0)
     p = GLassoProblem(A, y, 1.0, Unconstrained())
-    m = A.entries.shape[0]
-    expect = float(y.y @ y.y) / (2 * m)
+    m = A.shape[0]
+    expect = float(y @ y) / (2 * m)
     assert objective(p, np.zeros(50)) == pytest.approx(expect, rel=1e-14)
 
 
@@ -55,8 +52,8 @@ def test_objective_one_bit_zero_point():
     # y_i = +-1 so with mu = T the value at zero is T^2 / 2 exactly
     rng = substream(1, "ob")
     T = 5.0
-    A = sample_measurements(GAUSSIAN, 200, 10, rng)
-    y = measure(A, np.zeros(10), OneBitQuantizer(T), UniformSymmetricDither(T), rng)
+    A = sample_measurements("gaussian", 200, 10, rng)
+    y = measure(A, np.zeros(10), OneBitQuantizer(T), rng)
     p = GLassoProblem(A, y, T, Unconstrained())
     assert objective(p, np.zeros(10)) == pytest.approx(T * T / 2, rel=1e-14)
 
@@ -73,7 +70,13 @@ def test_objective_dimension_mismatch():
 def test_problem_shape_validation():
     x0, A, y = _instance(3)
     with pytest.raises(ValueError):
-        GLassoProblem(A, y.y[:-1], 1.0, Unconstrained())
+        GLassoProblem(A, y[:-1], 1.0, Unconstrained())
+    with pytest.raises(ValueError):
+        GLassoProblem(y, y, 1.0, Unconstrained())
+    A_bad = A.copy()
+    A_bad[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        GLassoProblem(A_bad, y, 1.0, Unconstrained())
 
 
 def test_lipschitz_scaled_identity():
@@ -129,9 +132,9 @@ def test_exact_step_near_degenerate_top_pair():
 
 
 def _stack_problems(instances, mu):
-    G = np.stack([A.entries.T @ A.entries / A.m for A, _ in instances])
-    b = np.stack([(mu / A.m) * (A.entries.T @ y.y) for A, y in instances])
-    const = np.array([(mu**2 / A.m) * float(y.y @ y.y) for A, y in instances])
+    G = np.stack([A.T @ A / len(A) for A, _ in instances])
+    b = np.stack([(mu / len(A)) * (A.T @ y) for A, y in instances])
+    const = np.array([(mu**2 / len(A)) * float(y @ y) for A, y in instances])
     return G, b, const
 
 
@@ -156,8 +159,8 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
     for seed in range(4):
         rng = substream(300 + seed, "lr")
         x0 = gen_lowrank_signal(SignalSpec(d * d, LowRank(d, 1), 2.0), rng)
-        A = sample_measurements(GAUSSIAN, 200, d * d, rng)
-        y = measure(A, x0, UniformQuantizer(0.5), UniformHalfOpenDither(0.5), rng)
+        A = sample_measurements("gaussian", 200, d * d, rng)
+        y = measure(A, x0, UniformQuantizer(0.5), rng)
         instances.append((A, y))
         radii.append(float(np.linalg.svd(x0.reshape(d, d), compute_uv=False).sum()))
     G, b, const = _stack_problems(instances, 1.0)
@@ -192,7 +195,7 @@ def test_glasso_matches_normal_equations():
         x0, A, y = _instance(100 + seed)
         p = GLassoProblem(A, y, 1.0, Unconstrained())
         res = glasso_solve(p, SolverOptions(max_iters=50000, rel_tol=1e-14))
-        x_ls, *_ = np.linalg.lstsq(A.entries, y.y, rcond=None)
+        x_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
         rel = np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)
         assert rel <= 1e-6
 
@@ -229,8 +232,8 @@ def test_fixed_point_optimality():
 def test_pbp_formula_direct():
     x0, A, y = _instance(11)
     K = L1Ball(float(np.abs(x0).sum()))
-    m = A.entries.shape[0]
-    direct = K.project((2.5 / m) * (A.entries.T @ y.y))
+    m = A.shape[0]
+    direct = K.project((2.5 / m) * (A.T @ y))
     np.testing.assert_array_equal(pbp_estimate(A, y, K, 2.5), direct)
 
 
@@ -259,9 +262,9 @@ def test_noiseless_limit_single_trial():
     rng_mat = substream(14, "mat")
     rng_dith = substream(14, "dith")
     x0 = gen_sparse_signal(SignalSpec(100, Sparse(10), 3.0), rng_sig)
-    A = sample_measurements(GAUSSIAN, 500, 100, rng_mat)
+    A = sample_measurements("gaussian", 500, 100, rng_mat)
     delta = 1e-6
-    y = measure(A, x0, UniformQuantizer(delta), UniformHalfOpenDither(delta), rng_dith)
+    y = measure(A, x0, UniformQuantizer(delta), rng_dith)
     K = L1Ball(float(np.abs(x0).sum()))
     res = glasso_solve(GLassoProblem(A, y, 1.0, K))
     assert np.linalg.norm(res.x_hat - x0) < 1e-3
