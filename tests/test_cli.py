@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qlasso
 import qlasso.experiment
 import qlasso.verify
-from qlasso import SolverOptions
+from qlasso import ExperimentConfig, SolverOptions, Sparse, fit_rate, run_curve
 from qlasso.cli import build_parser, main
 from qlasso.output import read_error_curves_csv
 
@@ -32,6 +33,23 @@ def _write_cfg(tmp_path, **kw):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base))
     return str(path)
+
+
+def _library_cfg(**kw):
+    """The ExperimentConfig that the defaults of `_write_cfg` describe."""
+    base = dict(
+        n=30, structure=Sparse(5), norm_target=3.0, R=4.0,
+        ensemble="gaussian", quantizer="uniform", delta=1.0,
+        m_grid=(100, 200, 400), trials=2, master_seed=11,
+        estimators=("glasso", "pbp"),
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def _data_rows(path):
+    """Fields of a CLI table's rows after the seed comment and the column names."""
+    return [line.split(",") for line in path.read_text().splitlines()[2:]]
 
 
 def test_widths_table(capsys):
@@ -96,15 +114,7 @@ def test_csv_roundtrip_lossless(tmp_path):
     cfg = _write_cfg(tmp_path, estimators=["glasso"])
     main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "a")])
     rows = read_error_curves_csv(tmp_path / "a" / "uniform_glasso.csv")
-    from qlasso import ExperimentConfig, Sparse, run_curve
-
-    ecfg = ExperimentConfig(
-        n=30, structure=Sparse(5), norm_target=3.0, R=4.0,
-        ensemble="gaussian", quantizer="uniform", delta=1.0,
-        m_grid=(100, 200, 400), trials=2, master_seed=11,
-        estimators=("glasso",),
-    )
-    curve = run_curve(ecfg, "glasso")
+    curve = run_curve(_library_cfg(estimators=("glasso",)), "glasso")
     # 17 significant digits round-trips doubles exactly
     assert [r["mean_err"] for r in rows] == list(curve.mean_err)
 
@@ -169,6 +179,35 @@ def test_delta_sweep_outputs(tmp_path):
     lines = (tmp_path / "out" / "delta_sweep.csv").read_text().splitlines()
     assert lines[1] == "estimator,delta,mean_err,std_err,trials"
     assert (tmp_path / "out" / "delta_sweep.svg").exists()
+
+
+def test_tables_match_the_library(tmp_path):
+    # every value of compare.csv, uniform_rates.csv and delta_sweep.csv, at 17 significant digits
+    g = "{:.17g}".format
+    ests = ("glasso", "pbp", "dm")
+    cfg = _write_cfg(tmp_path, trials=3, estimators=list(ests))
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    curves = run_curve(_library_cfg(trials=3, estimators=ests), ests)
+    assert _data_rows(tmp_path / "c" / "compare.csv") == [
+        [str(m)]
+        + [g(curves[e].mean_err[i]) for e in ests]
+        + [g(np.mean(curves["glasso"].errors[i] < curves[e].errors[i])) for e in ests[1:]]
+        for i, m in enumerate((100, 200, 400))
+    ]
+
+    assert main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    fits = [(e, fit_rate(curves[e], model)) for e in ests for model in ("inv_sqrt_m", "sqrtlog_m_over_sqrt_m")]
+    assert _data_rows(tmp_path / "r" / "uniform_rates.csv") == [
+        [e, fit.model, g(fit.coefficient), g(fit.loglog_slope), g(fit.residual_rms)] for e, fit in fits
+    ]
+
+    cfg = _write_cfg(tmp_path, m_grid=[150], trials=3, delta=[2.0, 0.5])
+    assert main(["delta-sweep", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    by_delta = [(d, run_curve(_library_cfg(m_grid=(150,), trials=3, delta=d), ("glasso", "pbp")))
+                for d in (2.0, 0.5)]
+    assert _data_rows(tmp_path / "d" / "delta_sweep.csv") == [
+        [e, g(d), g(c[e].mean_err[0]), g(c[e].std_err[0]), "3"] for e in ("glasso", "pbp") for d, c in by_delta
+    ]
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):
