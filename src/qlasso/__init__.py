@@ -15,7 +15,6 @@ from .experiment import (
     MomentReport,
     RateFit,
     block_size,
-    delta_sweep,
     fit_rate,
     onebit_dither_range,
     onebit_moment_check,

@@ -4,8 +4,12 @@ Subcommands: run-uniform, run-onebit, compare, delta-sweep, verify, widths,
 quantize-demo. Configuration is a flat JSON file (keys: n, s, norm, R,
 ensemble, quantizer, delta, m_grid, trials, seed, estimators, out_dir);
 flags override config keys, which override defaults. QLASSO_SEED is a
-fallback master seed. Exit codes: 0 success, 1 verification failure,
-2 configuration error, 3 runtime failure.
+fallback master seed. The subcommand fixes the quantizer (run-uniform and
+delta-sweep: uniform, run-onebit: one-bit); compare reads it from the config
+(default uniform) and verify ignores it. Exit codes: 0 success, 1 verification
+failure, 2 configuration error (before any trial runs: among others, a config
+"quantizer" contradicting the subcommand, a non-finite norm, R or delta, or an
+n, s, trials, seed or m_grid entry that is not an integer), 3 runtime failure.
 """
 
 import argparse
@@ -17,11 +21,12 @@ import sys
 import numpy as np
 
 from .ensemble import Sparse
-from .experiment import ExperimentConfig, delta_sweep, fit_rate, run_curve
+from .experiment import ExperimentConfig, fit_rate, run_curve
 from .geometry import gw_bound_lowrank, gw_bound_sparse
 from .output import (
     config_hash,
     inv_sqrt_guide,
+    write_csv,
     write_error_curves_csv,
     write_svg_lineplot,
 )
@@ -47,7 +52,6 @@ _DEFAULTS = {
     "norm": 8.0,
     "R": 10.0,
     "ensemble": "rademacher",
-    "quantizer": "uniform",
     "delta": 3.0,
     "m_grid": None,  # filled per quantizer
     "trials": 200,
@@ -55,6 +59,9 @@ _DEFAULTS = {
     "estimators": ["glasso"],
     "out_dir": ".",
 }
+
+# The channel each subcommand runs; compare reads it from the config, verify ignores it.
+_CHANNEL = {"run-uniform": "uniform", "run-onebit": "one_bit", "delta-sweep": "uniform"}
 
 _DEFAULT_M_GRID = {
     "uniform": [200, 400, 700, 1000, 1400, 2000],
@@ -80,12 +87,15 @@ def _load_config(path):
     return raw
 
 
-def _resolve(args, quantizer):
+def _resolve(args):
     """Merge flag > config > env (seed only) > default into a settings dict."""
-    cfg = dict(_DEFAULTS)
-    cfg["quantizer"] = quantizer
-    from_file = _load_config(getattr(args, "config", None))
-    cfg.update(from_file)
+    from_file = _load_config(args.config)
+    channel = _CHANNEL.get(args.command)
+    cfg = {**_DEFAULTS, "quantizer": channel or "uniform", **from_file}
+    if cfg["quantizer"] not in _DEFAULT_M_GRID:
+        raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
+    if channel and cfg["quantizer"] != channel:
+        raise ConfigError(f"{args.command} runs the {channel} quantizer, but the config sets {cfg['quantizer']!r}")
     if cfg["m_grid"] is None:
         cfg["m_grid"] = _DEFAULT_M_GRID[cfg["quantizer"]]
     env_seed = os.environ.get("QLASSO_SEED")
@@ -94,160 +104,142 @@ def _resolve(args, quantizer):
             cfg["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"QLASSO_SEED is not an integer: {env_seed!r}")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg["out_dir"] = args.out
     return cfg
 
 
+def _integer(key, value):
+    """`value` as an int; a bool, a string or a fractional number is a configuration error."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _experiment_config(cfg):
+    if cfg["quantizer"] == "uniform" and isinstance(cfg["delta"], (list, tuple)):
+        raise ConfigError("this subcommand needs a scalar 'delta'; use delta-sweep for lists")
     try:
         return ExperimentConfig(
-            n=int(cfg["n"]),
-            structure=Sparse(int(cfg["s"])),
+            n=_integer("n", cfg["n"]),
+            structure=Sparse(_integer("s", cfg["s"])),
             norm_target=float(cfg["norm"]),
             R=float(cfg["R"]),
             ensemble=cfg["ensemble"],
             quantizer=cfg["quantizer"],
-            delta=None if cfg["quantizer"] == "one_bit" else _single_delta(cfg["delta"]),
-            m_grid=tuple(int(m) for m in cfg["m_grid"]),
-            trials=int(cfg["trials"]),
-            master_seed=int(cfg["seed"]),
+            delta=None if cfg["quantizer"] == "one_bit" else float(cfg["delta"]),
+            m_grid=tuple(_integer("m_grid entry", m) for m in cfg["m_grid"]),
+            trials=_integer("trials", cfg["trials"]),
+            master_seed=_integer("seed", cfg["seed"]),
             estimators=tuple(cfg["estimators"]),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _single_delta(delta):
-    if isinstance(delta, (list, tuple)):
-        raise ConfigError("this subcommand needs a scalar 'delta'; use delta-sweep for lists")
-    return float(delta)
-
-
-def _hashable(cfg):
-    # out_dir does not affect the experiment, keep it out of the hash
-    return {k: cfg[k] for k in sorted(_CONFIG_KEYS - {"out_dir"}) if k in cfg}
-
-
-def _ensure_out(cfg):
+def _output_dir(cfg):
+    """Create the output directory; return it with the hash of every setting but out_dir."""
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise OSError(f"output directory {out!r} is not writable")
-    return out
+    return out, config_hash({k: v for k, v in cfg.items() if k != "out_dir"})
 
 
-def _report_nonconverged(label, m_grid, converged):
-    """One stderr line per m at which some solves stopped at max_iters."""
-    for m, flags in zip(m_grid, np.asarray(converged)):
-        if not flags.all():
-            print(f"warning: {label}: {flags.size - flags.sum()} of {flags.size} solves "
-                  f"did not converge at m={m}", file=sys.stderr)
+def _run_curves(ecfg, jobs, label=""):
+    """run_curve on every configured estimator; warns on stderr per m where solves hit max_iters."""
+    curves = run_curve(ecfg, ecfg.estimators, jobs=jobs)
+    for est, curve in curves.items():
+        for m, flags in zip(curve.m_grid, curve.converged):
+            if not flags.all():
+                print(f"warning: {est}{label}: {flags.size - flags.sum()} of {flags.size} solves "
+                      f"did not converge at m={m}", file=sys.stderr)
+    return curves
 
 
-def _cmd_run(args, quantizer):
-    cfg = _resolve(args, quantizer)
+def _cmd_run(args):
+    cfg = _resolve(args)
     ecfg = _experiment_config(cfg)
     if len(ecfg.m_grid) < 3:
         raise ConfigError(f"{args.command} fits rates and needs at least 3 m values, got {len(ecfg.m_grid)}")
-    out = _ensure_out(cfg)
-    chash = config_hash(_hashable(cfg))
-    tag = "uniform" if quantizer == "uniform" else "onebit"
-    rate_lines = ["estimator,model,coefficient,loglog_slope,residual_rms"]
-    curves = run_curve(ecfg, ecfg.estimators, jobs=args.jobs)
-    for est, curve in curves.items():
-        _report_nonconverged(est, curve.m_grid, curve.converged)
+    out, chash = _output_dir(cfg)
+    tag = "uniform" if ecfg.quantizer == "uniform" else "onebit"
+    rates = []
+    for est, curve in _run_curves(ecfg, args.jobs).items():
         csv_path = os.path.join(out, f"{tag}_{est}.csv")
         write_error_curves_csv(csv_path, [curve], chash)
-        guide = inv_sqrt_guide(curve.m_grid, float(curve.mean_err[0]))
         write_svg_lineplot(
             os.path.join(out, f"{tag}_{est}.svg"),
             [(est, list(curve.m_grid), list(curve.mean_err))],
             title=f"{tag} quantization: recovery error vs m ({est})",
             xlabel="m",
             ylabel="l2 error",
-            guide=guide,
+            guide=inv_sqrt_guide(curve.m_grid, float(curve.mean_err[0])),
         )
         for model in ("inv_sqrt_m", "sqrtlog_m_over_sqrt_m"):
             fit = fit_rate(curve, model)
-            rate_lines.append(
-                f"{est},{model},{fit.coefficient:.17g},{fit.loglog_slope:.17g},{fit.residual_rms:.17g}"
-            )
+            rates.append((est, model, fit.coefficient, fit.loglog_slope, fit.residual_rms))
         print(f"wrote {csv_path}")
     rates_path = os.path.join(out, f"{tag}_rates.csv")
-    with open(rates_path, "w") as fh:
-        fh.write(f"# master_seed={ecfg.master_seed} config_hash={chash}\n")
-        fh.write("\n".join(rate_lines) + "\n")
+    header = ("estimator", "model", "coefficient", "loglog_slope", "residual_rms")
+    write_csv(rates_path, ecfg.master_seed, chash, header, rates)
     print(f"wrote {rates_path}")
     return 0
 
 
 def _cmd_compare(args):
-    cfg = _resolve(args, "uniform")
+    cfg = _resolve(args)
     if len(cfg["estimators"]) < 2:
         cfg["estimators"] = ["glasso", "pbp", "dm"]
     ecfg = _experiment_config(cfg)
     if "glasso" not in ecfg.estimators:
         raise ConfigError(f"compare scores the estimators against glasso, got {list(ecfg.estimators)}")
-    out = _ensure_out(cfg)
-    chash = config_hash(_hashable(cfg))
-    curves = run_curve(ecfg, ecfg.estimators, jobs=args.jobs)
-    for est, curve in curves.items():
-        _report_nonconverged(est, curve.m_grid, curve.converged)
+    out, chash = _output_dir(cfg)
+    curves = _run_curves(ecfg, args.jobs)
     others = [e for e in ecfg.estimators if e != "glasso"]
     header = ["m"] + [f"{e}_mean_err" for e in ecfg.estimators]
     header += [f"winrate_glasso_vs_{e}" for e in others]
-    lines = [f"# master_seed={ecfg.master_seed} config_hash={chash}", ",".join(header)]
-    for i, m in enumerate(ecfg.m_grid):
-        row = [str(m)] + [f"{curves[e].mean_err[i]:.17g}" for e in ecfg.estimators]
-        for e in others:
-            wins = np.mean(curves["glasso"].errors[i] < curves[e].errors[i])
-            row.append(f"{wins:.17g}")
-        lines.append(",".join(row))
+    rows = [
+        [m]
+        + [curves[e].mean_err[i] for e in ecfg.estimators]
+        + [np.mean(curves["glasso"].errors[i] < curves[e].errors[i]) for e in others]
+        for i, m in enumerate(ecfg.m_grid)
+    ]
     path = os.path.join(out, "compare.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ecfg.master_seed, chash, header, rows)
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_delta_sweep(args):
-    cfg = _resolve(args, "uniform")
+def _cmd_sweep(args):
+    cfg = _resolve(args)
     deltas = cfg["delta"]
     if not isinstance(deltas, (list, tuple)):
         deltas = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
-    if not deltas or not all(isinstance(d, (int, float)) and d > 0 for d in deltas):
+    if not deltas or not all(type(d) in (int, float) and d > 0 for d in deltas):
         raise ConfigError(f"delta-sweep needs a nonempty list of positive 'delta' values, got {deltas}")
-    grid = cfg["m_grid"] if isinstance(cfg["m_grid"], (list, tuple)) else [int(cfg["m_grid"])]
-    if not grid:
-        raise ConfigError("delta-sweep needs an m in 'm_grid'")
+    grid = cfg["m_grid"] if isinstance(cfg["m_grid"], (list, tuple)) else [_integer("m_grid", cfg["m_grid"])]
     cfg["m_grid"] = grid[:1]
     if len(cfg["estimators"]) < 2:
         cfg["estimators"] = ["glasso", "pbp"]
-    ecfg = _experiment_config(dict(cfg, delta=float(deltas[0])))
-    out = _ensure_out(cfg)
-    chash = config_hash(_hashable(cfg))
-    sweep = delta_sweep(ecfg, deltas, estimators=ecfg.estimators, jobs=args.jobs)
-    lines = [
-        f"# master_seed={ecfg.master_seed} config_hash={chash}",
-        "estimator,delta,mean_err,std_err,trials",
+    # every per-delta config is checked before any trial runs
+    ecfgs = [_experiment_config(dict(cfg, delta=d)) for d in deltas]
+    out, chash = _output_dir(cfg)
+    by_delta = [_run_curves(ecfg, args.jobs, f" (delta={ecfg.delta:g})") for ecfg in ecfgs]
+    rows = [
+        (est, ecfg.delta, curves[est].mean_err[0], curves[est].std_err[0], ecfg.trials)
+        for est in cfg["estimators"]
+        for ecfg, curves in zip(ecfgs, by_delta)
     ]
-    series = []
-    for est, data in sweep.items():
-        for d, converged in zip(data["deltas"], data["converged"]):
-            _report_nonconverged(f"{est} (delta={d:g})", ecfg.m_grid, [converged])
-        for d, mean, std in zip(data["deltas"], data["mean_err"], data["std_err"]):
-            lines.append(f"{est},{d:.17g},{mean:.17g},{std:.17g},{ecfg.trials}")
-        series.append((est, list(data["deltas"]), list(data["mean_err"])))
     path = os.path.join(out, "delta_sweep.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ecfgs[0].master_seed, chash, ("estimator", "delta", "mean_err", "std_err", "trials"), rows)
     write_svg_lineplot(
         os.path.join(out, "delta_sweep.svg"),
-        series,
-        title=f"recovery error vs resolution (m={ecfg.m_grid[0]})",
+        [(est, [c.delta for c in ecfgs], [curves[est].mean_err[0] for curves in by_delta])
+         for est in cfg["estimators"]],
+        title=f"recovery error vs resolution (m={ecfgs[0].m_grid[0]})",
         xlabel="delta",
         ylabel="l2 error",
     )
@@ -298,12 +290,13 @@ def _cmd_quantize_demo(args):
 def _cmd_verify(args):
     from . import verify  # imported here so that other subcommands do not load the checks
 
-    cfg = _resolve(args, "uniform")
-    out = _ensure_out(cfg)
+    cfg = _resolve(args)
+    seed = _integer("seed", cfg["seed"])
+    out, _ = _output_dir(cfg)
     lines = []
     all_ok = True
     for check in verify.CHECKS:
-        name, ok, detail = check(int(cfg["seed"]), verify.QUICK_SIZE)
+        name, ok, detail = check(seed, verify.QUICK_SIZE)
         all_ok &= ok
         line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
         lines.append(line)
@@ -315,6 +308,17 @@ def _cmd_verify(args):
     if not all_ok:
         raise VerificationFailure("one or more verification checks failed")
     return 0
+
+
+_COMMANDS = {
+    "run-uniform": _cmd_run,
+    "run-onebit": _cmd_run,
+    "compare": _cmd_compare,
+    "delta-sweep": _cmd_sweep,
+    "verify": _cmd_verify,
+    "widths": _cmd_widths,
+    "quantize-demo": _cmd_quantize_demo,
+}
 
 
 def build_parser():
@@ -346,26 +350,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.command == "run-uniform":
-            return _cmd_run(args, "uniform")
-        if args.command == "run-onebit":
-            return _cmd_run(args, "one_bit")
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "delta-sweep":
-            return _cmd_delta_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "widths":
-            return _cmd_widths(args)
-        if args.command == "quantize-demo":
-            return _cmd_quantize_demo(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
@@ -375,7 +364,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 def entry():

@@ -1,5 +1,5 @@
-"""Monte Carlo harness: error curves over m, rate fitting, resolution sweeps,
-and verification of the Gaussian one-bit moment formulas.
+"""Monte Carlo harness: error curves over m, rate fitting, and verification
+of the Gaussian one-bit moment formulas.
 
 Trial substreams are keyed by (master_seed, m, trial_id) plus a purpose tag,
 never by estimator or by the quantizer resolution, so different estimators
@@ -12,7 +12,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,15 +39,15 @@ class ExperimentConfig:
     R: float
     ensemble: str  # "gaussian" | "rademacher"
     quantizer: str  # "uniform" | "one_bit"
-    delta: Optional[float]  # resolution for the uniform scheme
+    delta: Optional[float]  # cell width of the uniform quantizer, None for one-bit
     m_grid: Tuple[int, ...]
     trials: int
     master_seed: int
     estimators: Tuple[str, ...] = ("glasso",)
 
     def __post_init__(self):
-        if self.R < self.norm_target:
-            raise ValueError("R must be an upper bound on the signal norm")
+        if not (math.isfinite(self.R) and self.norm_target <= self.R):
+            raise ValueError(f"R must be a finite bound on the signal norm {self.norm_target}, got {self.R}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         SignalSpec(self.n, self.structure, self.norm_target)  # validates n, structure and norm
@@ -59,8 +59,10 @@ class ExperimentConfig:
         m_min = 2 if self.quantizer == "one_bit" else 1
         if not self.m_grid or self.m_grid[0] < m_min:
             raise ValueError(f"m_grid must be nonempty with every m >= {m_min}, got {self.m_grid}")
-        if self.quantizer == "uniform" and not (self.delta and self.delta > 0):
-            raise ValueError("uniform quantizer needs delta > 0")
+        if self.quantizer == "uniform" and not (self.delta and 0 < self.delta < math.inf):
+            raise ValueError("uniform quantizer needs a finite delta > 0")
+        if self.quantizer == "one_bit" and self.delta is not None:
+            raise ValueError("the one-bit quantizer has no delta; its dither range is R sqrt(ln m)")
         _check_estimators(self.estimators)
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble kind {self.ensemble!r}")
@@ -254,32 +256,6 @@ def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
     coef = float(np.dot(errs, basis) / np.dot(basis, basis))
     rms = float(np.sqrt(np.mean((errs - coef * basis) ** 2)))
     return RateFit(model=model, coefficient=coef, loglog_slope=slope, residual_rms=rms)
-
-
-def delta_sweep(
-    cfg: ExperimentConfig,
-    deltas: Sequence[float],
-    estimators: Sequence[str] = ("glasso", "pbp"),
-    jobs: int = 1,
-) -> dict:
-    """Per-resolution error curves at fixed m, paired seeds across deltas and estimators."""
-    if len(cfg.m_grid) != 1:
-        raise ValueError("delta_sweep expects a single fixed m in cfg.m_grid")
-    if not deltas:
-        raise ValueError("delta_sweep needs at least one delta")
-    cfgs = [replace(cfg, delta=float(d)) for d in deltas]  # validates every delta before any trial runs
-    by_delta = [run_curve(c, estimators, jobs=jobs) for c in cfgs]
-    out = {}
-    for est in estimators:
-        curves = [c[est] for c in by_delta]
-        out[est] = {
-            "deltas": tuple(float(d) for d in deltas),
-            "mean_err": np.asarray([c.mean_err[0] for c in curves]),
-            "std_err": np.asarray([c.std_err[0] for c in curves]),
-            "errors": np.stack([c.errors[0] for c in curves]),
-            "converged": np.stack([c.converged[0] for c in curves]),
-        }
-    return out
 
 
 # --- Gaussian one-bit moment formulas -------------------------------------

@@ -1,8 +1,9 @@
 """CSV and SVG emission for error curves and sweeps.
 
-CSV schema for error curves: a leading comment line recording the master
-seed and config hash, then `estimator,m,mean_err,std_err,trials,seed_hash`
-with floats printed at 17 significant digits so re-parsing is lossless.
+Every CSV table has a leading comment line recording the master seed and
+config hash, then a header row, with floats printed at 17 significant digits
+so re-parsing is lossless. Error curves use the columns
+`estimator,m,mean_err,std_err,trials,seed_hash`.
 SVG plots are self-contained hand-rolled polylines on log-log axes with an
 optional dashed reference guide line.
 """
@@ -10,7 +11,7 @@ optional dashed reference guide line.
 import hashlib
 import json
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .experiment import ErrorCurve
 
@@ -25,8 +26,12 @@ def seed_hash(master_seed: int, cfg_hash: str) -> str:
     return hashlib.sha256(f"{master_seed}:{cfg_hash}".encode("utf-8")).hexdigest()[:12]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_csv(path, master_seed: int, cfg_hash: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a table after its seed comment line; floats get 17 significant digits."""
+    lines = [f"# master_seed={master_seed} config_hash={cfg_hash}", ",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_error_curves_csv(path, curves: Sequence[ErrorCurve], cfg_hash: str) -> None:
@@ -35,15 +40,13 @@ def write_error_curves_csv(path, curves: Sequence[ErrorCurve], cfg_hash: str) ->
         raise ValueError("curves in one file must share a master seed")
     master_seed = seeds.pop()
     shash = seed_hash(master_seed, cfg_hash)
-    lines = [
-        f"# master_seed={master_seed} config_hash={cfg_hash}",
-        "estimator,m,mean_err,std_err,trials,seed_hash",
+    rows = [
+        (c.estimator, m, mean, std, c.trials, shash)
+        for c in curves
+        for m, mean, std in zip(c.m_grid, c.mean_err, c.std_err)
     ]
-    for c in curves:
-        for m, mean, std in zip(c.m_grid, c.mean_err, c.std_err):
-            lines.append(f"{c.estimator},{m},{_fmt(mean)},{_fmt(std)},{c.trials},{shash}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ("estimator", "m", "mean_err", "std_err", "trials", "seed_hash")
+    write_csv(path, master_seed, cfg_hash, header, rows)
 
 
 def read_error_curves_csv(path) -> list:

@@ -8,6 +8,8 @@ Tolerances are fixed here and in qlasso.verify on purpose; loosening them
 would defeat the point of the suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from qlasso import (
@@ -18,7 +20,6 @@ from qlasso import (
     SignalSpec,
     Sparse,
     UniformQuantizer,
-    delta_sweep,
     fit_rate,
     gen_sparse_signal,
     glasso_solve,
@@ -114,9 +115,9 @@ def test_04_glasso_beats_pbp_paired():
 
 def test_05_resolution_floor():
     cfg = _uniform_cfg(25, trials=50, m_grid=(1000,))
-    sweep = delta_sweep(cfg, [4.0, 2.0, 1.0, 0.5, 0.25, 0.125])
-    g = sweep["glasso"]["mean_err"]
-    p = sweep["pbp"]["mean_err"]
+    sweep = [run_curve(replace(cfg, delta=d), ("glasso", "pbp")) for d in (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)]
+    g = [curves["glasso"].mean_err[0] for curves in sweep]
+    p = [curves["pbp"].mean_err[0] for curves in sweep]
     g_ratio = g[-1] / g[0]
     p_ratio = p[-1] / p[0]
     ok = g_ratio < 0.15 and p_ratio > 0.5

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,14 @@ def test_compare_outputs(tmp_path):
     assert 0.0 <= float(fields[3]) <= 1.0
 
 
+def test_compare_takes_the_quantizer_from_the_config(tmp_path):
+    cfg = _write_cfg(tmp_path, quantizer="one_bit")
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    curves = run_curve(_library_cfg(quantizer="one_bit", delta=None), ("glasso", "pbp"))
+    rows = _data_rows(tmp_path / "out" / "compare.csv")
+    assert [float(row[1]) for row in rows] == list(curves["glasso"].mean_err)
+
+
 def test_delta_sweep_outputs(tmp_path):
     cfg = _write_cfg(tmp_path, m_grid=[150], trials=2, delta=[2.0, 0.5])
     rc = main(["delta-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -229,11 +238,29 @@ def test_unknown_config_field(tmp_path):
     ("delta-sweep", dict(m_grid=[])),
     ("delta-sweep", dict(delta=[])),
     ("delta-sweep", dict(delta=[1.0, -1.0])),
+    ("delta-sweep", dict(delta=[True, 2.0])),
     ("run-uniform", dict(m_grid=[0, 200, 400])),
     ("run-onebit", dict(quantizer="one_bit", m_grid=[1, 200, 400])),
     ("run-uniform", dict(s=0)),
     ("run-uniform", dict(m_grid=[200, 400])),
     ("run-onebit", dict(quantizer="one_bit", m_grid=[400])),
+    # the subcommand fixes the channel
+    ("run-onebit", dict(quantizer="uniform")),
+    ("run-uniform", dict(quantizer="one_bit")),
+    ("delta-sweep", dict(quantizer="one_bit")),
+    ("compare", dict(quantizer="ternary", m_grid=None)),
+    # non-finite signal bounds and cell widths
+    ("run-uniform", dict(norm=math.nan)),
+    ("run-onebit", dict(quantizer="one_bit", R=math.inf)),
+    ("run-uniform", dict(delta=math.inf)),
+    # counts that are not integers
+    ("run-uniform", dict(trials=2.9)),
+    ("run-uniform", dict(trials=True)),
+    ("run-uniform", dict(n=30.5)),
+    ("run-uniform", dict(s="5")),
+    ("compare", dict(seed=1.5)),
+    ("run-uniform", dict(m_grid=[100, 200.5, 400])),
+    ("delta-sweep", dict(m_grid=150.5)),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)

@@ -10,7 +10,6 @@ from qlasso import (
     SolverOptions,
     Sparse,
     block_size,
-    delta_sweep,
     fit_rate,
     onebit_dither_range,
     onebit_moment_check,
@@ -71,6 +70,15 @@ def test_config_validation():
     _cfg(m_grid=(1, 200))  # the uniform channel is defined at m = 1
     with pytest.raises(ValueError):  # the one-bit dither range R sqrt(ln m) is 0 at m = 1
         _cfg(quantizer="one_bit", delta=None, m_grid=(1, 200))
+    with pytest.raises(ValueError):  # the one-bit channel has no cell width
+        _cfg(quantizer="one_bit", delta=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _cfg(norm_target=bad)
+        with pytest.raises(ValueError):
+            _cfg(R=bad)
+        with pytest.raises(ValueError):
+            _cfg(delta=bad)
 
 
 def test_onebit_dither_range_value():
@@ -177,19 +185,6 @@ def test_fit_rate_validation():
     ok = ErrorCurve("glasso", (1, 2, 4), np.array([1.0, 0.8, 0.6]), np.zeros(3), 1, 0)
     with pytest.raises(ValueError):
         fit_rate(ok, "log_m")
-
-
-def test_delta_sweep_paired():
-    cfg = _cfg(m_grid=(200,), trials=4)
-    out = delta_sweep(cfg, [0.5, 2.0], estimators=("glasso", "pbp"))
-    assert out["glasso"]["errors"].shape == (2, 4)
-    assert out["glasso"]["deltas"] == (0.5, 2.0)
-    # coarser cells cannot help on average with paired draws
-    assert out["pbp"]["mean_err"][1] > out["pbp"]["mean_err"][0] * 0.5
-    with pytest.raises(ValueError):
-        delta_sweep(_cfg(m_grid=(200, 400)), [1.0])
-    with pytest.raises(ValueError):
-        delta_sweep(cfg, [])
 
 
 def test_qfunc_values():

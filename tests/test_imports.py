@@ -1,5 +1,6 @@
 """Every module of the package (but the __init__ re-exports) and every test module
-uses each name it imports."""
+uses each name it imports, and every module of the package reads each private
+top-level name it defines."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "qlasso").glob("*.py") if p.name != "__init__.py")
-MODULES += sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "qlasso").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +37,35 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(source: str) -> list:
+    """Top-level functions, classes and constants of `source` named with a leading
+    underscore (dunders aside) that no expression of `source` reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted(
+        f"{name} (line {line})" for name, line in defined.items()
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    )
+
+
+def test_guard_finds_a_dead_private_name():
+    source = "def _used():\n    pass\ndef _dead():\n    pass\nclass _Gone:\n    pass\n" \
+             "_K = 1\n_UNREAD: int = 2\n__version__ = '1'\nprint(_used(), _K)\n"
+    assert dead_private_names(source) == ["_Gone (line 5)", "_UNREAD (line 8)", "_dead (line 3)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text()) == []
