@@ -238,12 +238,12 @@ def test_unknown_config_field(tmp_path):
     ("delta-sweep", dict(m_grid=[])),
     ("delta-sweep", dict(delta=[])),
     ("delta-sweep", dict(delta=[1.0, -1.0])),
-    ("delta-sweep", dict(delta=[True, 2.0])),
     ("run-uniform", dict(m_grid=[0, 200, 400])),
     ("run-onebit", dict(quantizer="one_bit", m_grid=[1, 200, 400])),
     ("run-uniform", dict(s=0)),
     ("run-uniform", dict(m_grid=[200, 400])),
     ("run-onebit", dict(quantizer="one_bit", m_grid=[400])),
+    ("delta-sweep", dict(delta=[True, 2.0])),
     # the subcommand fixes the channel
     ("run-onebit", dict(quantizer="uniform")),
     ("run-uniform", dict(quantizer="one_bit")),
