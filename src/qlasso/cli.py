@@ -272,8 +272,8 @@ def _cmd_widths(args):
 
 def _cmd_quantize_demo(args):
     deltas = args.delta or [2.0]
-    if not all(d > 0 for d in deltas):
-        raise ConfigError(f"--delta must be positive, got {deltas}")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ConfigError(f"--delta must be finite and positive, got {deltas}")
     if not (args.step > 0):
         raise ConfigError(f"--step must be positive, got {args.step}")
     if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin <= args.xmax):

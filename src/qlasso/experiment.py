@@ -77,7 +77,7 @@ class ErrorCurve:
     trials: int
     master_seed: int
     errors: Optional[np.ndarray] = None  # (len(m_grid), trials) raw errors
-    iterations: Optional[np.ndarray] = None  # (len(m_grid), trials) PGD iterations, 0 for pbp/dm
+    iterations: Optional[np.ndarray] = None  # (len(m_grid), trials) FISTA iterations of pgd_rows, 0 for pbp/dm
     converged: Optional[np.ndarray] = None  # (len(m_grid), trials) False where max_iters was hit
 
 
@@ -108,12 +108,12 @@ def block_size(n: int) -> int:
 
 
 def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...]) -> dict:
-    """Errors, PGD iterations and convergence flags of every estimator on a block of trials.
+    """Errors, solver iterations and convergence flags of every estimator on a block of trials.
 
     Each trial's (x0, A, y) is drawn once from its (seed, m, trial, purpose)
     substreams and reduced at once to the statistics every estimator needs:
     G = A^T A / m, b = (mu/m) A^T y, (mu^2/m) y^T y and the radius of K.
-    PBP and DM are both P_K(b); glasso runs stacked PGD on the block.
+    PBP and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the block.
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """

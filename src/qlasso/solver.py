@@ -1,11 +1,22 @@
-"""Projected gradient descent for the constrained quantized least-squares program.
+"""Solvers for the constrained quantized least-squares program.
 
 The objective is L(x) = (1/2m) sum_i (mu * y_i - a_i^T x)^2 minimized over a
-constraint set K via x+ = P_K(x - eta * grad L(x)) from x = 0, with the fixed
-step eta = 1 / (1.01 lambda_max(A^T A / m)). Internally the quadratic is
-evaluated through the precomputed Gram matrix A^T A / m, so the
-per-iteration cost does not grow with m. glasso_solve solves one problem;
-pgd_rows runs the same iteration on a stack of problems at once.
+constraint set K, with the fixed step eta = 1 / (1.01 lambda_max(A^T A / m)).
+Internally the quadratic is evaluated through the precomputed Gram matrix
+A^T A / m, so the per-iteration cost does not grow with m.
+
+glasso_solve is the single-problem reference: fixed-step projected gradient
+descent (PGD) x+ = P_K(x - eta * grad L(x)) from x = 0, stopped when the
+objective's relative decrease falls below rel_tol. pgd_rows, which computes
+every curve, solves a stack of problems at once by FISTA (Beck & Teboulle
+2009) with per-row gradient restart (O'Donoghue & Candes 2015): a row drops
+its momentum whenever its last step runs against the gradient mapping
+(y - x+) / eta at its extrapolated point y. A row stops once that mapping is
+at most GMAP_TOL ||grad L(0)||; where L is strongly convex this bounds the
+distance to the minimizer. L is quadratic, so a stop on its relative decrease
+at rel_tol leaves the iterate about sqrt(rel_tol) from the minimizer: up to
+6.3e-6 (relative) with the default rel_tol on the uniform sparse trials at
+m = 200 that tests/test_solver.py pins.
 
 Also houses the one-shot baselines: projected back projection (PBP) and the
 regularized correlation maximizer, which coincide as P_K of the same point.
@@ -105,7 +116,12 @@ def estimate_lipschitz(A) -> float:
 
 
 def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> SolverResult:
-    """Minimize the quantized least-squares objective over K from x = 0."""
+    """Minimize the quantized least-squares objective over K by fixed-step PGD from x = 0.
+
+    This is the single-problem reference for pgd_rows: plain PGD with the
+    same step, stopped when the objective's relative decrease is below
+    opts.rel_tol, with the whole objective trace kept.
+    """
     A, y = p.A, p.y
     m, n = A.shape
     G = A.T @ A / m
@@ -144,40 +160,60 @@ def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> Sol
     )
 
 
+# A row of pgd_rows stops once its gradient mapping (Y - X+) / eta is at most
+# GMAP_TOL ||b||, where ||b|| = ||grad L(0)||.
+GMAP_TOL = 1e-8
+
+
 def pgd_rows(G, b, const, radii, project, eta, opts: SolverOptions = SolverOptions()):
-    """Fixed-step PGD from x = 0 on a stack of k problems, one per row.
+    """FISTA with gradient restart from x = 0 on a stack of k problems, one per row.
 
     Row i minimizes 0.5 x^T G[i] x - b[i]^T x + 0.5 const[i] over the set
     project(., radii[i]) maps onto, with step eta[i]; this is the problem
     glasso_solve builds from (A, y, mu), with G = A^T A / m,
-    b = (mu / m) A^T y and const = (mu^2 / m) y^T y. Every row keeps
-    glasso_solve's stopping rule and finite-objective check. `project` maps
-    a (j, n) stack and j radii to the projected stack.
+    b = (mu / m) A^T y and const = (mu^2 / m) y^T y. The constant term does
+    not enter the iteration. `project` maps a (j, n) stack and j radii to the
+    projected stack.
+
+    From X = Y = 0 and t = 1 each row iterates X+ = project(Y - eta (G Y - b)).
+    It restarts (t = 1, Y = X+) when <Y - X+, X+ - X> > 0, that is when the
+    step X+ - X runs against the gradient mapping; otherwise it moves to
+    Y = X+ + ((t - 1) / t+) (X+ - X) with t+ = (1 + sqrt(1 + 4 t^2)) / 2.
+    G Y comes from G X+ and G X, so an iteration costs one matrix-vector
+    product per row. A row stops, returning X+, once
+    ||Y - X+|| / eta <= GMAP_TOL ||b||; a row with b = 0 stops at iteration 1.
+    A non-finite iterate or product raises RuntimeError.
 
     Rows that stop are compacted out, so later iterations cost only the rows
     still running. G (k, n, n) is compacted in place: its contents are
-    unspecified on return. Returns (X, iterations, converged) by row.
+    unspecified on return. Returns (X, iterations, converged) by row, where
+    a row that ran opts.max_iters iterations without stopping is not converged.
     """
     k, n = np.shape(b)
     b, radii = np.asarray(b, dtype=float), np.asarray(radii, dtype=float)
-    half_const = 0.5 * np.asarray(const, dtype=float)
     eta = np.asarray(eta, dtype=float)[:, None]
+    # squared stopping bound on ||Y - X+||
+    tol2 = (GMAP_TOL * eta[:, 0]) ** 2 * np.einsum("ij,ij->i", b, b)
     rows = np.arange(k)
     X_out = np.zeros((k, n))
     iterations = np.full(k, opts.max_iters)
     converged = np.zeros(k, dtype=bool)
-    X = np.zeros((k, n))
-    GX = np.zeros((k, n))
-    f = half_const
-    tiny = np.finfo(float).tiny
+    X = GX = Y = GY = np.zeros((k, n))
+    t = np.ones(k)
     for it in range(1, opts.max_iters + 1):
-        X = project(X - eta * (GX - b), radii)
-        GX = np.matmul(G[:k], X[:, :, None])[:, :, 0]
-        f_new = np.einsum("ij,ij->i", X, 0.5 * GX - b) + half_const
-        if not np.isfinite(f_new).all():
-            raise RuntimeError("objective diverged to a non-finite value")
-        stop = ((f - f_new) / np.maximum(np.abs(f), tiny) < opts.rel_tol) & (f_new <= f)
-        f = f_new
+        X_new = project(Y - eta * (GY - b), radii)
+        GX_new = np.matmul(G[:k], X_new[:, :, None])[:, :, 0]
+        if not (np.isfinite(X_new).all() and np.isfinite(GX_new).all()):
+            raise RuntimeError("iterate diverged to a non-finite value")
+        gmap, step = Y - X_new, X_new - X
+        stop = np.einsum("ij,ij->i", gmap, gmap) <= tol2
+        restart = np.einsum("ij,ij->i", gmap, step) > 0
+        t_new = 0.5 + np.sqrt(0.25 + t * t)
+        beta = np.where(restart, 0.0, (t - 1.0) / t_new)
+        t = np.where(restart, 1.0, t_new)
+        Y = X_new + beta[:, None] * step
+        GY = GX_new + beta[:, None] * (GX_new - GX)
+        X, GX = X_new, GX_new
         if stop.any():
             X_out[rows[stop]] = X[stop]
             iterations[rows[stop]] = it
@@ -186,8 +222,8 @@ def pgd_rows(G, b, const, radii, project, eta, opts: SolverOptions = SolverOptio
             for dst, src in enumerate(np.flatnonzero(keep)):
                 if dst != src:
                     G[dst] = G[src]
-            X, GX, f, b, half_const, radii, eta, rows = (
-                a[keep] for a in (X, GX, f, b, half_const, radii, eta, rows)
+            X, GX, Y, GY, t, b, tol2, radii, eta, rows = (
+                a[keep] for a in (X, GX, Y, GY, t, b, tol2, radii, eta, rows)
             )
             k = rows.size
             if k == 0:

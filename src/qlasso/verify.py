@@ -11,10 +11,10 @@ import math
 import numpy as np
 
 from .ensemble import SignalSpec, Sparse, gen_sparse_signal, sample_measurements
-from .experiment import onebit_moment_check
+from .experiment import SOLVER_OPTIONS, onebit_moment_check
 from .geometry import Unconstrained, estimate_smallball_inf, project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, dither_mean_residual, measure, one_bit_mean_formula
-from .solver import GLassoProblem, SolverOptions, glasso_solve, gradient, objective
+from .solver import GLassoProblem, SolverOptions, glasso_solve, gradient, inverse_lipschitz_step, objective, pgd_rows
 from .streams import substream
 
 QUICK_SIZE = 200_000
@@ -154,9 +154,11 @@ def projections(seed: int, size: int):
 
 
 def solver_correctness(seed: int, size: int):
-    """On N/50000 problems glasso_solve matches least squares to 1e-6 with a monotone objective
-    trace, and the gradient matches central differences to 1e-5."""
+    """On N/50000 unconstrained problems glasso_solve (with a monotone objective trace) and the
+    stacked pgd_rows of the curves both match least squares to 1e-6, and the gradient matches
+    central differences to 1e-5."""
     worst_rel, monotone = 0.0, True
+    G, b, const, X_ls = [], [], [], []
     for i in range(size // 50_000):
         x0 = gen_sparse_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
         A = sample_measurements("gaussian", 300, 50, substream(seed, "verify-solver", i, "matrix"))
@@ -165,6 +167,14 @@ def solver_correctness(seed: int, size: int):
         monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
         x_ls = np.linalg.lstsq(A, y, rcond=None)[0]
         worst_rel = max(worst_rel, float(np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)))
+        G.append(A.T @ A / 300)
+        b.append(A.T @ y / 300)
+        const.append(float(y @ y) / 300)
+        X_ls.append(x_ls)
+    G, X_ls = np.stack(G), np.stack(X_ls)
+    X, _, converged = pgd_rows(G, np.stack(b), const, np.ones(len(b)), lambda V, radii: V,
+                               inverse_lipschitz_step(G), SOLVER_OPTIONS)
+    stacked_rel = float(np.max(np.linalg.norm(X - X_ls, axis=1) / np.linalg.norm(X_ls, axis=1)))
 
     rng = substream(seed, "verify-solver", "gradient")
     p = GLassoProblem(sample_measurements("gaussian", 60, 15, rng), rng.standard_normal(60), 1.0, Unconstrained())
@@ -172,9 +182,11 @@ def solver_correctness(seed: int, size: int):
     g = gradient(p, x)
     err = np.abs([(objective(p, x + h * e) - objective(p, x - h * e)) / (2 * h) for e in np.eye(15)] - g)
     grad_rel = float(np.linalg.norm(err) / np.linalg.norm(g))
-    ok = worst_rel <= 1e-6 and monotone and grad_rel <= 1e-5 and bool(np.all(err <= 1e-5 * np.maximum(1.0, abs(g))))
+    ok = (worst_rel <= 1e-6 and monotone and converged.all() and stacked_rel <= 1e-6 and grad_rel <= 1e-5
+          and bool(np.all(err <= 1e-5 * np.maximum(1.0, abs(g)))))
     return ("solver matches least squares, monotone descent, gradient", ok,
-            f"worst solution rel err {worst_rel:.2e}, monotone={monotone}, gradient rel err {grad_rel:.2e}")
+            f"worst solution rel err {worst_rel:.2e}, monotone={monotone}, stacked solver rel err "
+            f"{stacked_rel:.2e} ({int(converged.sum())}/{len(converged)} converged), gradient rel err {grad_rel:.2e}")
 
 
 def small_ball(seed: int, size: int):

@@ -76,6 +76,7 @@ def test_widths_requires_arguments(capsys):
     ["quantize-demo", "--xmin", "1", "--xmax", "0"],
     ["run-uniform", "--jobs", "0"],
     ["compare", "--jobs", "-2"],
+    ["quantize-demo", "--delta", "inf"],
 ])
 def test_bad_arguments_exit_2_before_any_output(argv, capsys):
     assert main(argv) == 2

@@ -15,6 +15,7 @@ from qlasso import (
     dm_estimate,
     estimate_lipschitz,
     gen_lowrank_signal,
+    gen_signal,
     gen_sparse_signal,
     glasso_solve,
     gradient,
@@ -131,6 +132,30 @@ def test_exact_step_near_degenerate_top_pair():
     np.testing.assert_allclose(steps * [1.0, 2.0, 1.0], [1 / 1.01, 1 / 1.01, 1.0], rtol=1e-12)
 
 
+# glasso_solve with a far tighter stop than its default: the reference for pgd_rows' solutions
+_TIGHT = SolverOptions(max_iters=50000, rel_tol=1e-14)
+
+
+def _fista_restart(G, b, K, eta, iters):
+    """`iters` steps of FISTA with gradient restart on one problem, two products with G a step.
+
+    Returns the last iterate and the number of restarts.
+    """
+    x = y = np.zeros(len(b))
+    t, restarts = 1.0, 0
+    for _ in range(iters):
+        x_new = K.project(y - eta * (G @ y - b))
+        if (y - x_new) @ (x_new - x) > 0:
+            t, y = 1.0, x_new
+            restarts += 1
+        else:
+            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            t = t_new
+        x = x_new
+    return x, restarts
+
+
 def _stack_problems(instances, mu):
     G = np.stack([A.T @ A / len(A) for A, _ in instances])
     b = np.stack([(mu / len(A)) * (A.T @ y) for A, y in instances])
@@ -145,11 +170,10 @@ def test_pgd_rows_matches_glasso_solve_l1():
         instances.append((A, y))
         radii.append(float(np.abs(x0).sum()))
     G, b, const = _stack_problems(instances, 1.0)
-    X, iters, conv = pgd_rows(G, b, const, radii, project_l1_rows, inverse_lipschitz_step(G))
-    for (A, y), r, x, it, c in zip(instances, radii, X, iters, conv):
-        ref = glasso_solve(GLassoProblem(A, y, 1.0, L1Ball(r)))
+    X, _, conv = pgd_rows(G, b, const, radii, project_l1_rows, inverse_lipschitz_step(G))
+    for (A, y), r, x, c in zip(instances, radii, X, conv):
+        ref = glasso_solve(GLassoProblem(A, y, 1.0, L1Ball(r)), _TIGHT)
         assert c and ref.converged
-        assert it == ref.iterations
         assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
 
 
@@ -164,29 +188,68 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
         instances.append((A, y))
         radii.append(float(np.linalg.svd(x0.reshape(d, d), compute_uv=False).sum()))
     G, b, const = _stack_problems(instances, 1.0)
-    X, iters, conv = pgd_rows(G, b, const, radii, project_nuclear_rows, inverse_lipschitz_step(G))
-    for (A, y), r, x, it, c in zip(instances, radii, X, iters, conv):
-        ref = glasso_solve(GLassoProblem(A, y, 1.0, NuclearBall(r)))
+    X, _, conv = pgd_rows(G, b, const, radii, project_nuclear_rows, inverse_lipschitz_step(G))
+    for (A, y), r, x, c in zip(instances, radii, X, conv):
+        ref = glasso_solve(GLassoProblem(A, y, 1.0, NuclearBall(r)), _TIGHT)
         assert c and ref.converged
-        assert it == ref.iterations
         assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
 
 
-def test_pgd_rows_reports_max_iters():
+def test_pgd_rows_reaches_the_minimizer_at_small_m():
+    # The first 12 trials at m = 200 of the uniform sparse benchmark config,
+    # drawn from the substreams the trial engine keys them by. The reference
+    # is 2000 fixed-step PGD iterations, which end within 1e-15 (relative) of
+    # a 2e5-iteration run on these trials. A stop on the relative objective
+    # decrease left the solutions up to 6.3e-6 away.
+    m, n, seed = 200, 100, 0
+    spec = SignalSpec(n, Sparse(25), 8.0)
+    instances, radii = [], []
+    for t in range(12):
+        x0 = gen_signal(spec, substream(seed, m, t, "signal"))
+        A = sample_measurements("rademacher", m, n, substream(seed, m, t, "matrix"))
+        instances.append((A, measure(A, x0, UniformQuantizer(3.0), substream(seed, m, t, "dither"))))
+        radii.append(float(np.abs(x0).sum()))
+    G, b, const = _stack_problems(instances, 1.0)
+    eta = inverse_lipschitz_step(G)
+    ref = np.zeros_like(b)
+    for _ in range(2000):
+        ref = project_l1_rows(ref - eta[:, None] * (np.matmul(G, ref[:, :, None])[:, :, 0] - b), radii)
+    X, _, conv = pgd_rows(G, b, const, radii, project_l1_rows, eta)
+    assert conv.all()
+    rel = np.linalg.norm(X - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert rel.max() <= 1e-6
+
+
+def _max_iters_instances():
     instances, radii = [], []
     for seed in range(3):
         x0, A, y = _instance(400 + seed, n=40, s=6)
         instances.append((A, y))
         radii.append(float(np.abs(x0).sum()))
     G, b, const = _stack_problems(instances, 1.0)
-    eta = inverse_lipschitz_step(G)
+    return G, b, const, radii, inverse_lipschitz_step(G)
+
+
+def test_pgd_rows_reports_max_iters():
+    G, b, const, radii, eta = _max_iters_instances()
     opts = SolverOptions(max_iters=4)
     X, iters, conv = pgd_rows(G.copy(), b, const, radii, project_l1_rows, eta, opts)
     np.testing.assert_array_equal(iters, [4, 4, 4])
     assert not conv.any()
-    for (A, y), r, x in zip(instances, radii, X):
-        ref = glasso_solve(GLassoProblem(A, y, 1.0, L1Ball(r)), opts)
-        np.testing.assert_allclose(x, ref.x_hat, rtol=1e-12, atol=1e-14)
+    for g, b_i, r, e, x in zip(G, b, radii, eta, X):
+        np.testing.assert_allclose(x, _fista_restart(g, b_i, L1Ball(r), e, 4)[0], rtol=1e-12, atol=1e-14)
+
+
+def test_pgd_rows_restarts_like_fista_with_restart():
+    # 12 iterations on the same problems take every row through two restarts
+    G, b, const, radii, eta = _max_iters_instances()
+    opts = SolverOptions(max_iters=12)
+    X, iters, _ = pgd_rows(G.copy(), b, const, radii, project_l1_rows, eta, opts)
+    np.testing.assert_array_equal(iters, [12, 12, 12])
+    for g, b_i, r, e, x in zip(G, b, radii, eta, X):
+        ref, restarts = _fista_restart(g, b_i, L1Ball(r), e, 12)
+        assert restarts == 2
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_glasso_matches_normal_equations():
