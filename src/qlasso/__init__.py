@@ -22,10 +22,6 @@ from .experiment import (
     run_trial,
 )
 from .geometry import (
-    ConstraintSet,
-    L1Ball,
-    NuclearBall,
-    Unconstrained,
     estimate_smallball_inf,
     gw_bound_lowrank,
     gw_bound_sparse,
@@ -47,15 +43,13 @@ from .quantizer import (
     uniform_quantize,
 )
 from .solver import (
-    GLassoProblem,
     SolverOptions,
     SolverResult,
     dm_estimate,
     estimate_lipschitz,
     glasso_solve,
-    gradient,
+    gram_stats,
     inverse_lipschitz_step,
-    objective,
     pbp_estimate,
     pgd_rows,
 )

@@ -8,8 +8,9 @@ fallback master seed. The subcommand fixes the quantizer (run-uniform and
 delta-sweep: uniform, run-onebit: one-bit); compare reads it from the config
 (default uniform) and verify ignores it. Exit codes: 0 success, 1 verification
 failure, 2 configuration error (before any trial runs: among others, a config
-"quantizer" contradicting the subcommand, a non-finite norm, R or delta, or an
-n, s, trials, seed or m_grid entry that is not an integer), 3 runtime failure.
+"quantizer" contradicting the subcommand, an estimator list with a repeat or,
+where no default fills it, empty, a non-finite norm, R or delta, or an n, s,
+trials, seed or m_grid entry that is not an integer), 3 runtime failure.
 """
 
 import argparse

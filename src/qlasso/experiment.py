@@ -20,7 +20,7 @@ import numpy as np
 from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
 from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure, sample_dither
-from .solver import SolverOptions, inverse_lipschitz_step, pgd_rows
+from .solver import SolverOptions, gram_stats, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
 ESTIMATORS = ("glasso", "pbp", "dm")
@@ -111,9 +111,10 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     """Errors, solver iterations and convergence flags of every estimator on a block of trials.
 
     Each trial's (x0, A, y) is drawn once from its (seed, m, trial, purpose)
-    substreams and reduced at once to the statistics every estimator needs:
-    G = A^T A / m, b = (mu/m) A^T y, (mu^2/m) y^T y and the radius of K.
-    PBP and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the block.
+    substreams and reduced at once to what every estimator needs: its Gram
+    statistics (G, b) = gram_stats(A, y, mu) and the radius of K, whose row
+    projection the signal structure fixes. PBP and DM are both P_K(b); glasso
+    runs stacked FISTA (pgd_rows) on the block.
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
@@ -123,15 +124,12 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     x0s = np.empty((k, n))
     G = np.empty((k, n, n))
     b = np.empty((k, n))
-    const = np.empty(k)
     radii = np.empty(k)
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
         A = sample_measurements(cfg.ensemble, m, n, substream(cfg.master_seed, m, t, "matrix"))
         y = measure(A, x0, q, substream(cfg.master_seed, m, t, "dither"))
-        G[i] = A.T @ A / m
-        b[i] = (mu / m) * (A.T @ y)
-        const[i] = (mu**2 / m) * float(y @ y)
+        G[i], b[i] = gram_stats(A, y, mu)
         del A  # free this trial's m x n matrix before the next one is drawn
         x0s[i] = x0
         if isinstance(cfg.structure, Sparse):
@@ -149,7 +147,7 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
             out[est] = (err, np.zeros(k, dtype=int), np.ones(k, dtype=bool))
     if "glasso" in estimators:
         eta = inverse_lipschitz_step(G)
-        X, iterations, converged = pgd_rows(G, b, const, radii, project, eta, SOLVER_OPTIONS)
+        X, iterations, converged = pgd_rows(G, b, radii, project, eta, SOLVER_OPTIONS)
         out["glasso"] = (np.linalg.norm(X - x0s, axis=1), iterations, converged)
     return out
 
@@ -185,6 +183,8 @@ def _check_estimators(names) -> Tuple[str, ...]:
     for est in names:
         if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}")
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"need one or more distinct estimators, got {list(names)}")
     return names
 
 

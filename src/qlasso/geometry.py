@@ -1,14 +1,15 @@
-"""Constraint sets with exact Euclidean projections and tangent-cone diagnostics.
+"""Exact Euclidean projections onto norm balls, and tangent-cone diagnostics.
 
-Shipped sets: scaled l1 ball, nuclear-norm ball on vectorized d x d matrices,
-and the unconstrained (whole-space) set. The l1 projection is the sort-based
-soft-threshold selection (Duchi et al.) in O(n log n); the nuclear projection
-applies it to the singular values. Both work row-wise on a stack of points;
-the single-point functions are stacks of one.
+A constraint set K is its row projection project(V, radii), which maps a
+(k, n) stack of points and one radius per row (or one for all) to their
+projections: project_l1_rows onto scaled l1 balls, project_nuclear_rows onto
+nuclear-norm balls of vectorized d x d matrices, the row identity onto the
+whole space. The l1 projection is the sort-based soft-threshold selection
+(Duchi et al.) in O(n log n); the nuclear projection applies it to the
+singular values. A single point is projected as a stack of one.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,46 +68,6 @@ def project_nuclear_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return project_nuclear_rows(np.asarray(v, dtype=float)[None], radius)[0]
 
 
-class ConstraintSet:
-    """Feasible set K with an exact Euclidean projection."""
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(self.project(v) - np.asarray(v, dtype=float)) <= tol)
-
-
-@dataclass(frozen=True)
-class L1Ball(ConstraintSet):
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError("radius must be positive")
-
-    def project(self, v):
-        return project_l1_ball(v, self.radius)
-
-
-@dataclass(frozen=True)
-class NuclearBall(ConstraintSet):
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError("radius must be positive")
-
-    def project(self, v):
-        return project_nuclear_ball(v, self.radius)
-
-
-@dataclass(frozen=True)
-class Unconstrained(ConstraintSet):
-    def project(self, v):
-        return np.asarray(v, dtype=float).copy()
-
-
 def gw_bound_sparse(n: int, s: int) -> float:
     """Width bound sqrt(2 s ln(n/s) + 1.5 s) for the l1-ball tangent cone."""
     if not 1 <= s <= n:
@@ -121,17 +82,17 @@ def gw_bound_lowrank(d: int, r: int) -> float:
     return math.sqrt(6.0 * d * r)
 
 
-def sample_descent_directions(
-    K: ConstraintSet, x0: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_descent_directions(project, radius, x0: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sample unit vectors in the descent cone of K at x0, stacked as rows.
 
-    Each direction is the normalized displacement P_K(x0 + delta * g) - x0
-    for standard normal g, with probe scale delta = 0.01 * ||x0||_2
-    (0.01 when x0 = 0). Displacements below 1e-12 are discarded and resampled.
+    K is the set the row projection `project` maps onto with `radius`. Each
+    direction is the normalized displacement P_K(x0 + delta * g) - x0 for
+    standard normal g, with probe scale delta = 0.01 * ||x0||_2 (0.01 when
+    x0 = 0). Displacements below 1e-12 are discarded and resampled. An anchor
+    farther than 1e-9 from its projection is not in K and raises ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not K.contains(x0, tol=1e-9):
+    if np.linalg.norm(project(x0[None], radius)[0] - x0) > 1e-9:
         raise ValueError("anchor x0 is not feasible for K")
     norm_x0 = np.linalg.norm(x0)
     delta = 0.01 * norm_x0 if norm_x0 > 0 else 0.01
@@ -139,7 +100,7 @@ def sample_descent_directions(
     filled = 0
     while filled < count:
         g = rng.standard_normal(x0.size)
-        w = K.project(x0 + delta * g) - x0
+        w = project((x0 + delta * g)[None], radius)[0] - x0
         norm_w = np.linalg.norm(w)
         if norm_w < 1e-12:
             continue
@@ -148,8 +109,9 @@ def sample_descent_directions(
     return out
 
 
-def estimate_smallball_inf(A, K: ConstraintSet, x0, N_d: int, rng: np.random.Generator) -> float:
-    """Minimum of (1/m) ||A w||_2^2 over N_d sampled descent directions.
+def estimate_smallball_inf(A, project, radius, x0, N_d: int, rng: np.random.Generator) -> float:
+    """Minimum of (1/m) ||A w||_2^2 over N_d sampled descent directions of the
+    set `project` maps onto with `radius`, at x0.
 
     This is an upper estimate of the restricted-eigenvalue infimum used as a
     diagnostic that the lower-bound side of the error analysis is active.
@@ -157,6 +119,6 @@ def estimate_smallball_inf(A, K: ConstraintSet, x0, N_d: int, rng: np.random.Gen
     A = np.asarray(A, dtype=float)
     if A.shape[1] != np.asarray(x0).shape[0]:
         raise ValueError("dimension mismatch between A and x0")
-    W = sample_descent_directions(K, x0, N_d, rng)
+    W = sample_descent_directions(project, radius, x0, N_d, rng)
     vals = np.sum((A @ W.T) ** 2, axis=0) / A.shape[0]
     return float(vals.min())

@@ -1,9 +1,10 @@
 """Solvers for the constrained quantized least-squares program.
 
 The objective is L(x) = (1/2m) sum_i (mu * y_i - a_i^T x)^2 minimized over a
-constraint set K, with the fixed step eta = 1 / (1.01 lambda_max(A^T A / m)).
-Internally the quadratic is evaluated through the precomputed Gram matrix
-A^T A / m, so the per-iteration cost does not grow with m.
+set K given by its row projection (see geometry), so every solver takes
+(project, radius); the fixed step is eta = 1 / (1.01 lambda_max(A^T A / m)).
+A problem is its Gram statistics (G, b) = gram_stats(A, y, mu): up to a
+constant L(x) = 0.5 x^T G x - b^T x, so an iteration's cost does not grow with m.
 
 glasso_solve is the single-problem reference: fixed-step projected gradient
 descent (PGD) x+ = P_K(x - eta * grad L(x)) from x = 0, stopped when the
@@ -25,28 +26,6 @@ regularized correlation maximizer, which coincide as P_K of the same point.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import ConstraintSet
-
-
-@dataclass(frozen=True)
-class GLassoProblem:
-    A: np.ndarray
-    y: np.ndarray
-    mu: float
-    K: ConstraintSet
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.A.ndim != 2:
-            raise ValueError("measurement matrix must be 2-d")
-        if not np.all(np.isfinite(self.A)):
-            raise ValueError("measurement matrix has non-finite entries")
-        if self.A.shape[0] != self.y.shape[0]:
-            raise ValueError("rows(A) must equal length(y)")
-        if not np.isfinite(self.mu):
-            raise ValueError("mu must be finite")
 
 
 @dataclass(frozen=True)
@@ -70,21 +49,10 @@ class SolverResult:
     step_size: float
 
 
-def objective(p: GLassoProblem, x: np.ndarray) -> float:
-    """L(x) = (1/2m) sum_i (mu * y_i - a_i^T x)^2."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != p.A.shape[1]:
-        raise ValueError("dimension mismatch between x and A")
-    r = p.mu * p.y - p.A @ x
-    return float(r @ r) / (2.0 * p.A.shape[0])
-
-
-def gradient(p: GLassoProblem, x: np.ndarray) -> np.ndarray:
-    """grad L(x) = (1/m) A^T (A x - mu * y)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != p.A.shape[1]:
-        raise ValueError("dimension mismatch between x and A")
-    return p.A.T @ (p.A @ x - p.mu * p.y) / p.A.shape[0]
+def gram_stats(A, y, mu: float):
+    """Gram statistics (G, b) = (A^T A / m, (mu / m) A^T y) of the problem (A, y, mu)."""
+    m = A.shape[0]
+    return A.T @ A / m, (mu / m) * (A.T @ y)
 
 
 # The fixed step is 1 / (LIPSCHITZ_MARGIN * lambda_max(G)). lambda_max comes
@@ -115,18 +83,25 @@ def estimate_lipschitz(A) -> float:
     return float(_lipschitz(A.T @ A / A.shape[0]))
 
 
-def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> SolverResult:
+def glasso_solve(A, y, mu: float, project, radius, opts: SolverOptions = SolverOptions()) -> SolverResult:
     """Minimize the quantized least-squares objective over K by fixed-step PGD from x = 0.
 
-    This is the single-problem reference for pgd_rows: plain PGD with the
-    same step, stopped when the objective's relative decrease is below
-    opts.rel_tol, with the whole objective trace kept.
+    K is the set the row projection `project` maps onto with `radius`. This is
+    the single-problem reference for pgd_rows: plain PGD with the same step,
+    stopped when the objective's relative decrease is below opts.rel_tol, with
+    the whole objective trace kept. A non-2-d or non-finite A, a y without one
+    entry per row of A, or a non-finite mu raises ValueError.
     """
-    A, y = p.A, p.y
+    A, y = np.asarray(A, dtype=float), np.asarray(y, dtype=float)
+    if A.ndim != 2 or not np.all(np.isfinite(A)):
+        raise ValueError("measurement matrix must be 2-d with finite entries")
+    if A.shape[0] != y.shape[0]:
+        raise ValueError("rows(A) must equal length(y)")
+    if not np.isfinite(mu):
+        raise ValueError("mu must be finite")
     m, n = A.shape
-    G = A.T @ A / m
-    b = (p.mu / m) * (A.T @ y)
-    const = (p.mu**2 / m) * float(y @ y)
+    G, b = gram_stats(A, y, mu)
+    const = (mu**2 / m) * float(y @ y)
 
     def f(x, Gx):
         return 0.5 * float(x @ Gx) - float(b @ x) + 0.5 * const
@@ -138,7 +113,7 @@ def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> Sol
     converged = False
     iterations = 0
     for k in range(opts.max_iters):
-        x_new = p.K.project(x - eta * (Gx - b))
+        x_new = project((x - eta * (Gx - b))[None], radius)[0]
         Gx_new = G @ x_new
         f_new = f(x_new, Gx_new)
         if not np.isfinite(f_new):
@@ -165,15 +140,13 @@ def glasso_solve(p: GLassoProblem, opts: SolverOptions = SolverOptions()) -> Sol
 GMAP_TOL = 1e-8
 
 
-def pgd_rows(G, b, const, radii, project, eta, opts: SolverOptions = SolverOptions()):
+def pgd_rows(G, b, radii, project, eta, opts: SolverOptions = SolverOptions()):
     """FISTA with gradient restart from x = 0 on a stack of k problems, one per row.
 
-    Row i minimizes 0.5 x^T G[i] x - b[i]^T x + 0.5 const[i] over the set
-    project(., radii[i]) maps onto, with step eta[i]; this is the problem
-    glasso_solve builds from (A, y, mu), with G = A^T A / m,
-    b = (mu / m) A^T y and const = (mu^2 / m) y^T y. The constant term does
-    not enter the iteration. `project` maps a (j, n) stack and j radii to the
-    projected stack.
+    Row i minimizes 0.5 x^T G[i] x - b[i]^T x over the set project(., radii[i])
+    maps onto, with step eta[i]; with (G[i], b[i]) = gram_stats(A, y, mu) this
+    is the problem glasso_solve solves, whose objective differs by a constant.
+    `project` maps a (j, n) stack and j radii to the projected stack.
 
     From X = Y = 0 and t = 1 each row iterates X+ = project(Y - eta (G Y - b)).
     It restarts (t = 1, Y = X+) when <Y - X+, X+ - X> > 0, that is when the
@@ -232,15 +205,15 @@ def pgd_rows(G, b, const, radii, project, eta, opts: SolverOptions = SolverOptio
     return X_out, iterations, converged
 
 
-def pbp_estimate(A, y, K: ConstraintSet, mu: float) -> np.ndarray:
-    """Projected back projection: P_K((mu/m) A^T y)."""
+def pbp_estimate(A, y, project, radius, mu: float) -> np.ndarray:
+    """Projected back projection: P_K((mu/m) A^T y), K the set `project` maps onto with `radius`."""
     A, y = np.asarray(A, dtype=float), np.asarray(y, dtype=float)
     if A.shape[0] != y.shape[0]:
         raise ValueError("rows(A) must equal length(y)")
-    return K.project((mu / A.shape[0]) * (A.T @ y))
+    return project(((mu / A.shape[0]) * (A.T @ y))[None], radius)[0]
 
 
-def dm_estimate(A, y, K: ConstraintSet, lam: float) -> np.ndarray:
+def dm_estimate(A, y, project, radius, lam: float) -> np.ndarray:
     """Maximizer of (1/m) sum y_i a_i^T x - ||x||^2 / (2 lam) over K.
 
     Completing the square reduces the program to projecting (lam/m) A^T y
@@ -248,4 +221,4 @@ def dm_estimate(A, y, K: ConstraintSet, lam: float) -> np.ndarray:
     """
     if not (lam > 0):
         raise ValueError("lam must be positive")
-    return pbp_estimate(A, y, K, lam)
+    return pbp_estimate(A, y, project, radius, lam)

@@ -12,12 +12,16 @@ import numpy as np
 
 from .ensemble import SignalSpec, Sparse, gen_sparse_signal, sample_measurements
 from .experiment import SOLVER_OPTIONS, onebit_moment_check
-from .geometry import Unconstrained, estimate_smallball_inf, project_l1_rows, project_nuclear_rows
+from .geometry import estimate_smallball_inf, project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, dither_mean_residual, measure, one_bit_mean_formula
-from .solver import GLassoProblem, SolverOptions, glasso_solve, gradient, inverse_lipschitz_step, objective, pgd_rows
+from .solver import SolverOptions, glasso_solve, gram_stats, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
 QUICK_SIZE = 200_000
+
+
+def _whole_space(V, radii):  # the row projection onto the unconstrained set
+    return V
 
 
 def _z(gap: float, se: float) -> float:
@@ -155,32 +159,36 @@ def projections(seed: int, size: int):
 
 def solver_correctness(seed: int, size: int):
     """On N/50000 unconstrained problems glasso_solve (with a monotone objective trace) and the
-    stacked pgd_rows of the curves both match least squares to 1e-6, and the gradient matches
-    central differences to 1e-5."""
+    stacked pgd_rows of the curves both match least squares to 1e-6, and the gradient G x - b
+    from gram_stats matches central differences of the least-squares objective to 1e-5."""
     worst_rel, monotone = 0.0, True
-    G, b, const, X_ls = [], [], [], []
+    stats, X_ls = [], []
     for i in range(size // 50_000):
         x0 = gen_sparse_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
         A = sample_measurements("gaussian", 300, 50, substream(seed, "verify-solver", i, "matrix"))
         y = measure(A, x0, UniformQuantizer(1.0), substream(seed, "verify-solver", i, "dither"))
-        res = glasso_solve(GLassoProblem(A, y, 1.0, Unconstrained()), SolverOptions(max_iters=50000, rel_tol=1e-14))
+        res = glasso_solve(A, y, 1.0, _whole_space, 1.0, SolverOptions(max_iters=50000, rel_tol=1e-14))
         monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
         x_ls = np.linalg.lstsq(A, y, rcond=None)[0]
         worst_rel = max(worst_rel, float(np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)))
-        G.append(A.T @ A / 300)
-        b.append(A.T @ y / 300)
-        const.append(float(y @ y) / 300)
+        stats.append(gram_stats(A, y, 1.0))
         X_ls.append(x_ls)
-    G, X_ls = np.stack(G), np.stack(X_ls)
-    X, _, converged = pgd_rows(G, np.stack(b), const, np.ones(len(b)), lambda V, radii: V,
-                               inverse_lipschitz_step(G), SOLVER_OPTIONS)
+    G, b = (np.stack(s) for s in zip(*stats))
+    X_ls = np.stack(X_ls)
+    X, _, converged = pgd_rows(G, b, np.ones(len(b)), _whole_space, inverse_lipschitz_step(G), SOLVER_OPTIONS)
     stacked_rel = float(np.max(np.linalg.norm(X - X_ls, axis=1) / np.linalg.norm(X_ls, axis=1)))
 
     rng = substream(seed, "verify-solver", "gradient")
-    p = GLassoProblem(sample_measurements("gaussian", 60, 15, rng), rng.standard_normal(60), 1.0, Unconstrained())
+    A, y = sample_measurements("gaussian", 60, 15, rng), rng.standard_normal(60)
     x, h = rng.standard_normal(15), 1e-6
-    g = gradient(p, x)
-    err = np.abs([(objective(p, x + h * e) - objective(p, x - h * e)) / (2 * h) for e in np.eye(15)] - g)
+    G, b = gram_stats(A, y, 1.0)
+    g = G @ x - b
+
+    def loss(v):
+        r = y - A @ v
+        return float(r @ r) / (2 * len(y))
+
+    err = np.abs([(loss(x + h * e) - loss(x - h * e)) / (2 * h) for e in np.eye(15)] - g)
     grad_rel = float(np.linalg.norm(err) / np.linalg.norm(g))
     ok = (worst_rel <= 1e-6 and monotone and converged.all() and stacked_rel <= 1e-6 and grad_rel <= 1e-5
           and bool(np.all(err <= 1e-5 * np.maximum(1.0, abs(g)))))
@@ -193,7 +201,7 @@ def small_ball(seed: int, size: int):
     """The small-ball infimum over N/400 directions of a 1000 x 20 Gaussian matrix lies in [0.5, 1.5]."""
     rng = substream(seed, "verify-smallball")
     A = sample_measurements("gaussian", 1000, 20, rng)
-    val = estimate_smallball_inf(A, Unconstrained(), np.zeros(20), size // 400, rng)
+    val = estimate_smallball_inf(A, _whole_space, 1.0, np.zeros(20), size // 400, rng)
     return ("small-ball diagnostic in [0.5, 1.5]", 0.5 <= val <= 1.5, f"inf estimate {val:.3f}")
 
 

@@ -15,8 +15,6 @@ import numpy as np
 from qlasso import (
     ErrorCurve,
     ExperimentConfig,
-    GLassoProblem,
-    L1Ball,
     SignalSpec,
     Sparse,
     UniformQuantizer,
@@ -27,6 +25,7 @@ from qlasso import (
     gw_bound_sparse,
     measure,
     project_l1_ball,
+    project_l1_rows,
     run_curve,
     sample_measurements,
     substream,
@@ -197,8 +196,7 @@ def test_09_noiseless_limit():
         x0 = gen_sparse_signal(SignalSpec(100, Sparse(10), 8.0), rng_sig)
         A = sample_measurements("rademacher", 500, 100, rng_mat)
         y = measure(A, x0, UniformQuantizer(delta), rng_dith)
-        K = L1Ball(float(np.abs(x0).sum()))
-        res = glasso_solve(GLassoProblem(A, y, 1.0, K))
+        res = glasso_solve(A, y, 1.0, project_l1_rows, float(np.abs(x0).sum()))
         err = float(np.linalg.norm(res.x_hat - x0))
         worst = max(worst, err)
         hits += err < 1e-3

@@ -262,6 +262,9 @@ def test_unknown_config_field(tmp_path):
     ("compare", dict(seed=1.5)),
     ("run-uniform", dict(m_grid=[100, 200.5, 400])),
     ("delta-sweep", dict(m_grid=150.5)),
+    # no estimator, or one named twice
+    ("run-uniform", dict(estimators=[])),
+    ("compare", dict(estimators=["glasso", "pbp", "pbp"])),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qlasso import (
-    L1Ball,
-    Unconstrained,
     estimate_smallball_inf,
     gw_bound_lowrank,
     gw_bound_sparse,
@@ -116,17 +114,6 @@ def test_nuclear_projection_invalid_length():
         project_nuclear_ball(np.zeros(4), -1.0)
 
 
-def test_unconstrained_identity():
-    v = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(Unconstrained().project(v), v)
-    assert Unconstrained().contains(v)
-
-
-def test_contains():
-    assert L1Ball(1.0).contains(np.array([0.5, 0.25]))
-    assert not L1Ball(1.0).contains(np.array([1.0, 1.0]))
-
-
 def test_width_bound_values():
     assert abs(gw_bound_sparse(100, 25) - math.sqrt(106.815)) <= 5e-4
     assert abs(gw_bound_sparse(100, 25) - 10.335) <= 1e-3
@@ -157,23 +144,26 @@ def test_descent_directions_unit_norm():
     rng = substream(6, "dir")
     x0 = np.zeros(20)
     x0[:4] = 0.5
-    K = L1Ball(float(np.abs(x0).sum()))
-    W = sample_descent_directions(K, x0, 50, rng)
+    W = sample_descent_directions(project_l1_rows, float(np.abs(x0).sum()), x0, 50, rng)
     assert W.shape == (50, 20)
     np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, atol=1e-12)
 
 
 def test_descent_directions_infeasible_anchor():
     with pytest.raises(ValueError):
-        sample_descent_directions(L1Ball(1.0), np.array([2.0, 2.0]), 5, substream(7, "d"))
+        sample_descent_directions(project_l1_rows, 1.0, np.array([2.0, 2.0]), 5, substream(7, "d"))
+    # an anchor counts as feasible within 1e-9 of its projection
+    with pytest.raises(ValueError):
+        sample_descent_directions(project_l1_rows, 1.0, np.array([0.5 + 1e-8, 0.5]), 5, substream(7, "d"))
+    W = sample_descent_directions(project_l1_rows, 1.0, np.array([0.5 + 1e-10, 0.5]), 5, substream(7, "d"))
+    assert W.shape == (5, 2)
 
 
 def test_smallball_orthonormal_exact():
     # A = sqrt(n) I has A^T A / m = I, so every unit direction scores exactly 1
     n = 8
     A = math.sqrt(n) * np.eye(n)
-    K = Unconstrained()
-    val = estimate_smallball_inf(A, K, np.zeros(n), 100, substream(8, "sb"))
+    val = estimate_smallball_inf(A, lambda V, radii: V, 1.0, np.zeros(n), 100, substream(8, "sb"))
     assert abs(val - 1.0) <= 1e-12
 
 
@@ -184,6 +174,5 @@ def test_smallball_gaussian_range():
     A = sample_measurements("gaussian", 2000, 40, rng)
     x0 = np.zeros(40)
     x0[:5] = 1.0
-    K = L1Ball(5.0)
-    val = estimate_smallball_inf(A, K, x0, 200, rng)
+    val = estimate_smallball_inf(A, project_l1_rows, 5.0, x0, 200, rng)
     assert 0.5 <= val <= 1.5

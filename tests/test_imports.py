@@ -1,8 +1,10 @@
 """Every module of the package (but the __init__ re-exports) and every test module
-uses each name it imports, and every module of the package reads each private
-top-level name it defines."""
+uses each name it imports, every module of the package reads each private
+top-level name it defines, and every function the benchmark's tracer wraps
+exists in its module."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,22 @@ def test_guard_finds_a_dead_private_name():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text()) == []
+
+
+def traced_names() -> dict:
+    """TRACED of perfbench/child.py, {module: function names}, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/child.py assigns no TRACED")
+
+
+TRACED = traced_names()
+
+
+@pytest.mark.parametrize("module", sorted(TRACED))
+def test_traced_names_exist(module):
+    # the tracer looks each name up with getattr, so a missing one breaks trace mode
+    mod = importlib.import_module(module)
+    assert [name for name in TRACED[module] if not hasattr(mod, name)] == []

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from qlasso import (
-    GLassoProblem,
-    L1Ball,
     LowRank,
-    NuclearBall,
-    OneBitQuantizer,
     SignalSpec,
     SolverOptions,
     Sparse,
-    Unconstrained,
     UniformQuantizer,
     dm_estimate,
     estimate_lipschitz,
@@ -18,12 +13,12 @@ from qlasso import (
     gen_signal,
     gen_sparse_signal,
     glasso_solve,
-    gradient,
+    gram_stats,
     inverse_lipschitz_step,
     measure,
-    objective,
     pbp_estimate,
     pgd_rows,
+    project_l1_ball,
     project_l1_rows,
     project_nuclear_rows,
     sample_measurements,
@@ -41,43 +36,27 @@ def _instance(seed, m=300, n=50, s=10, delta=1.0):
     return x0, A, y
 
 
-def test_objective_zero_point():
-    x0, A, y = _instance(0)
-    p = GLassoProblem(A, y, 1.0, Unconstrained())
-    m = A.shape[0]
-    expect = float(y @ y) / (2 * m)
-    assert objective(p, np.zeros(50)) == pytest.approx(expect, rel=1e-14)
+def _whole_space(V, radii):
+    return V
 
 
-def test_objective_one_bit_zero_point():
-    # y_i = +-1 so with mu = T the value at zero is T^2 / 2 exactly
-    rng = substream(1, "ob")
-    T = 5.0
-    A = sample_measurements("gaussian", 200, 10, rng)
-    y = measure(A, np.zeros(10), OneBitQuantizer(T), rng)
-    p = GLassoProblem(A, y, T, Unconstrained())
-    assert objective(p, np.zeros(10)) == pytest.approx(T * T / 2, rel=1e-14)
-
-
-def test_objective_dimension_mismatch():
-    x0, A, y = _instance(2)
-    p = GLassoProblem(A, y, 1.0, Unconstrained())
-    with pytest.raises(ValueError):
-        objective(p, np.zeros(49))
-    with pytest.raises(ValueError):
-        gradient(p, np.zeros(51))
+def _l1(x0):
+    """(project, radius) of the l1 ball through x0."""
+    return project_l1_rows, float(np.abs(x0).sum())
 
 
 def test_problem_shape_validation():
     x0, A, y = _instance(3)
     with pytest.raises(ValueError):
-        GLassoProblem(A, y[:-1], 1.0, Unconstrained())
+        glasso_solve(A, y[:-1], 1.0, _whole_space, 1.0)
     with pytest.raises(ValueError):
-        GLassoProblem(y, y, 1.0, Unconstrained())
+        glasso_solve(y, y, 1.0, _whole_space, 1.0)
     A_bad = A.copy()
     A_bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        GLassoProblem(A_bad, y, 1.0, Unconstrained())
+        glasso_solve(A_bad, y, 1.0, _whole_space, 1.0)
+    with pytest.raises(ValueError):
+        glasso_solve(A, y, np.inf, _whole_space, 1.0)
 
 
 def test_lipschitz_scaled_identity():
@@ -126,7 +105,7 @@ def test_exact_step_near_degenerate_top_pair():
     bound = (1.0 / 1.01) * (1.0 + 1e-12)
     assert float(inverse_lipschitz_step(G)) * lam_max <= bound
     assert estimate_lipschitz(A) >= 1.01 * lam_max * (1.0 - 1e-12)
-    res = glasso_solve(GLassoProblem(A, np.ones(m), 1.0, Unconstrained()), SolverOptions(max_iters=5))
+    res = glasso_solve(A, np.ones(m), 1.0, _whole_space, 1.0, SolverOptions(max_iters=5))
     assert res.step_size * lam_max <= bound
     steps = inverse_lipschitz_step(np.stack([G, 2.0 * G, np.zeros((n, n))]))
     np.testing.assert_allclose(steps * [1.0, 2.0, 1.0], [1 / 1.01, 1 / 1.01, 1.0], rtol=1e-12)
@@ -136,15 +115,15 @@ def test_exact_step_near_degenerate_top_pair():
 _TIGHT = SolverOptions(max_iters=50000, rel_tol=1e-14)
 
 
-def _fista_restart(G, b, K, eta, iters):
-    """`iters` steps of FISTA with gradient restart on one problem, two products with G a step.
+def _fista_restart(G, b, radius, eta, iters):
+    """`iters` steps of FISTA with gradient restart over an l1 ball, two products with G a step.
 
     Returns the last iterate and the number of restarts.
     """
     x = y = np.zeros(len(b))
     t, restarts = 1.0, 0
     for _ in range(iters):
-        x_new = K.project(y - eta * (G @ y - b))
+        x_new = project_l1_ball(y - eta * (G @ y - b), radius)
         if (y - x_new) @ (x_new - x) > 0:
             t, y = 1.0, x_new
             restarts += 1
@@ -157,10 +136,8 @@ def _fista_restart(G, b, K, eta, iters):
 
 
 def _stack_problems(instances, mu):
-    G = np.stack([A.T @ A / len(A) for A, _ in instances])
-    b = np.stack([(mu / len(A)) * (A.T @ y) for A, y in instances])
-    const = np.array([(mu**2 / len(A)) * float(y @ y) for A, y in instances])
-    return G, b, const
+    G, b = zip(*(gram_stats(A, y, mu) for A, y in instances))
+    return np.stack(G), np.stack(b)
 
 
 def test_pgd_rows_matches_glasso_solve_l1():
@@ -169,10 +146,10 @@ def test_pgd_rows_matches_glasso_solve_l1():
         x0, A, y = _instance(200 + seed, m=150 + 40 * seed, n=40, s=6)
         instances.append((A, y))
         radii.append(float(np.abs(x0).sum()))
-    G, b, const = _stack_problems(instances, 1.0)
-    X, _, conv = pgd_rows(G, b, const, radii, project_l1_rows, inverse_lipschitz_step(G))
+    G, b = _stack_problems(instances, 1.0)
+    X, _, conv = pgd_rows(G, b, radii, project_l1_rows, inverse_lipschitz_step(G))
     for (A, y), r, x, c in zip(instances, radii, X, conv):
-        ref = glasso_solve(GLassoProblem(A, y, 1.0, L1Ball(r)), _TIGHT)
+        ref = glasso_solve(A, y, 1.0, project_l1_rows, r, _TIGHT)
         assert c and ref.converged
         assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
 
@@ -187,10 +164,10 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
         y = measure(A, x0, UniformQuantizer(0.5), rng)
         instances.append((A, y))
         radii.append(float(np.linalg.svd(x0.reshape(d, d), compute_uv=False).sum()))
-    G, b, const = _stack_problems(instances, 1.0)
-    X, _, conv = pgd_rows(G, b, const, radii, project_nuclear_rows, inverse_lipschitz_step(G))
+    G, b = _stack_problems(instances, 1.0)
+    X, _, conv = pgd_rows(G, b, radii, project_nuclear_rows, inverse_lipschitz_step(G))
     for (A, y), r, x, c in zip(instances, radii, X, conv):
-        ref = glasso_solve(GLassoProblem(A, y, 1.0, NuclearBall(r)), _TIGHT)
+        ref = glasso_solve(A, y, 1.0, project_nuclear_rows, r, _TIGHT)
         assert c and ref.converged
         assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
 
@@ -209,12 +186,12 @@ def test_pgd_rows_reaches_the_minimizer_at_small_m():
         A = sample_measurements("rademacher", m, n, substream(seed, m, t, "matrix"))
         instances.append((A, measure(A, x0, UniformQuantizer(3.0), substream(seed, m, t, "dither"))))
         radii.append(float(np.abs(x0).sum()))
-    G, b, const = _stack_problems(instances, 1.0)
+    G, b = _stack_problems(instances, 1.0)
     eta = inverse_lipschitz_step(G)
     ref = np.zeros_like(b)
     for _ in range(2000):
         ref = project_l1_rows(ref - eta[:, None] * (np.matmul(G, ref[:, :, None])[:, :, 0] - b), radii)
-    X, _, conv = pgd_rows(G, b, const, radii, project_l1_rows, eta)
+    X, _, conv = pgd_rows(G, b, radii, project_l1_rows, eta)
     assert conv.all()
     rel = np.linalg.norm(X - ref, axis=1) / np.linalg.norm(ref, axis=1)
     assert rel.max() <= 1e-6
@@ -226,28 +203,28 @@ def _max_iters_instances():
         x0, A, y = _instance(400 + seed, n=40, s=6)
         instances.append((A, y))
         radii.append(float(np.abs(x0).sum()))
-    G, b, const = _stack_problems(instances, 1.0)
-    return G, b, const, radii, inverse_lipschitz_step(G)
+    G, b = _stack_problems(instances, 1.0)
+    return G, b, radii, inverse_lipschitz_step(G)
 
 
 def test_pgd_rows_reports_max_iters():
-    G, b, const, radii, eta = _max_iters_instances()
+    G, b, radii, eta = _max_iters_instances()
     opts = SolverOptions(max_iters=4)
-    X, iters, conv = pgd_rows(G.copy(), b, const, radii, project_l1_rows, eta, opts)
+    X, iters, conv = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, opts)
     np.testing.assert_array_equal(iters, [4, 4, 4])
     assert not conv.any()
     for g, b_i, r, e, x in zip(G, b, radii, eta, X):
-        np.testing.assert_allclose(x, _fista_restart(g, b_i, L1Ball(r), e, 4)[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(x, _fista_restart(g, b_i, r, e, 4)[0], rtol=1e-12, atol=1e-14)
 
 
 def test_pgd_rows_restarts_like_fista_with_restart():
     # 12 iterations on the same problems take every row through two restarts
-    G, b, const, radii, eta = _max_iters_instances()
+    G, b, radii, eta = _max_iters_instances()
     opts = SolverOptions(max_iters=12)
-    X, iters, _ = pgd_rows(G.copy(), b, const, radii, project_l1_rows, eta, opts)
+    X, iters, _ = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, opts)
     np.testing.assert_array_equal(iters, [12, 12, 12])
     for g, b_i, r, e, x in zip(G, b, radii, eta, X):
-        ref, restarts = _fista_restart(g, b_i, L1Ball(r), e, 12)
+        ref, restarts = _fista_restart(g, b_i, r, e, 12)
         assert restarts == 2
         np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-14)
 
@@ -256,8 +233,7 @@ def test_glasso_matches_normal_equations():
     # unconstrained minimizer is the least-squares solution of A x = mu y
     for seed in range(20):
         x0, A, y = _instance(100 + seed)
-        p = GLassoProblem(A, y, 1.0, Unconstrained())
-        res = glasso_solve(p, SolverOptions(max_iters=50000, rel_tol=1e-14))
+        res = glasso_solve(A, y, 1.0, _whole_space, 1.0, SolverOptions(max_iters=50000, rel_tol=1e-14))
         x_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
         rel = np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)
         assert rel <= 1e-6
@@ -265,18 +241,15 @@ def test_glasso_matches_normal_equations():
 
 def test_inactive_constraint_matches_unconstrained():
     x0, A, y = _instance(6)
-    p_free = GLassoProblem(A, y, 1.0, Unconstrained())
-    free = glasso_solve(p_free, SolverOptions(max_iters=50000, rel_tol=1e-14))
-    big = L1Ball(10.0 * float(np.abs(free.x_hat).sum()))
-    p_ball = GLassoProblem(A, y, 1.0, big)
-    ball = glasso_solve(p_ball, SolverOptions(max_iters=50000, rel_tol=1e-14))
+    free = glasso_solve(A, y, 1.0, _whole_space, 1.0, SolverOptions(max_iters=50000, rel_tol=1e-14))
+    big = 10.0 * float(np.abs(free.x_hat).sum())
+    ball = glasso_solve(A, y, 1.0, project_l1_rows, big, SolverOptions(max_iters=50000, rel_tol=1e-14))
     assert np.linalg.norm(free.x_hat - ball.x_hat) <= 1e-6 * np.linalg.norm(free.x_hat)
 
 
 def test_objective_trace_monotone():
     x0, A, y = _instance(8)
-    K = L1Ball(float(np.abs(x0).sum()))
-    res = glasso_solve(GLassoProblem(A, y, 1.0, K))
+    res = glasso_solve(A, y, 1.0, *_l1(x0))
     diffs = np.diff(res.objective_trace)
     assert np.all(diffs <= 1e-12)
     assert res.converged
@@ -284,38 +257,37 @@ def test_objective_trace_monotone():
 
 def test_fixed_point_optimality():
     x0, A, y = _instance(9)
-    K = L1Ball(float(np.abs(x0).sum()))
-    p = GLassoProblem(A, y, 1.0, K)
-    res = glasso_solve(p, SolverOptions(max_iters=50000, rel_tol=1e-14))
-    g = gradient(p, res.x_hat)
-    moved = K.project(res.x_hat - res.step_size * g)
+    project, r = _l1(x0)
+    res = glasso_solve(A, y, 1.0, project, r, SolverOptions(max_iters=50000, rel_tol=1e-14))
+    G, b = gram_stats(A, y, 1.0)
+    moved = project_l1_ball(res.x_hat - res.step_size * (G @ res.x_hat - b), r)
     assert np.linalg.norm(moved - res.x_hat) <= 1e-6 * (1 + np.linalg.norm(res.x_hat))
 
 
 def test_pbp_formula_direct():
     x0, A, y = _instance(11)
-    K = L1Ball(float(np.abs(x0).sum()))
+    project, r = _l1(x0)
     m = A.shape[0]
-    direct = K.project((2.5 / m) * (A.T @ y))
-    np.testing.assert_array_equal(pbp_estimate(A, y, K, 2.5), direct)
+    direct = project_l1_ball((2.5 / m) * (A.T @ y), r)
+    np.testing.assert_array_equal(pbp_estimate(A, y, project, r, 2.5), direct)
 
 
 def test_dm_equals_pbp():
     x0, A, y = _instance(12)
-    K = L1Ball(float(np.abs(x0).sum()))
+    K = _l1(x0)
     np.testing.assert_array_equal(
-        dm_estimate(A, y, K, 3.0), pbp_estimate(A, y, K, 3.0)
+        dm_estimate(A, y, *K, 3.0), pbp_estimate(A, y, *K, 3.0)
     )
     with pytest.raises(ValueError):
-        dm_estimate(A, y, K, 0.0)
+        dm_estimate(A, y, *K, 0.0)
 
 
 def test_glasso_beats_pbp_typical():
     x0, A, y = _instance(13, m=1000, n=100, s=25, delta=3.0)
-    K = L1Ball(float(np.abs(x0).sum()))
-    res = glasso_solve(GLassoProblem(A, y, 1.0, K))
+    K = _l1(x0)
+    res = glasso_solve(A, y, 1.0, *K)
     err_g = np.linalg.norm(res.x_hat - x0)
-    err_p = np.linalg.norm(pbp_estimate(A, y, K, 1.0) - x0)
+    err_p = np.linalg.norm(pbp_estimate(A, y, *K, 1.0) - x0)
     assert err_g < err_p
 
 
@@ -328,8 +300,7 @@ def test_noiseless_limit_single_trial():
     A = sample_measurements("gaussian", 500, 100, rng_mat)
     delta = 1e-6
     y = measure(A, x0, UniformQuantizer(delta), rng_dith)
-    K = L1Ball(float(np.abs(x0).sum()))
-    res = glasso_solve(GLassoProblem(A, y, 1.0, K))
+    res = glasso_solve(A, y, 1.0, *_l1(x0))
     assert np.linalg.norm(res.x_hat - x0) < 1e-3
 
 
