@@ -3,10 +3,18 @@
 Signals are either exactly s-sparse vectors or vectorized d x d matrices of
 rank r, rescaled to a prescribed l2 (Frobenius) norm. Measurement matrices
 stack iid isotropic rows: standard Gaussian or Rademacher entries.
+
+A Rademacher entry is 2 b - 1, b the top bit of the next 32-bit half of the
+generator's raw 64-bit words, low half first. These are the bits
+`rng.integers(0, 2)` returns, since Lemire's bounded method never rejects for a
+range of two. Reading them from `bit_generator.random_raw` keeps every draw,
+allocates none of the m x n temporaries of `integers`, and pins the draw to the
+raw stream, which numpy keeps stable (NEP 19), instead of to the algorithm of a
+Generator method, which it does not.
 """
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -91,12 +99,39 @@ def gen_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
     return gen_lowrank_signal(spec, rng)
 
 
-def sample_measurements(kind: str, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample an m x n matrix with iid rows of the named ensemble (one of ENSEMBLES)."""
+# Rademacher entries drawn per pass over the raw words: every temporary stays below 128 KiB.
+RADEMACHER_CHUNK = 2**14
+
+
+def sample_measurements(
+    kind: str, m: int, n: int, rng: np.random.Generator, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Sample an m x n matrix with iid rows of the named ensemble (one of ENSEMBLES).
+
+    Gaussian entries are `rng.standard_normal((m, n))`. Rademacher entries are
+    bitwise `rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0` on a fresh generator,
+    read from its raw words (see the module docstring); a half word buffered by
+    an earlier 32-bit draw is neither used nor left behind. With `out`, a
+    C-contiguous float64 (m, n) array, the draw is written into it and `out` is
+    returned, so a caller that reuses one workspace allocates nothing per draw.
+    """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if kind not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    if kind == "rademacher" and isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("Rademacher draws read 64-bit raw words; MT19937 returns 32-bit ones")
+    if out is None:
+        out = np.empty((m, n))
+    elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}")
     if kind == "gaussian":
-        return rng.standard_normal((m, n))
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
-    raise ValueError(f"unknown ensemble kind {kind!r}")
+        return rng.standard_normal((m, n), out=out)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, RADEMACHER_CHUNK):
+        seg = flat[start:start + RADEMACHER_CHUNK]
+        # two entries per word; when seg.size is odd the last word's high half is unused
+        halves = rng.bit_generator.random_raw((seg.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+        np.multiply(halves[:seg.size] >> 31, 2.0, out=seg)
+        seg -= 1.0
+    return out

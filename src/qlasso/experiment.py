@@ -125,12 +125,12 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     G = np.empty((k, n, n))
     b = np.empty((k, n))
     radii = np.empty(k)
+    A = np.empty((m, n))  # every trial's matrix is drawn into this one workspace
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
-        A = sample_measurements(cfg.ensemble, m, n, substream(cfg.master_seed, m, t, "matrix"))
+        sample_measurements(cfg.ensemble, m, n, substream(cfg.master_seed, m, t, "matrix"), out=A)
         y = measure(A, x0, q, substream(cfg.master_seed, m, t, "dither"))
         G[i], b[i] = gram_stats(A, y, mu)
-        del A  # free this trial's m x n matrix before the next one is drawn
         x0s[i] = x0
         if isinstance(cfg.structure, Sparse):
             radii[i] = np.sum(np.abs(x0))

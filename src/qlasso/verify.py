@@ -205,4 +205,18 @@ def small_ball(seed: int, size: int):
     return ("small-ball diagnostic in [0.5, 1.5]", 0.5 <= val <= 1.5, f"inf estimate {val:.3f}")
 
 
-CHECKS = (uniform_dither, kfold_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball)
+def rademacher_draw(seed: int, size: int):
+    """A Rademacher draw of about N entries is all +-1, with a mean and a mean lag-1 product
+    a_k a_(k+1) of the flattened draw within 5 se of 0; the lag-1 product catches a draw that
+    reads one half of each raw word for two entries."""
+    n = 100
+    a = sample_measurements("rademacher", max(1, size // n), n, substream(seed, "verify-rademacher")).reshape(-1)
+    off = int(np.count_nonzero(np.abs(a) != 1.0))
+    z_mean = _z(float(a.mean()), 1.0 / math.sqrt(a.size))
+    z_lag = _z(float(np.mean(a[:-1] * a[1:])), 1.0 / math.sqrt(a.size - 1))
+    return ("Rademacher draw +-1, balanced, lag-1 uncorrelated", off == 0 and max(z_mean, z_lag) <= 5.0,
+            f"{a.size} entries, {off} not +-1; |mean|/se = {z_mean:.2f}, |lag-1 mean|/se = {z_lag:.2f} (<= 5)")
+
+
+CHECKS = (uniform_dither, kfold_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball,
+          rademacher_draw)

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line per criterion (visible under `pytest -s`
 or in the captured output of a failing test) and then asserts, so the suite
-doubles as a human-readable report. Tests 01, 02, 07, 08 and 10 run the checks
+doubles as a human-readable report. Tests 01, 02, 07, 08, 10 and 12 run the checks
 of qlasso.verify, the code behind `qlasso verify`, at a larger sample size.
 Tolerances are fixed here and in qlasso.verify on purpose; loosening them
 would defeat the point of the suite.
@@ -35,7 +35,8 @@ from qlasso import (
 SEED = 20240901
 
 # Sample size of the verification checks: 1e4 nonexpansiveness pairs and 1e5
-# feasible candidates per ball, 20 solver instances (see qlasso.verify).
+# feasible candidates per ball, 20 solver instances, 1e6 Rademacher entries
+# (see qlasso.verify).
 N = 10**6
 
 
@@ -220,3 +221,7 @@ def test_11_width_table():
         ok,
         f"sparse(100,25)={v1:.4f} (10.335+-0.001), lowrank(100,5)={v2:.4f} (54.772+-0.001)",
     )
+
+
+def test_12_rademacher_draw():
+    _check(verify.rademacher_draw)

@@ -10,6 +10,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
+from qlasso.ensemble import RADEMACHER_CHUNK
 
 
 def test_sparse_signal_support_and_norm():
@@ -67,6 +68,48 @@ def test_lowrank_invalid():
 def test_rademacher_entries():
     A = sample_measurements("rademacher", 1000, 100, substream(1, "A"))
     assert np.all(np.isin(A, (-1.0, 1.0)))
+
+
+# Shapes around the edges of the chunked raw-word read: odd and even m n, one
+# word, one chunk exactly, a chunk plus or minus one entry, and many chunks.
+DRAW_SHAPES = [(1, 1), (1, 3), (3, 5), (7, 13), (1, RADEMACHER_CHUNK), (1, RADEMACHER_CHUNK - 1),
+               (1, RADEMACHER_CHUNK + 1), (2000, 100)]
+
+
+@pytest.mark.parametrize("shape", DRAW_SHAPES)
+def test_rademacher_draw_is_bitwise_integers(shape):
+    m, n = shape
+    expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
+    drawn = sample_measurements("rademacher", m, n, substream(3, "A", m, n))
+    out = np.full(shape, np.nan)
+    returned = sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out)
+    assert returned is out
+    assert drawn.dtype == np.float64
+    assert drawn.tobytes() == expected.tobytes()
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_gaussian_draw_into_out():
+    out = np.full((7, 13), np.nan)
+    returned = sample_measurements("gaussian", 7, 13, substream(3, "G"), out=out)
+    assert returned is out
+    assert out.tobytes() == substream(3, "G").standard_normal((7, 13)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((5, 4)), np.empty((4, 5), dtype=np.float32), np.empty((5, 4)).T, np.empty((4, 10))[:, ::2]],
+    ids=["shape", "float32", "transposed", "strided"],
+)
+def test_draw_rejects_bad_out(kind, out):
+    with pytest.raises(ValueError):
+        sample_measurements(kind, 4, 5, substream(3, "A"), out=out)
+
+
+def test_rademacher_needs_64bit_raw_words():
+    with pytest.raises(ValueError):
+        sample_measurements("rademacher", 4, 5, np.random.Generator(np.random.MT19937(0)))
 
 
 def test_gaussian_column_means_clt():

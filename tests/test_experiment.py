@@ -164,6 +164,32 @@ def test_curves_share_draws_across_blocks_and_estimators():
         run_curve(cfg, ("glasso", "mle"))
 
 
+def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
+    # 15 trials at n=100 run as blocks of 13 and 2: each block hands one (m, n)
+    # array to every trial's draw, and a trial's error and iteration count are
+    # those it gets alone in a block of one, with a fresh workspace.
+    cfg = _cfg(n=100, structure=Sparse(10), ensemble="rademacher", m_grid=(150, 230), trials=15)
+    seen = []
+
+    def spy(kind, m, n, rng, *, out=None):
+        seen.append((m, out))
+        return sample_measurements(kind, m, n, rng, out=out)
+
+    monkeypatch.setattr(qlasso.experiment, "sample_measurements", spy)
+    curve = run_curve(cfg, "glasso")
+    assert len(seen) == 30
+    for start, stop in ((0, 13), (13, 15), (15, 28), (28, 30)):  # the blocks, in call order
+        (m, out), *rest = seen[start:stop]
+        assert isinstance(out, np.ndarray) and out.shape == (m, cfg.n)
+        assert all(cm == m and co is out for cm, co in rest)
+    assert len({id(out) for _, out in seen}) == 4
+    for i, m in enumerate(cfg.m_grid):
+        for t in range(cfg.trials):
+            errors, iterations, _ = qlasso.experiment._solve_block(cfg, m, range(t, t + 1), ("glasso",))["glasso"]
+            assert curve.errors[i, t] == errors[0] == run_trial(cfg, m, t, "glasso")
+            assert curve.iterations[i, t] == iterations[0]
+
+
 def test_nonconverged_solves_are_counted(monkeypatch):
     monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions(max_iters=3))
     cfg = _cfg(trials=4)
