@@ -11,6 +11,16 @@ range of two. Reading them from `bit_generator.random_raw` keeps every draw,
 allocates none of the m x n temporaries of `integers`, and pins the draw to the
 raw stream, which numpy keeps stable (NEP 19), instead of to the algorithm of a
 Generator method, which it does not.
+
+Each sign is written straight as the bit pattern of float32 +-1 into a float32
+stage that occupies the upper half of the bytes of the float64 output. While
+the stage holds the draw, A^T A can be formed in single precision: every
+partial sum is an integer of magnitude at most m, which float32 represents
+exactly for m <= 2^24 (float32_gram_is_exact), so the float32 product equals
+the float64 one bitwise at half the cost. The stage is then widened in place,
+front to back: entry k of the output covers stage entries 2k - mn and
+2k - mn + 1, none past k, so only a chunk that the widening writes over while
+reading it (the last two at most) is copied out first.
 """
 
 from dataclasses import dataclass
@@ -103,17 +113,59 @@ def gen_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
 RADEMACHER_CHUNK = 2**14
 
 
+def float32_gram_is_exact(m: int) -> bool:
+    """Whether float32 forms A^T A of an m-row +-1 matrix exactly: its partial sums are
+    integers of magnitude at most m, and float32 holds every integer up to 2^24."""
+    return m <= 2**24
+
+
+def _rademacher_stage(m: int, n: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Draw the signs as float32 +-1 into the upper half of out's bytes; return that (m, n) stage."""
+    stage = out.reshape(-1).view(np.float32)[m * n:]
+    bits = stage.view(np.uint32)
+    for start in range(0, bits.size, RADEMACHER_CHUNK):
+        seg = bits[start:start + RADEMACHER_CHUNK]
+        # two entries per word; when seg.size is odd the last word's high half is unused
+        halves = rng.bit_generator.random_raw((seg.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+        # 0x3F800000 | (~h & 0x80000000): float32 1.0 where h's top bit is set, -1.0 where it is not
+        np.bitwise_and(halves[:seg.size], 0x80000000, out=seg)
+        seg ^= 0xBF800000
+    return stage.reshape(m, n)
+
+
+def _widen(stage: np.ndarray, out: np.ndarray) -> None:
+    """Widen the float32 stage in the upper half of out's bytes into out, front to back."""
+    src, dst = stage.reshape(-1), out.reshape(-1)
+    size = src.size
+    for start in range(0, size, RADEMACHER_CHUNK):
+        stop = min(start + RADEMACHER_CHUNK, size)
+        seg = src[start:stop]
+        if 2 * stop > size + start:  # dst[start:stop] ends past seg's first entry: read seg out first
+            seg = seg.copy()
+        dst[start:stop] = seg
+
+
 def sample_measurements(
-    kind: str, m: int, n: int, rng: np.random.Generator, *, out: Optional[np.ndarray] = None
+    kind: str,
+    m: int,
+    n: int,
+    rng: np.random.Generator,
+    *,
+    out: Optional[np.ndarray] = None,
+    gram: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Sample an m x n matrix with iid rows of the named ensemble (one of ENSEMBLES).
+    """Sample an m x n matrix A with iid rows of the named ensemble (one of ENSEMBLES).
 
     Gaussian entries are `rng.standard_normal((m, n))`. Rademacher entries are
     bitwise `rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0` on a fresh generator,
     read from its raw words (see the module docstring); a half word buffered by
     an earlier 32-bit draw is neither used nor left behind. With `out`, a
     C-contiguous float64 (m, n) array, the draw is written into it and `out` is
-    returned, so a caller that reuses one workspace allocates nothing per draw.
+    returned, so a caller that reuses one workspace allocates nothing that
+    grows with m. With `gram`, a float64 (n, n) array, the draw also writes the
+    unnormalized A^T A into it, bitwise the float64 `A.T @ A`: from the float32
+    stage for Rademacher entries while float32_gram_is_exact(m), in float64
+    otherwise.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -125,13 +177,16 @@ def sample_measurements(
         out = np.empty((m, n))
     elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}")
+    if gram is not None and (gram.shape != (n, n) or gram.dtype != np.float64):
+        raise ValueError(f"gram must be a float64 array of shape {(n, n)}")
+    exact32 = kind == "rademacher" and gram is not None and float32_gram_is_exact(m)
     if kind == "gaussian":
-        return rng.standard_normal((m, n), out=out)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, RADEMACHER_CHUNK):
-        seg = flat[start:start + RADEMACHER_CHUNK]
-        # two entries per word; when seg.size is odd the last word's high half is unused
-        halves = rng.bit_generator.random_raw((seg.size + 1) // 2).astype("<u8", copy=False).view("<u4")
-        np.multiply(halves[:seg.size] >> 31, 2.0, out=seg)
-        seg -= 1.0
+        rng.standard_normal((m, n), out=out)
+    else:
+        stage = _rademacher_stage(m, n, rng, out)
+        if exact32:
+            gram[...] = stage.T @ stage
+        _widen(stage, out)
+    if gram is not None and not exact32:
+        np.matmul(out.T, out, out=gram)
     return out

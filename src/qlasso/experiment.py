@@ -10,6 +10,7 @@ comparisons are valid.
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
 from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure, sample_dither
-from .solver import SolverOptions, gram_stats, inverse_lipschitz_step, pgd_rows
+from .solver import SolverOptions, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
 ESTIMATORS = ("glasso", "pbp", "dm")
@@ -107,14 +108,29 @@ def block_size(n: int) -> int:
     return max(1, 2**20 // (8 * n * n))
 
 
+# The matrix workspace and Gram stack of the calling thread's last block, kept
+# for its next block of the same (m, n): allocated afresh per block, the heap
+# handed their pages back to the OS and the next block faulted them in again.
+_buffers = threading.local()
+
+
+def _block_buffers(m: int, n: int):
+    """The (m, n) workspace and the (block_size(n), n, n) Gram stack of a block at (m, n)."""
+    if getattr(_buffers, "pair", None) is None or _buffers.pair[0].shape != (m, n):
+        _buffers.pair = None  # drop the old pair before allocating one of the new shape
+        _buffers.pair = np.empty((m, n)), np.empty((block_size(n), n, n))
+    return _buffers.pair
+
+
 def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...]) -> dict:
     """Errors, solver iterations and convergence flags of every estimator on a block of trials.
 
     Each trial's (x0, A, y) is drawn once from its (seed, m, trial, purpose)
     substreams and reduced at once to what every estimator needs: its Gram
-    statistics (G, b) = gram_stats(A, y, mu) and the radius of K, whose row
-    projection the signal structure fixes. PBP and DM are both P_K(b); glasso
-    runs stacked FISTA (pgd_rows) on the block.
+    statistics (G, b) = gram_stats(A, y, mu), with A^T A written by the draw,
+    and the radius of K, whose row projection the signal structure fixes. PBP
+    and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the block.
+    Every trial draws its matrix into the same workspace (see _block_buffers).
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
@@ -122,15 +138,16 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     spec = SignalSpec(n, cfg.structure, cfg.norm_target)
     q, mu = _channel(cfg, m)
     x0s = np.empty((k, n))
-    G = np.empty((k, n, n))
     b = np.empty((k, n))
     radii = np.empty(k)
-    A = np.empty((m, n))  # every trial's matrix is drawn into this one workspace
+    A, G = _block_buffers(m, n)
+    G = G[:k]
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
-        sample_measurements(cfg.ensemble, m, n, substream(cfg.master_seed, m, t, "matrix"), out=A)
+        sample_measurements(cfg.ensemble, m, n, substream(cfg.master_seed, m, t, "matrix"), out=A, gram=G[i])
         y = measure(A, x0, q, substream(cfg.master_seed, m, t, "dither"))
-        G[i], b[i] = gram_stats(A, y, mu)
+        G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, mu), bitwise
+        b[i] = (mu / m) * (A.T @ y)
         x0s[i] = x0
         if isinstance(cfg.structure, Sparse):
             radii[i] = np.sum(np.abs(x0))
@@ -169,7 +186,10 @@ def _one_blas_thread():
 
 def _map_blocks(tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
-        return [_solve_block(*t) for t in tasks]
+        try:
+            return [_solve_block(*t) for t in tasks]
+        finally:
+            _buffers.pair = None
     # Spawned, not forked: each worker loads BLAS afresh and reads the
     # one-thread setting from its environment, so N workers keep N cores busy
     # instead of starting N BLAS thread pools.

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .ensemble import SignalSpec, Sparse, gen_sparse_signal, sample_measurements
+from .ensemble import SignalSpec, Sparse, float32_gram_is_exact, gen_sparse_signal, sample_measurements
 from .experiment import SOLVER_OPTIONS, onebit_moment_check
 from .geometry import estimate_smallball_inf, project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, dither_mean_residual, measure, one_bit_mean_formula
@@ -218,5 +218,18 @@ def rademacher_draw(seed: int, size: int):
             f"{a.size} entries, {off} not +-1; |mean|/se = {z_mean:.2f}, |lag-1 mean|/se = {z_lag:.2f} (<= 5)")
 
 
+def rademacher_gram(seed: int, size: int):
+    """On N/200000 (at least one) Rademacher draws at m = 8000, n = 100, the A^T A that the draw
+    writes, formed in float32 since m <= 2^24, is bitwise the float64 A^T A of the drawn matrix."""
+    m, n = 8000, 100
+    gram = np.empty((n, n))
+    draws, mismatched = max(1, size // 200_000), 0
+    for i in range(draws):
+        A = sample_measurements("rademacher", m, n, substream(seed, "verify-rademacher-gram", i), gram=gram)
+        mismatched += int(np.count_nonzero(gram.view(np.uint64) != (A.T @ A).view(np.uint64)))
+    return ("Rademacher Gram in float32 is bitwise float64 A^T A", float32_gram_is_exact(m) and mismatched == 0,
+            f"{mismatched} of {draws * n * n} entries differ over {draws} draw(s) at m = {m}, n = {n}")
+
+
 CHECKS = (uniform_dither, kfold_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball,
-          rademacher_draw)
+          rademacher_draw, rademacher_gram)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qlasso.ensemble
 from qlasso import (
     LowRank,
     SignalSpec,
@@ -10,7 +11,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.ensemble import RADEMACHER_CHUNK
+from qlasso.ensemble import RADEMACHER_CHUNK, float32_gram_is_exact
 
 
 def test_sparse_signal_support_and_norm():
@@ -70,10 +71,16 @@ def test_rademacher_entries():
     assert np.all(np.isin(A, (-1.0, 1.0)))
 
 
-# Shapes around the edges of the chunked raw-word read: odd and even m n, one
-# word, one chunk exactly, a chunk plus or minus one entry, and many chunks.
-DRAW_SHAPES = [(1, 1), (1, 3), (3, 5), (7, 13), (1, RADEMACHER_CHUNK), (1, RADEMACHER_CHUNK - 1),
-               (1, RADEMACHER_CHUNK + 1), (2000, 100)]
+# Shapes around the edges of the chunked raw-word read and of the in-place
+# widening, which copies out the last chunks before writing over them: odd and
+# even m n, one word, one chunk exactly, a chunk plus or minus one entry, many
+# chunks, and the largest m of the one-bit benchmark grid.
+C = RADEMACHER_CHUNK
+DRAW_SHAPES = [(1, 1), (1, 3), (3, 5), (7, 13), (1, C), (1, C - 1), (1, C + 1), (2000, 100), (8000, 100),
+               (C - 1, 1), (C + 1, 1)]
+# The same shapes with an n x n Gram matrix, except 1 x (2^14 +- 1), whose Gram matrix would
+# take 2 GiB; the (2^14 +- 1) x 1 shapes put the same chunk edges on m n.
+GRAM_SHAPES = [shape for shape in DRAW_SHAPES if shape[1] < C - 1]
 
 
 @pytest.mark.parametrize("shape", DRAW_SHAPES)
@@ -87,6 +94,44 @@ def test_rademacher_draw_is_bitwise_integers(shape):
     assert drawn.dtype == np.float64
     assert drawn.tobytes() == expected.tobytes()
     assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", GRAM_SHAPES)
+def test_rademacher_gram_is_bitwise_float64(shape):
+    m, n = shape
+    expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
+    grams = np.full((2, n, n), np.nan)
+    drawn = sample_measurements("rademacher", m, n, substream(3, "A", m, n), gram=grams[0])
+    out = np.full(shape, np.nan)
+    returned = sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out, gram=grams[1])
+    assert returned is out
+    assert drawn.tobytes() == out.tobytes() == expected.tobytes()
+    assert grams[0].tobytes() == grams[1].tobytes() == (expected.T @ expected).tobytes()
+
+
+def test_float32_gram_bound():
+    assert float32_gram_is_exact(1) and float32_gram_is_exact(2**24)
+    assert not float32_gram_is_exact(2**24 + 1)
+    # the partial sums of m entries +-1 reach m, which float32 holds exactly up to 2^24
+    assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
+
+
+def test_rademacher_gram_past_the_bound_is_float64(monkeypatch):
+    # the float64 product stands in where float32 would not be exact
+    monkeypatch.setattr(qlasso.ensemble, "float32_gram_is_exact", lambda m: False)
+    gram = np.full((13, 13), np.nan)
+    A = sample_measurements("rademacher", 7, 13, substream(3, "A"), gram=gram)
+    assert A.tobytes() == (substream(3, "A").integers(0, 2, size=(7, 13)) * 2.0 - 1.0).tobytes()
+    assert gram.tobytes() == (A.T @ A).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 13), (500, 100)])
+def test_gaussian_gram_is_bitwise_float64(shape):
+    m, n = shape
+    gram = np.full((n, n), np.nan)
+    A = sample_measurements("gaussian", m, n, substream(3, "G"), gram=gram)
+    assert A.tobytes() == substream(3, "G").standard_normal(shape).tobytes()
+    assert gram.tobytes() == (A.T @ A).tobytes()
 
 
 def test_gaussian_draw_into_out():
@@ -105,6 +150,15 @@ def test_gaussian_draw_into_out():
 def test_draw_rejects_bad_out(kind, out):
     with pytest.raises(ValueError):
         sample_measurements(kind, 4, 5, substream(3, "A"), out=out)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+@pytest.mark.parametrize(
+    "gram", [np.empty((4, 4)), np.empty((5, 5), dtype=np.float32), np.empty((5, 4))], ids=["shape", "float32", "wide"]
+)
+def test_draw_rejects_bad_gram(kind, gram):
+    with pytest.raises(ValueError):
+        sample_measurements(kind, 4, 5, substream(3, "A"), gram=gram)
 
 
 def test_rademacher_needs_64bit_raw_words():

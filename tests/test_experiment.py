@@ -15,10 +15,12 @@ from qlasso import (
     fit_rate,
     gen_signal,
     glasso_solve,
+    gram_stats,
     measure,
     onebit_dither_range,
     onebit_moment_check,
     pbp_estimate,
+    pgd_rows,
     project_l1_rows,
     run_curve,
     run_trial,
@@ -166,23 +168,43 @@ def test_curves_share_draws_across_blocks_and_estimators():
 
 def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
     # 15 trials at n=100 run as blocks of 13 and 2: each block hands one (m, n)
-    # array to every trial's draw, and a trial's error and iteration count are
-    # those it gets alone in a block of one, with a fresh workspace.
+    # array to every trial's draw, and the next block at the same m hands the
+    # same one. Each trial's Gram matrix, written by the draw, is bitwise that
+    # of gram_stats on the trial's own float64 matrix, and a trial's error and
+    # iteration count are those it gets alone in a block of one.
     cfg = _cfg(n=100, structure=Sparse(10), ensemble="rademacher", m_grid=(150, 230), trials=15)
-    seen = []
+    seen, draws, stacks = [], [], []
 
-    def spy(kind, m, n, rng, *, out=None):
+    def spy_draw(kind, m, n, rng, *, out=None, gram=None):
         seen.append((m, out))
-        return sample_measurements(kind, m, n, rng, out=out)
+        return sample_measurements(kind, m, n, rng, out=out, gram=gram)
 
-    monkeypatch.setattr(qlasso.experiment, "sample_measurements", spy)
+    def spy_measure(A, x0, q, rng):
+        y = measure(A, x0, q, rng)
+        draws.append((A.copy(), y))
+        return y
+
+    def spy_pgd(G, *args):
+        stacks.append(G.copy())
+        return pgd_rows(G, *args)
+
+    monkeypatch.setattr(qlasso.experiment, "sample_measurements", spy_draw)
+    monkeypatch.setattr(qlasso.experiment, "measure", spy_measure)
+    monkeypatch.setattr(qlasso.experiment, "pgd_rows", spy_pgd)
     curve = run_curve(cfg, "glasso")
-    assert len(seen) == 30
-    for start, stop in ((0, 13), (13, 15), (15, 28), (28, 30)):  # the blocks, in call order
+    assert len(seen) == len(draws) == 30 and len(stacks) == 4
+    blocks = ((0, 13), (13, 15), (15, 28), (28, 30))  # in call order
+    for start, stop in blocks:
         (m, out), *rest = seen[start:stop]
         assert isinstance(out, np.ndarray) and out.shape == (m, cfg.n)
         assert all(cm == m and co is out for cm, co in rest)
-    assert len({id(out) for _, out in seen}) == 4
+    assert seen[13][1] is seen[0][1] and seen[28][1] is seen[15][1]
+    for (start, stop), G in zip(blocks, stacks):
+        m = seen[start][0]
+        _, mu = qlasso.experiment._channel(cfg, m)
+        assert G.shape == (stop - start, cfg.n, cfg.n)
+        for G_i, (A, y) in zip(G, draws[start:stop]):
+            assert G_i.tobytes() == gram_stats(A, y, mu)[0].tobytes()
     for i, m in enumerate(cfg.m_grid):
         for t in range(cfg.trials):
             errors, iterations, _ = qlasso.experiment._solve_block(cfg, m, range(t, t + 1), ("glasso",))["glasso"]
