@@ -140,19 +140,14 @@ def _widen(stage: np.ndarray, out: np.ndarray) -> None:
     for start in range(0, size, RADEMACHER_CHUNK):
         stop = min(start + RADEMACHER_CHUNK, size)
         seg = src[start:stop]
-        if 2 * stop > size + start:  # dst[start:stop] ends past seg's first entry: read seg out first
+        if 2 * stop > size + start:  # dst[start:stop] overlaps seg (the last two chunks at most)
             seg = seg.copy()
         dst[start:stop] = seg
 
 
 def sample_measurements(
-    kind: str,
-    m: int,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    out: Optional[np.ndarray] = None,
-    gram: Optional[np.ndarray] = None,
+    kind: str, m: int, n: int, rng: np.random.Generator, *,
+    out: Optional[np.ndarray] = None, gram: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sample an m x n matrix A with iid rows of the named ensemble (one of ENSEMBLES).
 
