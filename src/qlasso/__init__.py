@@ -43,7 +43,6 @@ from .quantizer import (
     uniform_quantize,
 )
 from .solver import (
-    SolverOptions,
     SolverResult,
     dm_estimate,
     estimate_lipschitz,

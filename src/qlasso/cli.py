@@ -7,10 +7,11 @@ flags override config keys, which override defaults. QLASSO_SEED is a
 fallback master seed. The subcommand fixes the quantizer (run-uniform and
 delta-sweep: uniform, run-onebit: one-bit); compare reads it from the config
 (default uniform) and verify ignores it. Exit codes: 0 success, 1 verification
-failure, 2 configuration error (before any trial runs: among others, a config
-"quantizer" contradicting the subcommand, an estimator list with a repeat or,
-where no default fills it, empty, a non-finite norm, R or delta, or an n, s,
-trials, seed or m_grid entry that is not an integer), 3 runtime failure.
+failure, 2 configuration error (before any trial runs: among others, a value
+of the wrong JSON type, a config "quantizer" contradicting the subcommand, an
+estimator list with an unknown name, a repeat or, where no default fills it,
+no name, a non-finite norm, R or delta, or an n, s, trials, seed or m_grid
+entry that is not an integer), 3 runtime failure.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from .ensemble import Sparse
-from .experiment import ExperimentConfig, fit_rate, run_curve
+from .experiment import ESTIMATORS, ExperimentConfig, fit_rate, run_curve
 from .geometry import gw_bound_lowrank, gw_bound_sparse
 from .output import (
     config_hash,
@@ -61,6 +62,13 @@ _DEFAULTS = {
     "out_dir": ".",
 }
 
+# JSON types of the config values other than counts, which _integer checks;
+# a null m_grid takes the quantizer's default grid.
+_JSON_TYPES = {
+    "norm": (int, float), "R": (int, float), "delta": (int, float, list), "m_grid": (int, list, type(None)),
+    "ensemble": str, "quantizer": str, "out_dir": str, "estimators": list,
+}
+
 # The channel each subcommand runs; compare reads it from the config, verify ignores it.
 _CHANNEL = {"run-uniform": "uniform", "run-onebit": "one_bit", "delta-sweep": "uniform"}
 
@@ -93,8 +101,14 @@ def _resolve(args):
     from_file = _load_config(args.config)
     channel = _CHANNEL.get(args.command)
     cfg = {**_DEFAULTS, "quantizer": channel or "uniform", **from_file}
+    for key, types in _JSON_TYPES.items():
+        if not isinstance(cfg[key], types) or isinstance(cfg[key], bool):
+            raise ConfigError(f"{key} has the wrong JSON type: {cfg[key]!r}")
     if cfg["quantizer"] not in _DEFAULT_M_GRID:
         raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
+    # checked before compare and delta-sweep put their defaults in place of a short list
+    if any(e not in ESTIMATORS for e in cfg["estimators"]):
+        raise ConfigError(f"estimators must name some of {list(ESTIMATORS)}, got {cfg['estimators']!r}")
     if channel and cfg["quantizer"] != channel:
         raise ConfigError(f"{args.command} runs the {channel} quantizer, but the config sets {cfg['quantizer']!r}")
     if cfg["m_grid"] is None:

@@ -21,13 +21,10 @@ import numpy as np
 from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
 from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure, sample_dither
-from .solver import SolverOptions, inverse_lipschitz_step, pgd_rows
+from .solver import MAX_ITERS, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
 ESTIMATORS = ("glasso", "pbp", "dm")
-
-# Solver settings of every glasso trial.
-SOLVER_OPTIONS = SolverOptions()
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -164,7 +161,8 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
             out[est] = (err, np.zeros(k, dtype=int), np.ones(k, dtype=bool))
     if "glasso" in estimators:
         eta = inverse_lipschitz_step(G)
-        X, iterations, converged = pgd_rows(G, b, radii, project, eta, SOLVER_OPTIONS)
+        # the limit is read at call time, so setting experiment.MAX_ITERS bounds every solve of a curve
+        X, iterations, converged = pgd_rows(G, b, radii, project, eta, max_iters=MAX_ITERS)
         out["glasso"] = (np.linalg.norm(X - x0s, axis=1), iterations, converged)
     return out
 

@@ -7,17 +7,14 @@ A problem is its Gram statistics (G, b) = gram_stats(A, y, mu): up to a
 constant L(x) = 0.5 x^T G x - b^T x, so an iteration's cost does not grow with m.
 
 glasso_solve is the single-problem reference: fixed-step projected gradient
-descent (PGD) x+ = P_K(x - eta * grad L(x)) from x = 0, stopped when the
-objective's relative decrease falls below rel_tol. pgd_rows, which computes
-every curve, solves a stack of problems at once by FISTA (Beck & Teboulle
-2009) with per-row gradient restart (O'Donoghue & Candes 2015): a row drops
-its momentum whenever its last step runs against the gradient mapping
-(y - x+) / eta at its extrapolated point y. A row stops once that mapping is
-at most GMAP_TOL ||grad L(0)||; where L is strongly convex this bounds the
-distance to the minimizer. L is quadratic, so a stop on its relative decrease
-at rel_tol leaves the iterate about sqrt(rel_tol) from the minimizer: up to
-6.3e-6 (relative) with the default rel_tol on the uniform sparse trials at
-m = 200 that tests/test_solver.py pins.
+descent (PGD) x+ = P_K(x - eta * grad L(x)) from x = 0. pgd_rows, which
+computes every curve, solves a stack of problems at once by FISTA (Beck &
+Teboulle 2009) with per-row gradient restart (O'Donoghue & Candes 2015): a row
+drops its momentum whenever its last step runs against the gradient mapping
+(y - x+) / eta at its extrapolated point y. Both stop on that mapping (at x for
+PGD, which has no momentum) once it is at most GMAP_TOL ||grad L(0)||, or after
+max_iters iterations (MAX_ITERS by default); where L is strongly convex the
+stop bounds the distance to the minimizer.
 
 Also houses the one-shot baselines: projected back projection (PBP) and the
 regularized correlation maximizer, which coincide as P_K of the same point.
@@ -28,25 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iters: int = 10000
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.rel_tol > 0):
-            raise ValueError("rel_tol must be positive")
-
-
 @dataclass
 class SolverResult:
     x_hat: np.ndarray
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    step_size: float
 
 
 def gram_stats(A, y, mu: float):
@@ -83,14 +67,20 @@ def estimate_lipschitz(A) -> float:
     return float(_lipschitz(A.T @ A / A.shape[0]))
 
 
-def glasso_solve(A, y, mu: float, project, radius, opts: SolverOptions = SolverOptions()) -> SolverResult:
+# Both solvers stop once the gradient mapping is at most GMAP_TOL ||b||, where
+# ||b|| = ||grad L(0)||, or after max_iters iterations.
+GMAP_TOL = 1e-8
+MAX_ITERS = 10000
+
+
+def glasso_solve(A, y, mu: float, project, radius, *, max_iters: int = MAX_ITERS) -> SolverResult:
     """Minimize the quantized least-squares objective over K by fixed-step PGD from x = 0.
 
     K is the set the row projection `project` maps onto with `radius`. This is
-    the single-problem reference for pgd_rows: plain PGD with the same step,
-    stopped when the objective's relative decrease is below opts.rel_tol, with
+    the single-problem reference for pgd_rows: plain PGD with the same step and
+    the same stop, returning x+ once ||x - x+|| / eta <= GMAP_TOL ||b||, with
     the whole objective trace kept. A non-2-d or non-finite A, a y without one
-    entry per row of A, or a non-finite mu raises ValueError.
+    entry per row of A, a non-finite mu or max_iters < 1 raises ValueError.
     """
     A, y = np.asarray(A, dtype=float), np.asarray(y, dtype=float)
     if A.ndim != 2 or not np.all(np.isfinite(A)):
@@ -99,6 +89,8 @@ def glasso_solve(A, y, mu: float, project, radius, opts: SolverOptions = SolverO
         raise ValueError("rows(A) must equal length(y)")
     if not np.isfinite(mu):
         raise ValueError("mu must be finite")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     m, n = A.shape
     G, b = gram_stats(A, y, mu)
     const = (mu**2 / m) * float(y @ y)
@@ -107,40 +99,24 @@ def glasso_solve(A, y, mu: float, project, radius, opts: SolverOptions = SolverO
         return 0.5 * float(x @ Gx) - float(b @ x) + 0.5 * const
 
     eta = float(inverse_lipschitz_step(G))
+    tol = GMAP_TOL * eta * float(np.linalg.norm(b))
     x = np.zeros(n)
     Gx = np.zeros(n)
     trace = [f(x, Gx)]
-    converged = False
-    iterations = 0
-    for k in range(opts.max_iters):
+    for iterations in range(1, max_iters + 1):
         x_new = project((x - eta * (Gx - b))[None], radius)[0]
-        Gx_new = G @ x_new
-        f_new = f(x_new, Gx_new)
-        if not np.isfinite(f_new):
+        Gx = G @ x_new
+        trace.append(f(x_new, Gx))
+        if not np.isfinite(trace[-1]):
             raise RuntimeError("objective diverged to a non-finite value")
-        f_prev = trace[-1]
-        trace.append(f_new)
-        x, Gx = x_new, Gx_new
-        iterations = k + 1
-        denom = max(abs(f_prev), np.finfo(float).tiny)
-        if (f_prev - f_new) / denom < opts.rel_tol and f_new <= f_prev:
-            converged = True
+        converged = bool(np.linalg.norm(x - x_new) <= tol)
+        x = x_new
+        if converged:
             break
-    return SolverResult(
-        x_hat=x,
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-        step_size=eta,
-    )
+    return SolverResult(x_hat=x, objective_trace=np.asarray(trace), iterations=iterations, converged=converged)
 
 
-# A row of pgd_rows stops once its gradient mapping (Y - X+) / eta is at most
-# GMAP_TOL ||b||, where ||b|| = ||grad L(0)||.
-GMAP_TOL = 1e-8
-
-
-def pgd_rows(G, b, radii, project, eta, opts: SolverOptions = SolverOptions()):
+def pgd_rows(G, b, radii, project, eta, *, max_iters: int = MAX_ITERS):
     """FISTA with gradient restart from x = 0 on a stack of k problems, one per row.
 
     Row i minimizes 0.5 x^T G[i] x - b[i]^T x over the set project(., radii[i])
@@ -160,8 +136,11 @@ def pgd_rows(G, b, radii, project, eta, opts: SolverOptions = SolverOptions()):
     Rows that stop are compacted out, so later iterations cost only the rows
     still running. G (k, n, n) is compacted in place: its contents are
     unspecified on return. Returns (X, iterations, converged) by row, where
-    a row that ran opts.max_iters iterations without stopping is not converged.
+    a row that ran max_iters iterations without stopping is not converged;
+    max_iters < 1 raises ValueError.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     k, n = np.shape(b)
     b, radii = np.asarray(b, dtype=float), np.asarray(radii, dtype=float)
     eta = np.asarray(eta, dtype=float)[:, None]
@@ -169,11 +148,11 @@ def pgd_rows(G, b, radii, project, eta, opts: SolverOptions = SolverOptions()):
     tol2 = (GMAP_TOL * eta[:, 0]) ** 2 * np.einsum("ij,ij->i", b, b)
     rows = np.arange(k)
     X_out = np.zeros((k, n))
-    iterations = np.full(k, opts.max_iters)
+    iterations = np.full(k, max_iters)
     converged = np.zeros(k, dtype=bool)
     X = GX = Y = GY = np.zeros((k, n))
     t = np.ones(k)
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, max_iters + 1):
         X_new = project(Y - eta * (GY - b), radii)
         GX_new = np.matmul(G[:k], X_new[:, :, None])[:, :, 0]
         if not (np.isfinite(X_new).all() and np.isfinite(GX_new).all()):

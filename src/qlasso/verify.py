@@ -11,10 +11,10 @@ import math
 import numpy as np
 
 from .ensemble import SignalSpec, Sparse, float32_gram_is_exact, gen_sparse_signal, sample_measurements
-from .experiment import SOLVER_OPTIONS, onebit_moment_check
+from .experiment import onebit_moment_check
 from .geometry import estimate_smallball_inf, project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, dither_mean_residual, measure, one_bit_mean_formula
-from .solver import SolverOptions, glasso_solve, gram_stats, inverse_lipschitz_step, pgd_rows
+from .solver import glasso_solve, gram_stats, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
 QUICK_SIZE = 200_000
@@ -158,24 +158,25 @@ def projections(seed: int, size: int):
 
 
 def solver_correctness(seed: int, size: int):
-    """On N/50000 unconstrained problems glasso_solve (with a monotone objective trace) and the
-    stacked pgd_rows of the curves both match least squares to 1e-6, and the gradient G x - b
+    """On N/50000 unconstrained problems glasso_solve (converged, with a monotone objective trace)
+    and the stacked pgd_rows of the curves both match least squares to 1e-6, and the gradient G x - b
     from gram_stats matches central differences of the least-squares objective to 1e-5."""
-    worst_rel, monotone = 0.0, True
+    worst_rel, monotone, ref_converged = 0.0, True, 0
     stats, X_ls = [], []
     for i in range(size // 50_000):
         x0 = gen_sparse_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
         A = sample_measurements("gaussian", 300, 50, substream(seed, "verify-solver", i, "matrix"))
         y = measure(A, x0, UniformQuantizer(1.0), substream(seed, "verify-solver", i, "dither"))
-        res = glasso_solve(A, y, 1.0, _whole_space, 1.0, SolverOptions(max_iters=50000, rel_tol=1e-14))
+        res = glasso_solve(A, y, 1.0, _whole_space, 1.0)
         monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
+        ref_converged += res.converged
         x_ls = np.linalg.lstsq(A, y, rcond=None)[0]
         worst_rel = max(worst_rel, float(np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)))
         stats.append(gram_stats(A, y, 1.0))
         X_ls.append(x_ls)
     G, b = (np.stack(s) for s in zip(*stats))
     X_ls = np.stack(X_ls)
-    X, _, converged = pgd_rows(G, b, np.ones(len(b)), _whole_space, inverse_lipschitz_step(G), SOLVER_OPTIONS)
+    X, _, converged = pgd_rows(G, b, np.ones(len(b)), _whole_space, inverse_lipschitz_step(G))
     stacked_rel = float(np.max(np.linalg.norm(X - X_ls, axis=1) / np.linalg.norm(X_ls, axis=1)))
 
     rng = substream(seed, "verify-solver", "gradient")
@@ -190,11 +191,12 @@ def solver_correctness(seed: int, size: int):
 
     err = np.abs([(loss(x + h * e) - loss(x - h * e)) / (2 * h) for e in np.eye(15)] - g)
     grad_rel = float(np.linalg.norm(err) / np.linalg.norm(g))
-    ok = (worst_rel <= 1e-6 and monotone and converged.all() and stacked_rel <= 1e-6 and grad_rel <= 1e-5
-          and bool(np.all(err <= 1e-5 * np.maximum(1.0, abs(g)))))
+    ok = (worst_rel <= 1e-6 and monotone and ref_converged == len(X_ls) and converged.all()
+          and stacked_rel <= 1e-6 and grad_rel <= 1e-5 and bool(np.all(err <= 1e-5 * np.maximum(1.0, abs(g)))))
     return ("solver matches least squares, monotone descent, gradient", ok,
-            f"worst solution rel err {worst_rel:.2e}, monotone={monotone}, stacked solver rel err "
-            f"{stacked_rel:.2e} ({int(converged.sum())}/{len(converged)} converged), gradient rel err {grad_rel:.2e}")
+            f"worst solution rel err {worst_rel:.2e} ({ref_converged}/{len(X_ls)} converged), "
+            f"monotone={monotone}, stacked solver rel err {stacked_rel:.2e} "
+            f"({int(converged.sum())}/{len(converged)} converged), gradient rel err {grad_rel:.2e}")
 
 
 def small_ball(seed: int, size: int):

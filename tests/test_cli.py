@@ -11,7 +11,7 @@ import pytest
 import qlasso
 import qlasso.experiment
 import qlasso.verify
-from qlasso import ExperimentConfig, SolverOptions, Sparse, fit_rate, run_curve
+from qlasso import ExperimentConfig, Sparse, fit_rate, run_curve
 from qlasso.cli import build_parser, main
 from qlasso.output import read_error_curves_csv
 
@@ -151,14 +151,14 @@ def test_jobs_do_not_change_outputs(tmp_path):
 
 
 def test_nonconverged_solves_reported(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions(max_iters=2))
+    monkeypatch.setattr(qlasso.experiment, "MAX_ITERS", 2)
     cfg = _write_cfg(tmp_path, trials=3)
     assert main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == [
         f"warning: glasso: 3 of 3 solves did not converge at m={m}" for m in (100, 200, 400)
     ]
-    monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions())
+    monkeypatch.undo()
     assert main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
 
@@ -189,6 +189,16 @@ def test_delta_sweep_outputs(tmp_path):
     lines = (tmp_path / "out" / "delta_sweep.csv").read_text().splitlines()
     assert lines[1] == "estimator,delta,mean_err,std_err,trials"
     assert (tmp_path / "out" / "delta_sweep.svg").exists()
+
+
+def test_one_name_estimator_list_takes_the_defaults(tmp_path):
+    cfg = _write_cfg(tmp_path, m_grid=[100], trials=1, estimators=["pbp"])
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    header = (tmp_path / "c" / "compare.csv").read_text().splitlines()[1]
+    assert header == "m,glasso_mean_err,pbp_mean_err,dm_mean_err,winrate_glasso_vs_pbp,winrate_glasso_vs_dm"
+    cfg = _write_cfg(tmp_path, m_grid=[100], trials=1, delta=[1.0], estimators=["pbp"])
+    assert main(["delta-sweep", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    assert [row[0] for row in _data_rows(tmp_path / "d" / "delta_sweep.csv")] == ["glasso", "pbp"]
 
 
 def test_tables_match_the_library(tmp_path):
@@ -265,6 +275,22 @@ def test_unknown_config_field(tmp_path):
     # no estimator, or one named twice
     ("run-uniform", dict(estimators=[])),
     ("compare", dict(estimators=["glasso", "pbp", "pbp"])),
+    # values of the wrong JSON type, and estimator names checked before the defaults fill in
+    ("run-uniform", dict(quantizer=[])),
+    ("compare", dict(quantizer={})),
+    ("compare", dict(estimators=5)),
+    ("compare", dict(estimators=None)),
+    ("delta-sweep", dict(estimators=5)),
+    ("delta-sweep", dict(estimators=None)),
+    ("run-uniform", dict(estimators="glasso")),
+    ("compare", dict(estimators=[1])),
+    ("compare", dict(estimators=[["glasso"]])),
+    ("delta-sweep", dict(estimators=[1])),
+    ("delta-sweep", dict(estimators=[["glasso"]])),
+    ("delta-sweep", dict(delta={})),
+    ("run-uniform", dict(norm="3")),
+    ("run-uniform", dict(norm=True)),
+    ("run-uniform", dict(out_dir=5)),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)

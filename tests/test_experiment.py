@@ -8,7 +8,6 @@ from qlasso import (
     ErrorCurve,
     ExperimentConfig,
     SignalSpec,
-    SolverOptions,
     Sparse,
     UniformQuantizer,
     block_size,
@@ -124,7 +123,7 @@ def test_run_trial_paired_across_estimators():
         radius = float(np.abs(x0).sum())
         pbp = pbp_estimate(A, y, project_l1_rows, radius, 1.0)
         assert np.linalg.norm(pbp - x0) == run_trial(cfg, m, t, "pbp")
-        ref = glasso_solve(A, y, 1.0, project_l1_rows, radius, SolverOptions(max_iters=50000, rel_tol=1e-14))
+        ref = glasso_solve(A, y, 1.0, project_l1_rows, radius)
         assert np.linalg.norm(ref.x_hat - x0) == pytest.approx(run_trial(cfg, m, t, "glasso"), rel=1e-6)
 
 
@@ -184,9 +183,9 @@ def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
         draws.append((A.copy(), y))
         return y
 
-    def spy_pgd(G, *args):
+    def spy_pgd(G, *args, **kwargs):
         stacks.append(G.copy())
-        return pgd_rows(G, *args)
+        return pgd_rows(G, *args, **kwargs)
 
     monkeypatch.setattr(qlasso.experiment, "sample_measurements", spy_draw)
     monkeypatch.setattr(qlasso.experiment, "measure", spy_measure)
@@ -213,7 +212,7 @@ def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
 
 
 def test_nonconverged_solves_are_counted(monkeypatch):
-    monkeypatch.setattr(qlasso.experiment, "SOLVER_OPTIONS", SolverOptions(max_iters=3))
+    monkeypatch.setattr(qlasso.experiment, "MAX_ITERS", 3)
     cfg = _cfg(trials=4)
     curves = run_curve(cfg, ("glasso", "pbp"))
     g = curves["glasso"]

@@ -1,7 +1,8 @@
 """Every module of the package (but the __init__ re-exports) and every test module
 uses each name it imports, every module of the package reads each private
-top-level name it defines, and every function the benchmark's tracer wraps
-exists in its module."""
+top-level name it defines, some expression of the package or its tests reads
+each dataclass field of the package, and every function the benchmark's tracer
+wraps exists in its module."""
 
 import ast
 import importlib
@@ -71,6 +72,41 @@ def test_guard_finds_a_dead_private_name():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text()) == []
+
+
+def dead_fields(source: str, readers=()) -> list:
+    """Fields of the dataclasses of `source` that no expression of `source` or of
+    a `readers` source reads as an attribute."""
+    tree = ast.parse(source)
+    fields = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    fields[f"{node.name}.{stmt.target.id}"] = stmt.lineno
+    read = {
+        node.attr for text in (source, *readers) for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{name} (line {line})" for name, line in fields.items() if name.split(".")[1] not in read)
+
+
+def test_guard_finds_a_dead_field():
+    source = "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n" \
+             "@dataclass\nclass Q:\n    z: int\nclass Plain:\n    w: int\np = P(1)\np.y = 2\nprint(p.x)\n"
+    assert dead_fields(source) == ["P.y (line 5)", "Q.z (line 8)"]
+    assert dead_fields(source, ["print(q.z, q.y)"]) == []
+
+
+READERS = [p.read_text() for p in PACKAGE + sorted((ROOT / "tests").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_fields(path):
+    assert dead_fields(path.read_text(), READERS) == []
 
 
 def traced_names() -> dict:

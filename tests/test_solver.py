@@ -4,7 +4,6 @@ import pytest
 from qlasso import (
     LowRank,
     SignalSpec,
-    SolverOptions,
     Sparse,
     UniformQuantizer,
     dm_estimate,
@@ -105,14 +104,8 @@ def test_exact_step_near_degenerate_top_pair():
     bound = (1.0 / 1.01) * (1.0 + 1e-12)
     assert float(inverse_lipschitz_step(G)) * lam_max <= bound
     assert estimate_lipschitz(A) >= 1.01 * lam_max * (1.0 - 1e-12)
-    res = glasso_solve(A, np.ones(m), 1.0, _whole_space, 1.0, SolverOptions(max_iters=5))
-    assert res.step_size * lam_max <= bound
     steps = inverse_lipschitz_step(np.stack([G, 2.0 * G, np.zeros((n, n))]))
     np.testing.assert_allclose(steps * [1.0, 2.0, 1.0], [1 / 1.01, 1 / 1.01, 1.0], rtol=1e-12)
-
-
-# glasso_solve with a far tighter stop than its default: the reference for pgd_rows' solutions
-_TIGHT = SolverOptions(max_iters=50000, rel_tol=1e-14)
 
 
 def _fista_restart(G, b, radius, eta, iters):
@@ -149,7 +142,7 @@ def test_pgd_rows_matches_glasso_solve_l1():
     G, b = _stack_problems(instances, 1.0)
     X, _, conv = pgd_rows(G, b, radii, project_l1_rows, inverse_lipschitz_step(G))
     for (A, y), r, x, c in zip(instances, radii, X, conv):
-        ref = glasso_solve(A, y, 1.0, project_l1_rows, r, _TIGHT)
+        ref = glasso_solve(A, y, 1.0, project_l1_rows, r)
         assert c and ref.converged
         assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
 
@@ -167,7 +160,7 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
     G, b = _stack_problems(instances, 1.0)
     X, _, conv = pgd_rows(G, b, radii, project_nuclear_rows, inverse_lipschitz_step(G))
     for (A, y), r, x, c in zip(instances, radii, X, conv):
-        ref = glasso_solve(A, y, 1.0, project_nuclear_rows, r, _TIGHT)
+        ref = glasso_solve(A, y, 1.0, project_nuclear_rows, r)
         assert c and ref.converged
         assert np.linalg.norm(x - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
 
@@ -176,8 +169,9 @@ def test_pgd_rows_reaches_the_minimizer_at_small_m():
     # The first 12 trials at m = 200 of the uniform sparse benchmark config,
     # drawn from the substreams the trial engine keys them by. The reference
     # is 2000 fixed-step PGD iterations, which end within 1e-15 (relative) of
-    # a 2e5-iteration run on these trials. A stop on the relative objective
-    # decrease left the solutions up to 6.3e-6 away.
+    # a 2e5-iteration run on these trials. Both pgd_rows and glasso_solve at
+    # its defaults must land within 1e-6 of it; a stop on the relative
+    # objective decrease left the solutions up to 6.3e-6 away.
     m, n, seed = 200, 100, 0
     spec = SignalSpec(n, Sparse(25), 8.0)
     instances, radii = [], []
@@ -191,10 +185,13 @@ def test_pgd_rows_reaches_the_minimizer_at_small_m():
     ref = np.zeros_like(b)
     for _ in range(2000):
         ref = project_l1_rows(ref - eta[:, None] * (np.matmul(G, ref[:, :, None])[:, :, 0] - b), radii)
+    single = [glasso_solve(A, y, 1.0, project_l1_rows, r) for (A, y), r in zip(instances, radii)]
+    assert all(res.converged for res in single)
     X, _, conv = pgd_rows(G, b, radii, project_l1_rows, eta)
     assert conv.all()
-    rel = np.linalg.norm(X - ref, axis=1) / np.linalg.norm(ref, axis=1)
-    assert rel.max() <= 1e-6
+    for sol in (X, np.stack([res.x_hat for res in single])):
+        rel = np.linalg.norm(sol - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert rel.max() <= 1e-6
 
 
 def _max_iters_instances():
@@ -209,8 +206,9 @@ def _max_iters_instances():
 
 def test_pgd_rows_reports_max_iters():
     G, b, radii, eta = _max_iters_instances()
-    opts = SolverOptions(max_iters=4)
-    X, iters, conv = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, opts)
+    with pytest.raises(ValueError):
+        pgd_rows(G.copy(), b, radii, project_l1_rows, eta, max_iters=0)
+    X, iters, conv = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, max_iters=4)
     np.testing.assert_array_equal(iters, [4, 4, 4])
     assert not conv.any()
     for g, b_i, r, e, x in zip(G, b, radii, eta, X):
@@ -220,8 +218,7 @@ def test_pgd_rows_reports_max_iters():
 def test_pgd_rows_restarts_like_fista_with_restart():
     # 12 iterations on the same problems take every row through two restarts
     G, b, radii, eta = _max_iters_instances()
-    opts = SolverOptions(max_iters=12)
-    X, iters, _ = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, opts)
+    X, iters, _ = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, max_iters=12)
     np.testing.assert_array_equal(iters, [12, 12, 12])
     for g, b_i, r, e, x in zip(G, b, radii, eta, X):
         ref, restarts = _fista_restart(g, b_i, r, e, 12)
@@ -233,7 +230,7 @@ def test_glasso_matches_normal_equations():
     # unconstrained minimizer is the least-squares solution of A x = mu y
     for seed in range(20):
         x0, A, y = _instance(100 + seed)
-        res = glasso_solve(A, y, 1.0, _whole_space, 1.0, SolverOptions(max_iters=50000, rel_tol=1e-14))
+        res = glasso_solve(A, y, 1.0, _whole_space, 1.0)
         x_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
         rel = np.linalg.norm(res.x_hat - x_ls) / np.linalg.norm(x_ls)
         assert rel <= 1e-6
@@ -241,9 +238,9 @@ def test_glasso_matches_normal_equations():
 
 def test_inactive_constraint_matches_unconstrained():
     x0, A, y = _instance(6)
-    free = glasso_solve(A, y, 1.0, _whole_space, 1.0, SolverOptions(max_iters=50000, rel_tol=1e-14))
+    free = glasso_solve(A, y, 1.0, _whole_space, 1.0)
     big = 10.0 * float(np.abs(free.x_hat).sum())
-    ball = glasso_solve(A, y, 1.0, project_l1_rows, big, SolverOptions(max_iters=50000, rel_tol=1e-14))
+    ball = glasso_solve(A, y, 1.0, project_l1_rows, big)
     assert np.linalg.norm(free.x_hat - ball.x_hat) <= 1e-6 * np.linalg.norm(free.x_hat)
 
 
@@ -258,9 +255,9 @@ def test_objective_trace_monotone():
 def test_fixed_point_optimality():
     x0, A, y = _instance(9)
     project, r = _l1(x0)
-    res = glasso_solve(A, y, 1.0, project, r, SolverOptions(max_iters=50000, rel_tol=1e-14))
+    res = glasso_solve(A, y, 1.0, project, r)
     G, b = gram_stats(A, y, 1.0)
-    moved = project_l1_ball(res.x_hat - res.step_size * (G @ res.x_hat - b), r)
+    moved = project_l1_ball(res.x_hat - float(inverse_lipschitz_step(G)) * (G @ res.x_hat - b), r)
     assert np.linalg.norm(moved - res.x_hat) <= 1e-6 * (1 + np.linalg.norm(res.x_hat))
 
 
@@ -304,8 +301,9 @@ def test_noiseless_limit_single_trial():
     assert np.linalg.norm(res.x_hat - x0) < 1e-3
 
 
-def test_solver_options_validation():
+def test_glasso_solve_max_iters():
+    x0, A, y = _instance(3)
     with pytest.raises(ValueError):
-        SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(rel_tol=0.0)
+        glasso_solve(A, y, 1.0, _whole_space, 1.0, max_iters=0)
+    res = glasso_solve(A, y, 1.0, *_l1(x0), max_iters=3)
+    assert res.iterations == 3 and not res.converged and len(res.objective_trace) == 4
