@@ -14,7 +14,7 @@ from .ensemble import SignalSpec, Sparse, float32_gram_is_exact, gen_sparse_sign
 from .experiment import onebit_moment_check
 from .geometry import estimate_smallball_inf, project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, dither_mean_residual, measure, one_bit_mean_formula
-from .solver import glasso_solve, gram_stats, inverse_lipschitz_step, pgd_rows
+from .solver import CERT_SLACK, certified_step, glasso_solve, gram_stats, inverse_lipschitz_step, pgd_rows
 from .streams import substream
 
 QUICK_SIZE = 200_000
@@ -233,5 +233,29 @@ def rademacher_gram(seed: int, size: int):
             f"{mismatched} of {draws * n * n} entries differ over {draws} draw(s) at m = {m}, n = {n}")
 
 
+def step_certificate(seed: int, size: int):
+    """On N/10000 (at least one) Gram matrices A^T A / m per ensemble, Rademacher and Gaussian, at
+    n = 100 and m alternating 200 and 2000, certified_step is never above the dense step
+    1 / (1.01 lambda_max) of eigvalsh and never more than a factor 1 + CERT_SLACK below it (each up
+    to 1e-12 relative). A row whose step is the dense step, bitwise, fell back to the eigensolve."""
+    n, count = 100, max(1, size // 10_000)
+    lo, hi, fallbacks = math.inf, 0.0, []
+    for kind in ("rademacher", "gaussian"):
+        G = np.empty((count, n, n))
+        for i in range(count):
+            m = (200, 2000)[i % 2]
+            A = sample_measurements(kind, m, n, substream(seed, "verify-step", kind, i))
+            G[i] = A.T @ A / m
+        dense = inverse_lipschitz_step(G)
+        ratio = certified_step(G) / dense
+        lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
+        fallbacks.append(f"{kind} {int(np.count_nonzero(ratio == 1.0))}")
+    floor = 1.0 / (1.0 + CERT_SLACK)
+    return ("certified step within a factor 1 + CERT_SLACK below the dense step",
+            hi <= 1.0 + 1e-12 and lo >= floor * (1.0 - 1e-12),
+            f"{count} Gram matrices per ensemble: step / dense step in [{lo:.7f}, {hi:.7f}] "
+            f"(within [{floor:.7f}, 1]); fallbacks to the eigensolve: {', '.join(fallbacks)}")
+
+
 CHECKS = (uniform_dither, kfold_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball,
-          rademacher_draw, rademacher_gram)
+          rademacher_draw, rademacher_gram, step_certificate)

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line per criterion (visible under `pytest -s`
 or in the captured output of a failing test) and then asserts, so the suite
-doubles as a human-readable report. Tests 01, 02, 07, 08, 10, 12 and 13 run the checks
+doubles as a human-readable report. Tests 01, 02, 07, 08, 10, 12, 13 and 14 run the checks
 of qlasso.verify, the code behind `qlasso verify`, at a larger sample size.
 Tolerances are fixed here and in qlasso.verify on purpose; loosening them
 would defeat the point of the suite.
@@ -36,7 +36,8 @@ SEED = 20240901
 
 # Sample size of the verification checks: 1e4 nonexpansiveness pairs and 1e5
 # feasible candidates per ball, 20 solver instances, 1e6 Rademacher entries,
-# 5 Rademacher Gram matrices (see qlasso.verify).
+# 5 Rademacher Gram matrices, 100 Gram matrices per ensemble for the certified
+# step (see qlasso.verify).
 N = 10**6
 
 
@@ -229,3 +230,7 @@ def test_12_rademacher_draw():
 
 def test_13_rademacher_gram():
     _check(verify.rademacher_gram)
+
+
+def test_14_step_certificate():
+    _check(verify.step_certificate)

@@ -6,6 +6,7 @@ from qlasso import (
     SignalSpec,
     Sparse,
     UniformQuantizer,
+    certified_step,
     dm_estimate,
     estimate_lipschitz,
     gen_lowrank_signal,
@@ -23,6 +24,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
+from qlasso.solver import CERT_SLACK
 
 
 def _instance(seed, m=300, n=50, s=10, delta=1.0):
@@ -106,6 +108,100 @@ def test_exact_step_near_degenerate_top_pair():
     assert estimate_lipschitz(A) >= 1.01 * lam_max * (1.0 - 1e-12)
     steps = inverse_lipschitz_step(np.stack([G, 2.0 * G, np.zeros((n, n))]))
     np.testing.assert_allclose(steps * [1.0, 2.0, 1.0], [1 / 1.01, 1 / 1.01, 1.0], rtol=1e-12)
+
+
+def _gram_stack(kind, m, n, k):
+    """k Gram matrices A^T A / m of fresh (m, n) draws of `kind`."""
+    draws = (sample_measurements(kind, m, n, substream(17, "gram", kind, m, n, i)) for i in range(k))
+    return np.stack([A.T @ A / m for A in draws])
+
+
+def _near_degenerate_top_pair():
+    """The Gram matrix of test_exact_step_near_degenerate_top_pair: eigenvalues 1 and 1 - 1e-4 over 0.98."""
+    m, n = 300, 60
+    rng = substream(15, "spectrum")
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    lam = np.full(n, 0.98)
+    lam[:2] = (1.0, 1.0 - 1e-4)
+    A = np.sqrt(m) * (W * np.sqrt(lam)) @ Q.T
+    return A.T @ A / m
+
+
+def _hidden_top(n):
+    """A Gram matrix whose top eigenvector (eigenvalue 1.002, the next 1) is orthogonal to the
+    Lanczos start 1 / sqrt(n), so the Ritz values stay at or below 1 and the certificate fails."""
+    M = substream(16, "hidden-top").standard_normal((n, n))
+    M[:, 0] -= M[:, 0].mean()
+    Q, _ = np.linalg.qr(M)
+    lam = np.linspace(1.0, 0.1, n)
+    lam[0] = 1.002
+    G = (Q * lam) @ Q.T
+    return 0.5 * (G + G.T)
+
+
+def _rank_one(n):
+    u = substream(18, "rank-one").standard_normal(n)
+    return np.outer(u, u)
+
+
+STEP_CASES = {
+    "rademacher m=200 n=100": lambda: _gram_stack("rademacher", 200, 100, 13),
+    "gaussian m=200 n=100": lambda: _gram_stack("gaussian", 200, 100, 13),
+    "rademacher m=8000 n=100": lambda: _gram_stack("rademacher", 8000, 100, 13),
+    "gaussian m=8000 n=100": lambda: _gram_stack("gaussian", 8000, 100, 13),
+    "rademacher m=400 n=256": lambda: _gram_stack("rademacher", 400, 256, 4),
+    "gaussian m=400 n=256": lambda: _gram_stack("gaussian", 400, 256, 4),
+    "scaled identity": lambda: np.stack([2.5 * np.eye(40), 1e-3 * np.eye(40)]),
+    "rank one": lambda: _rank_one(30)[None],
+    "near-degenerate top pair": lambda: _near_degenerate_top_pair()[None],
+    "hidden top eigenvector": lambda: _hidden_top(50)[None],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_certified_step_is_safe_and_tight(case):
+    G = STEP_CASES[case]()
+    G_in = G.copy()
+    lam_max = np.linalg.eigvalsh(G)[:, -1]
+    step = certified_step(G)
+    np.testing.assert_array_equal(G, G_in)
+    assert np.all(step * lam_max <= (1.0 / 1.01) * (1.0 + 1e-12))
+    assert np.all(step * lam_max >= (1.0 / (1.01 * (1.0 + CERT_SLACK))) * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("case", ["scaled identity", "rank one"])
+def test_certified_step_holds_where_lanczos_breaks_down(case):
+    # the Krylov space is invariant after one step (c I) or two (rank one), so theta is
+    # lambda_max and the certified step is the dense step divided by 1 + CERT_SLACK
+    G = STEP_CASES[case]()
+    np.testing.assert_allclose(certified_step(G), inverse_lipschitz_step(G) / (1.0 + CERT_SLACK), rtol=1e-13)
+
+
+def test_certified_step_of_a_zero_gram_is_one():
+    np.testing.assert_array_equal(certified_step(np.zeros((2, 7, 7))), [1.0, 1.0])
+
+
+def test_certified_step_falls_back_per_matrix():
+    n = 50
+    G = np.concatenate([_gram_stack("rademacher", 200, n, 3), _hidden_top(n)[None], _gram_stack("gaussian", 200, n, 2)])
+    dense = inverse_lipschitz_step(G)
+    step = certified_step(G)
+    assert step[3] == dense[3]  # the hidden top eigenvalue defeats the certificate: the dense step, bitwise
+    others = np.arange(len(G)) != 3
+    assert np.all(step[others] < dense[others])
+    assert np.all(step[others] >= dense[others] / (1.0 + CERT_SLACK) * (1.0 - 1e-12))
+
+
+def test_certified_step_rows_are_independent():
+    n = 40
+    G = np.concatenate([
+        _gram_stack("rademacher", 200, n, 3), _hidden_top(n)[None], STEP_CASES["scaled identity"](),
+        _rank_one(n)[None], np.zeros((1, n, n)), _gram_stack("gaussian", 8000, n, 2),
+    ])
+    step = certified_step(G)
+    for i in range(len(G)):
+        assert certified_step(G[i:i + 1])[0] == step[i]
 
 
 def _fista_restart(G, b, radius, eta, iters):
