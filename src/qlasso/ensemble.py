@@ -154,7 +154,9 @@ def sample_measurements(
     Gaussian entries are `rng.standard_normal((m, n))`. Rademacher entries are
     bitwise `rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0` on a fresh generator,
     read from its raw words (see the module docstring); a half word buffered by
-    an earlier 32-bit draw is neither used nor left behind. With `out`, a
+    an earlier 32-bit draw is neither used nor left behind. Successive calls on
+    one generator draw the rows one call for all of them would, provided every
+    Rademacher call but the last draws an even number of entries. With `out`, a
     C-contiguous float64 (m, n) array, the draw is written into it and `out` is
     returned, so a caller that reuses one workspace allocates nothing that
     grows with m. With `gram`, a float64 (n, n) array, the draw also writes the

@@ -8,10 +8,8 @@ comparisons are valid.
 """
 
 import math
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
@@ -105,18 +103,30 @@ def block_size(n: int) -> int:
     return max(1, 2**20 // (8 * n * n))
 
 
-# The matrix workspace and Gram stack of the calling thread's last block, kept
-# for its next block of the same (m, n): allocated afresh per block, the heap
-# handed their pages back to the OS and the next block faulted them in again.
+# float64 entries (1 MiB) of the row panels a trial's matrix is drawn in
+PANEL_ENTRIES = 2**17
+
+
+def panel_rows(n: int) -> int:
+    """Rows of the panels a trial's m x n matrix is drawn in, whatever m: PANEL_ENTRIES // n,
+    rounded down to an even number (Rademacher draws read two signs a raw word), at least 2."""
+    return max(2, PANEL_ENTRIES // n // 2 * 2)
+
+
+# The draw panel, Gram stack and scratch Gram of the calling thread's blocks at
+# one n, kept for every block and every m of a curve: allocated afresh per
+# block, the heap handed their pages back to the OS and the next block faulted
+# them in again.
 _buffers = threading.local()
 
 
-def _block_buffers(m: int, n: int):
-    """The (m, n) workspace and the (block_size(n), n, n) Gram stack of a block at (m, n)."""
-    if getattr(_buffers, "pair", None) is None or _buffers.pair[0].shape != (m, n):
-        _buffers.pair = None  # drop the old pair before allocating one of the new shape
-        _buffers.pair = np.empty((m, n)), np.empty((block_size(n), n, n))
-    return _buffers.pair
+def _block_buffers(n: int):
+    """The (panel_rows(n), n) panel, the (block_size(n), n, n) Gram stack and an (n, n) scratch of a block at n."""
+    slot = getattr(_buffers, "slot", None)
+    if slot is None or slot[0].shape != (panel_rows(n), n):
+        _buffers.slot = None  # drop the old arrays before allocating those of the new n
+        _buffers.slot = np.empty((panel_rows(n), n)), np.empty((block_size(n), n, n)), np.empty((n, n))
+    return _buffers.slot
 
 
 def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...]) -> dict:
@@ -128,7 +138,16 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     and the radius of K, whose row projection the signal structure fixes. PBP
     and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the block,
     with the step of certified_step.
-    Every trial draws its matrix into the same workspace (see _block_buffers).
+
+    A is drawn in row panels into one (panel_rows(n), n) array, so no buffer
+    grows with m. The panels read the substreams as one whole-matrix draw and
+    one measure call would (the channel's dither has one fold), so A is
+    bitwise the whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies
+    within an ulp of a cell edge: BLAS may round a panel's A x0 in the last
+    bit unlike the whole matrix's (OpenBLAS groups rows by four). Summed over
+    panels in float64, G and b are bitwise gram_stats for +-1 entries with y
+    on a grid that keeps the sums exact (one-bit y, a cell width of 3 or a
+    power of two), and equal to rounding for Gaussian entries.
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
@@ -138,14 +157,22 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     x0s = np.empty((k, n))
     b = np.empty((k, n))
     radii = np.empty(k)
-    A, G = _block_buffers(m, n)
+    panel, G, scratch = _block_buffers(n)
     G = G[:k]
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
-        sample_measurements(cfg.ensemble, m, n, substream(cfg.master_seed, m, t, "matrix"), out=A, gram=G[i])
-        y = measure(A, x0, q, substream(cfg.master_seed, m, t, "dither"))
-        G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, mu), bitwise
-        b[i] = (mu / m) * (A.T @ y)
+        matrix_rng, dither_rng = (substream(cfg.master_seed, m, t, purpose) for purpose in ("matrix", "dither"))
+        for start in range(0, m, len(panel)):
+            A = panel[: m - start]
+            sample_measurements(cfg.ensemble, len(A), n, matrix_rng, out=A, gram=scratch if start else G[i])
+            y = measure(A, x0, q, dither_rng)
+            if start:
+                G[i] += scratch
+                b[i] += A.T @ y
+            else:
+                np.matmul(A.T, y, out=b[i])
+        G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, mu), bitwise where the panel sums are exact
+        b[i] *= mu / m
         x0s[i] = x0
         if isinstance(cfg.structure, Sparse):
             radii[i] = np.sum(np.abs(x0))
@@ -188,7 +215,11 @@ def _map_blocks(tasks: list, jobs: int) -> list:
         try:
             return [_solve_block(*t) for t in tasks]
         finally:
-            _buffers.pair = None
+            _buffers.slot = None
+    # imported here so that a run with one job, and every other subcommand, does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # Spawned, not forked: each worker loads BLAS afresh and reads the
     # one-thread setting from its environment, so N workers keep N cores busy
     # instead of starting N BLAS thread pools.

@@ -120,6 +120,8 @@ def certified_step(G: np.ndarray) -> np.ndarray:
     least 1 / (1 + CERT_SLACK) times it. A matrix whose factorization fails, a
     zero Gram matrix among them, gets inverse_lipschitz_step, the dense
     eigensolve. Each matrix's step depends on that matrix alone.
+    U I - G[i] is formed in G[i] itself, which is restored bitwise before the
+    call returns.
     """
     k, n, _ = G.shape
     U = (1.0 + CERT_SLACK) * _top_ritz_value(G)
@@ -128,12 +130,20 @@ def certified_step(G: np.ndarray) -> np.ndarray:
     # One matrix at a time: a stacked factorization's two (k, n, n) temporaries
     # are handed back to the OS and faulted in again on every call.
     for i in range(k):
-        C = np.negative(G[i])
-        C.flat[:: n + 1] += U[i]
+        C = G[i]
+        diagonal = C.flat[:: n + 1]  # a copy
+        np.negative(C, out=C)  # exact, so negating again restores the off-diagonal entries
+        C.flat[:: n + 1] = U[i] - diagonal
         try:
             np.linalg.cholesky(C)
+            certified = True
         except np.linalg.LinAlgError:
-            step[i] = inverse_lipschitz_step(G[i])
+            certified = False
+        finally:
+            np.negative(C, out=C)
+            C.flat[:: n + 1] = diagonal
+        if not certified:
+            step[i] = inverse_lipschitz_step(C)
     return step
 
 

@@ -134,10 +134,11 @@ def test_jobs_do_not_change_outputs(tmp_path):
     # Pool workers run BLAS on one thread. OpenBLAS rounds a Gram matrix
     # differently with more threads, so the contract holds for a main process
     # whose BLAS also runs one thread: the runs get their own interpreters.
-    # n=100 runs 15 trials as blocks of 13 and 2, so two workers share six tasks.
+    # n=100 runs 15 trials as blocks of 13 and 2, so two workers share eight tasks;
+    # m=2700 draws each matrix in three row panels.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=str(Path(qlasso.__file__).resolve().parents[1]))
-    cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300], trials=15)
+    cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300, 2700], trials=15)
     outs = {}
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
@@ -148,6 +149,14 @@ def test_jobs_do_not_change_outputs(tmp_path):
     assert set(outs["1"]) == {"uniform_glasso.csv", "uniform_glasso.svg", "uniform_pbp.csv",
                               "uniform_pbp.svg", "uniform_rates.csv"}
     assert outs["1"] == outs["2"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool modules are imported by a run with --jobs above 1, not by `import qlasso.cli`
+    env = dict(os.environ, PYTHONPATH=str(Path(qlasso.__file__).resolve().parents[1]))
+    code = "import sys, qlasso.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_nonconverged_solves_reported(tmp_path, capsys, monkeypatch):

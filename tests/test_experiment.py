@@ -165,45 +165,113 @@ def test_curves_share_draws_across_blocks_and_estimators():
         run_curve(cfg, ("glasso", "mle"))
 
 
-def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
-    # 15 trials at n=100 run as blocks of 13 and 2: each block hands one (m, n)
-    # array to every trial's draw, and the next block at the same m hands the
-    # same one. Each trial's Gram matrix, written by the draw, is bitwise that
-    # of gram_stats on the trial's own float64 matrix, and a trial's error and
-    # iteration count are those it gets alone in a block of one.
-    cfg = _cfg(n=100, structure=Sparse(10), ensemble="rademacher", m_grid=(150, 230), trials=15)
-    seen, draws, stacks = [], [], []
+def _spy_engine(monkeypatch):
+    """Record every panel the engine draws (its rows and `out`), every measurement vector and
+    every (G, b) stack handed to pgd_rows, in call order."""
+    panels, ys, stacks = [], [], []
 
     def spy_draw(kind, m, n, rng, *, out=None, gram=None):
-        seen.append((m, out))
-        return sample_measurements(kind, m, n, rng, out=out, gram=gram)
+        A = sample_measurements(kind, m, n, rng, out=out, gram=gram)
+        panels.append((out, A.copy()))
+        return A
 
     def spy_measure(A, x0, q, rng):
         y = measure(A, x0, q, rng)
-        draws.append((A.copy(), y))
+        ys.append(y)
         return y
 
-    def spy_pgd(G, *args, **kwargs):
-        stacks.append(G.copy())
-        return pgd_rows(G, *args, **kwargs)
+    def spy_pgd(G, b, *args, **kwargs):
+        stacks.append((G.copy(), b.copy()))
+        return pgd_rows(G, b, *args, **kwargs)
 
     monkeypatch.setattr(qlasso.experiment, "sample_measurements", spy_draw)
     monkeypatch.setattr(qlasso.experiment, "measure", spy_measure)
     monkeypatch.setattr(qlasso.experiment, "pgd_rows", spy_pgd)
+    return panels, ys, stacks
+
+
+def _whole_draw(cfg, m, t):
+    """A trial's matrix and measurements drawn whole, with its mu."""
+    q, mu = qlasso.experiment._channel(cfg, m)
+    x0 = gen_signal(SignalSpec(cfg.n, cfg.structure, cfg.norm_target), substream(cfg.master_seed, m, t, "signal"))
+    A = sample_measurements(cfg.ensemble, m, cfg.n, substream(cfg.master_seed, m, t, "matrix"))
+    return A, measure(A, x0, q, substream(cfg.master_seed, m, t, "dither")), mu
+
+
+def _trials_of(cfg, panels, ys, stacks):
+    """(m, trial, its drawn panels, their measurements, its (G, b) rows), in call order."""
+    rows = [row for G, b in stacks for row in zip(G, b)]
+    height = qlasso.experiment.panel_rows(cfg.n)
+    trials, j = [], 0
+    for m in cfg.m_grid:
+        count = -(-m // height)
+        for t in range(cfg.trials):
+            trials.append((m, t, panels[j:j + count], ys[j:j + count], rows[len(trials)]))
+            j += count
+    assert j == len(panels) == len(ys) and len(trials) == len(rows)
+    return trials
+
+
+def test_panel_rows():
+    assert qlasso.experiment.panel_rows(100) == 1310 and qlasso.experiment.panel_rows(256) == 512
+    assert qlasso.experiment.panel_rows(7) == 18724 and qlasso.experiment.panel_rows(10**6) == 2
+
+
+PANEL_CASES = [(kind, quantizer, n) for kind in ("rademacher", "gaussian") for quantizer in ("uniform", "one_bit")
+               for n in (7, 100)]
+
+
+@pytest.mark.parametrize("kind,quantizer,n", PANEL_CASES)
+def test_panel_draw_matches_the_whole_matrix(kind, quantizer, n, monkeypatch):
+    # Panels of 128 rows: m below, equal to and just above one panel, last panels of
+    # odd height (129, 131, 301, 385) and several panels. Each trial's panels are its
+    # whole-matrix draw and their measurements those of one measure call, bitwise (no
+    # row's A x0 + tau lies within an ulp of a cell edge here). Its Gram statistics are
+    # gram_stats of the whole draw: bitwise for +-1 entries, whose panel sums are
+    # integers (one-bit y is +-1, y of the cell width 2 an odd integer), and to
+    # rounding for Gaussian entries.
+    monkeypatch.setattr(qlasso.experiment, "PANEL_ENTRIES", 128 * n)
+    one_bit = quantizer == "one_bit"
+    cfg = _cfg(n=n, structure=Sparse(n), norm_target=3.0, R=3.0, ensemble=kind, quantizer=quantizer,
+               delta=None if one_bit else 2.0, m_grid=(2 if one_bit else 1, 100, 128, 129, 131, 301, 385), trials=2)
+    panels, ys, stacks = _spy_engine(monkeypatch)
+    run_curve(cfg, "glasso")
+    base = panels[0][0].base
+    assert base.shape == (128, n) and all(out.base is base for out, _ in panels)
+    for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
+        A, y, mu = _whole_draw(cfg, m, t)
+        assert np.concatenate([panel for _, panel in drawn]).tobytes() == A.tobytes()
+        assert np.concatenate(measured).tobytes() == y.tobytes()
+        G_ref, b_ref = gram_stats(A, y, mu)
+        if kind == "rademacher":
+            assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        else:
+            np.testing.assert_allclose(G, G_ref, rtol=0, atol=1e-12 * np.abs(G_ref).max())
+            np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
+            if m <= 128:  # one panel: the whole-matrix products themselves
+                assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+
+def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
+    # 15 trials at n=100 run as blocks of 13 and 2 at each m; m=2700 draws panels of
+    # 1310, 1310 and 80 rows. One (1310, 100) array takes every panel of every trial,
+    # block and m. Each trial's Gram statistics are bitwise those of gram_stats on its
+    # whole float64 draw, and its error and iteration count those it gets alone in a
+    # block of one.
+    cfg = _cfg(n=100, structure=Sparse(10), ensemble="rademacher", m_grid=(150, 230, 2700), trials=15)
+    panels, ys, stacks = _spy_engine(monkeypatch)
     curve = run_curve(cfg, "glasso")
-    assert len(seen) == len(draws) == 30 and len(stacks) == 4
-    blocks = ((0, 13), (13, 15), (15, 28), (28, 30))  # in call order
-    for start, stop in blocks:
-        (m, out), *rest = seen[start:stop]
-        assert isinstance(out, np.ndarray) and out.shape == (m, cfg.n)
-        assert all(cm == m and co is out for cm, co in rest)
-    assert seen[13][1] is seen[0][1] and seen[28][1] is seen[15][1]
-    for (start, stop), G in zip(blocks, stacks):
-        m = seen[start][0]
-        _, mu = qlasso.experiment._channel(cfg, m)
-        assert G.shape == (stop - start, cfg.n, cfg.n)
-        for G_i, (A, y) in zip(G, draws[start:stop]):
-            assert G_i.tobytes() == gram_stats(A, y, mu)[0].tobytes()
+    assert len(stacks) == 6 and [len(G) for G, _ in stacks] == [13, 2] * 3
+    assert len(panels) == 15 * (1 + 1 + 3)
+    base = panels[0][0].base
+    assert base.shape == (qlasso.experiment.panel_rows(cfg.n), cfg.n) == (1310, 100)
+    assert all(out.base is base for out, _ in panels)
+    for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
+        A, y, mu = _whole_draw(cfg, m, t)
+        assert np.concatenate([panel for _, panel in drawn]).tobytes() == A.tobytes()
+        G_ref, b_ref = gram_stats(A, y, mu)
+        assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+    monkeypatch.undo()
     for i, m in enumerate(cfg.m_grid):
         for t in range(cfg.trials):
             errors, iterations, _ = qlasso.experiment._solve_block(cfg, m, range(t, t + 1), ("glasso",))["glasso"]

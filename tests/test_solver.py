@@ -24,7 +24,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.solver import CERT_SLACK
+from qlasso.solver import CERT_SLACK, LIPSCHITZ_MARGIN, _top_ritz_value
 
 
 def _instance(seed, m=300, n=50, s=10, delta=1.0):
@@ -168,6 +168,24 @@ def test_certified_step_is_safe_and_tight(case):
     np.testing.assert_array_equal(G, G_in)
     assert np.all(step * lam_max <= (1.0 / 1.01) * (1.0 + 1e-12))
     assert np.all(step * lam_max >= (1.0 / (1.01 * (1.0 + CERT_SLACK))) * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_certified_step_equals_a_certificate_on_a_fresh_matrix(case):
+    # certified_step forms U I - G in G itself; the reference factors a fresh copy
+    G = STEP_CASES[case]()
+    n = G.shape[1]
+    U = (1.0 + CERT_SLACK) * _top_ritz_value(G)
+    expected = []
+    for G_i, U_i in zip(G, U):
+        C = -G_i
+        C.flat[:: n + 1] += U_i
+        try:
+            np.linalg.cholesky(C)
+            expected.append(1.0 / (LIPSCHITZ_MARGIN * U_i))
+        except np.linalg.LinAlgError:
+            expected.append(inverse_lipschitz_step(G_i))
+    assert certified_step(G).tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("case", ["scaled identity", "rank one"])
