@@ -44,7 +44,6 @@ from .quantizer import (
 )
 from .solver import (
     SolverResult,
-    certified_step,
     dm_estimate,
     estimate_lipschitz,
     glasso_solve,

@@ -19,7 +19,7 @@ import numpy as np
 from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
 from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure, sample_dither
-from .solver import MAX_ITERS, certified_step, pgd_rows
+from .solver import MAX_ITERS, pgd_rows
 from .streams import substream
 
 ESTIMATORS = ("glasso", "pbp", "dm")
@@ -137,7 +137,7 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     statistics (G, b) = gram_stats(A, y, mu), with A^T A written by the draw,
     and the radius of K, whose row projection the signal structure fixes. PBP
     and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the block,
-    with the step of certified_step.
+    which finds each trial's step by backtracking, so no step is computed here.
 
     A is drawn in row panels into one (panel_rows(n), n) array, so no buffer
     grows with m. The panels read the substreams as one whole-matrix draw and
@@ -188,9 +188,8 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
         for est in one_shot:
             out[est] = (err, np.zeros(k, dtype=int), np.ones(k, dtype=bool))
     if "glasso" in estimators:
-        eta = certified_step(G)
         # the limit is read at call time, so setting experiment.MAX_ITERS bounds every solve of a curve
-        X, iterations, converged = pgd_rows(G, b, radii, project, eta, max_iters=MAX_ITERS)
+        X, iterations, converged = pgd_rows(G, b, radii, project, max_iters=MAX_ITERS)
         out["glasso"] = (np.linalg.norm(X - x0s, axis=1), iterations, converged)
     return out
 

@@ -2,25 +2,31 @@
 
 The objective is L(x) = (1/2m) sum_i (mu * y_i - a_i^T x)^2 minimized over a
 set K given by its row projection (see geometry), so every solver takes
-(project, radius); the fixed step is eta <= 1 / (1.01 lambda_max(A^T A / m)).
-inverse_lipschitz_step gives it with equality from a dense eigensolve;
-certified_step, which the curves use, gives it within a factor 1 + CERT_SLACK
-from a Lanczos estimate of lambda_max that a Cholesky factorization certifies,
-at about a third of the cost, and falls back to the eigensolve where the
-certificate fails.
+(project, radius).
 
 A problem is its Gram statistics (G, b) = gram_stats(A, y, mu): up to a
 constant L(x) = 0.5 x^T G x - b^T x, so an iteration's cost does not grow with m.
 
 glasso_solve is the single-problem reference: fixed-step projected gradient
-descent (PGD) x+ = P_K(x - eta * grad L(x)) from x = 0. pgd_rows, which
-computes every curve, solves a stack of problems at once by FISTA (Beck &
-Teboulle 2009) with per-row gradient restart (O'Donoghue & Candes 2015): a row
-drops its momentum whenever its last step runs against the gradient mapping
-(y - x+) / eta at its extrapolated point y. Both stop on that mapping (at x for
-PGD, which has no momentum) once it is at most GMAP_TOL ||grad L(0)||, or after
-max_iters iterations (MAX_ITERS by default); where L is strongly convex the
-stop bounds the distance to the minimizer.
+descent (PGD) x+ = P_K(x - eta * grad L(x)) from x = 0, with the step
+eta = 1 / (1.01 lambda_max(G)) of inverse_lipschitz_step, a dense eigensolve.
+It stops once its gradient mapping (x - x+) / eta is at most
+GMAP_TOL ||grad L(0)|| = GMAP_TOL ||b||.
+
+pgd_rows, which computes every curve, solves a stack of problems at once by
+FISTA with backtracking (Beck & Teboulle 2009, section 4) and per-row gradient
+restart (O'Donoghue & Candes 2015). No step is computed in advance: each row
+keeps a curvature estimate L, starting from the Rayleigh quotient
+L0 = b^T G b / b^T b <= lambda_max(G), and steps x+ = P_K(y - grad L(y) / L)
+from its extrapolated point y. The step is accepted only if it passes the
+quadratic's descent test (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2; a row that
+fails raises L by BACKTRACK and the iteration is redone. So L never falls,
+and it rises only while it is below lambda_max(G). A row drops its momentum
+whenever its step runs against the gradient mapping L (y - x+), and stops
+once that mapping, with the accepted L, is at most GMAP_TOL ||b||. Where
+lambda_min(G) > 0, that stop bounds the distance to the minimizer:
+||y - x*|| <= 2 L ||y - x+|| / lambda_min(G) (for PGD, with y = x and L = 1 / eta).
+Both solvers also stop after max_iters iterations (MAX_ITERS by default).
 
 Also houses the one-shot baselines: projected back projection (PBP) and the
 regularized correlation maximizer, which coincide as P_K of the same point.
@@ -45,9 +51,8 @@ def gram_stats(A, y, mu: float):
     return A.T @ A / m, (mu / m) * (A.T @ y)
 
 
-# The fixed step is 1 / (LIPSCHITZ_MARGIN * L) for an upper bound L on
-# lambda_max(G): lambda_max itself from a dense symmetric eigensolve, or the
-# certified bound of certified_step. Up to rounding the step is then below
+# The fixed step is 1 / (LIPSCHITZ_MARGIN * lambda_max(G)), lambda_max from a
+# dense symmetric eigensolve. Up to rounding the step is then below
 # 1 / lambda_max by the margin, which makes every fixed-step PGD iteration a
 # descent step.
 LIPSCHITZ_MARGIN = 1.01
@@ -67,86 +72,6 @@ def inverse_lipschitz_step(G: np.ndarray) -> np.ndarray:
         return np.where(lipschitz > 0, 1.0 / lipschitz, 1.0)
 
 
-# certified_step: Lanczos steps per matrix, and how far above the top Ritz value
-# the upper bound it tries to certify lies.
-LANCZOS_STEPS = 24
-CERT_SLACK = 1e-3
-
-
-def _top_ritz_value(G: np.ndarray) -> np.ndarray:
-    """Top Ritz value theta <= lambda_max of each matrix of a (k, n, n) stack.
-
-    min(LANCZOS_STEPS, n) Lanczos steps from q = 1 / sqrt(n), without
-    reorthogonalization (Kuczynski & Wozniakowski 1992 bound how far theta can
-    fall below lambda_max from a random start). A residual at the rounding
-    level of its step's entries means the Krylov space is invariant: the row
-    stops there (q = 0 from then on), which adds only zeros to its tridiagonal.
-    """
-    k, n, _ = G.shape
-    steps = min(LANCZOS_STEPS, n)
-    alpha, beta = np.zeros((steps, k)), np.zeros((steps, k))
-    q_prev, q = np.zeros((k, n)), np.full((k, n), 1.0 / np.sqrt(n))
-    Gq = np.empty((k, n, 1))
-    w = Gq[:, :, 0]
-    b = np.zeros(k)
-    rounding = n * np.finfo(float).eps
-    for j in range(steps):
-        np.matmul(G, q[:, :, None], out=Gq)
-        w -= b[:, None] * q_prev
-        a = alpha[j] = np.einsum("ij,ij->i", q, w)
-        if j + 1 == steps:
-            break
-        w -= a[:, None] * q
-        floor = rounding * (np.abs(a) + b)
-        b = np.sqrt(np.einsum("ij,ij->i", w, w))
-        b[b <= floor] = 0.0
-        beta[j] = b
-        q_prev, q = q, w * np.divide(1.0, b, out=np.zeros(k), where=b > 0)[:, None]
-    T = np.zeros((k, steps, steps))
-    i = np.arange(steps)
-    T[:, i, i] = alpha.T
-    T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = beta[:-1].T
-    return np.linalg.eigvalsh(T)[:, -1]
-
-
-def certified_step(G: np.ndarray) -> np.ndarray:
-    """Safe PGD step for each matrix of a (k, n, n) stack of Gram matrices, without a dense eigensolve.
-
-    The step is 1 / (1.01 U), U = (1 + CERT_SLACK) theta with theta the top
-    Ritz value of LANCZOS_STEPS Lanczos steps from one fixed start, wherever a
-    Cholesky factorization of U I - G exists: it proves U I - G positive
-    definite, that is lambda_max < U (up to rounding of order n eps U). As
-    theta <= lambda_max, that step is at most 1 / (1.01 lambda_max) and at
-    least 1 / (1 + CERT_SLACK) times it. A matrix whose factorization fails, a
-    zero Gram matrix among them, gets inverse_lipschitz_step, the dense
-    eigensolve. Each matrix's step depends on that matrix alone.
-    U I - G[i] is formed in G[i] itself, which is restored bitwise before the
-    call returns.
-    """
-    k, n, _ = G.shape
-    U = (1.0 + CERT_SLACK) * _top_ritz_value(G)
-    with np.errstate(divide="ignore"):  # U = 0 fails the factorization below
-        step = 1.0 / (LIPSCHITZ_MARGIN * U)
-    # One matrix at a time: a stacked factorization's two (k, n, n) temporaries
-    # are handed back to the OS and faulted in again on every call.
-    for i in range(k):
-        C = G[i]
-        diagonal = C.flat[:: n + 1]  # a copy
-        np.negative(C, out=C)  # exact, so negating again restores the off-diagonal entries
-        C.flat[:: n + 1] = U[i] - diagonal
-        try:
-            np.linalg.cholesky(C)
-            certified = True
-        except np.linalg.LinAlgError:
-            certified = False
-        finally:
-            np.negative(C, out=C)
-            C.flat[:: n + 1] = diagonal
-        if not certified:
-            step[i] = inverse_lipschitz_step(C)
-    return step
-
-
 def estimate_lipschitz(A) -> float:
     """Lipschitz constant lambda_max(A^T A) / m of grad L, inflated 1% as a safety factor."""
     A = np.asarray(A, dtype=float)
@@ -160,13 +85,18 @@ def estimate_lipschitz(A) -> float:
 GMAP_TOL = 1e-8
 MAX_ITERS = 10000
 
+# pgd_rows: the factor by which a row raises its curvature estimate L when a
+# step fails the descent test.
+BACKTRACK = 1.25
+
 
 def glasso_solve(A, y, mu: float, project, radius, *, max_iters: int = MAX_ITERS) -> SolverResult:
     """Minimize the quantized least-squares objective over K by fixed-step PGD from x = 0.
 
     K is the set the row projection `project` maps onto with `radius`. This is
-    the single-problem reference for pgd_rows: plain PGD with the same step and
-    the same stop, returning x+ once ||x - x+|| / eta <= GMAP_TOL ||b||, with
+    the single-problem reference for pgd_rows: plain PGD with the fixed step
+    eta of inverse_lipschitz_step and the same stop on the gradient mapping,
+    returning x+ once ||x - x+|| / eta <= GMAP_TOL ||b||, with
     the whole objective trace kept. A non-2-d or non-finite A, a y without one
     entry per row of A, a non-finite mu or max_iters < 1 raises ValueError.
     """
@@ -204,22 +134,27 @@ def glasso_solve(A, y, mu: float, project, radius, *, max_iters: int = MAX_ITERS
     return SolverResult(x_hat=x, objective_trace=np.asarray(trace), iterations=iterations, converged=converged)
 
 
-def pgd_rows(G, b, radii, project, eta, *, max_iters: int = MAX_ITERS):
-    """FISTA with gradient restart from x = 0 on a stack of k problems, one per row.
+def pgd_rows(G, b, radii, project, *, max_iters: int = MAX_ITERS):
+    """FISTA with backtracking and gradient restart from x = 0 on a stack of k problems, one per row.
 
     Row i minimizes 0.5 x^T G[i] x - b[i]^T x over the set project(., radii[i])
-    maps onto, with step eta[i]; with (G[i], b[i]) = gram_stats(A, y, mu) this
-    is the problem glasso_solve solves, whose objective differs by a constant.
-    `project` maps a (j, n) stack and j radii to the projected stack.
+    maps onto; with (G[i], b[i]) = gram_stats(A, y, mu) this is the problem
+    glasso_solve solves, whose objective differs by a constant. `project` maps
+    a (j, n) stack and j radii to the projected stack.
 
-    From X = Y = 0 and t = 1 each row iterates X+ = project(Y - eta (G Y - b)).
-    It restarts (t = 1, Y = X+) when <Y - X+, X+ - X> > 0, that is when the
-    step X+ - X runs against the gradient mapping; otherwise it moves to
+    Each row starts from X = Y = 0, t = 1 and L = b^T G b / b^T b (1 where
+    b = 0 or b^T G b <= 0), and forms X+ = project(Y - (G Y - b) / L). The
+    step is accepted if <Y - X+, G Y - G X+> <= L ||Y - X+||^2; rows that fail
+    set L *= BACKTRACK, and the whole stack redoes the iteration (rows that
+    passed recompute the same values). Once every row passes, a row restarts
+    (t = 1, Y = X+) when <Y - X+, X+ - X> > 0, that is when the step X+ - X
+    runs against the gradient mapping; otherwise it moves to
     Y = X+ + ((t - 1) / t+) (X+ - X) with t+ = (1 + sqrt(1 + 4 t^2)) / 2.
-    G Y comes from G X+ and G X, so an iteration costs one matrix-vector
-    product per row. A row stops, returning X+, once
-    ||Y - X+|| / eta <= GMAP_TOL ||b||; a row with b = 0 stops at iteration 1.
-    A non-finite iterate or product raises RuntimeError.
+    G Y comes from G X+ and G X, so an attempt costs one matrix-vector product
+    per row. A row stops, returning X+, once L ||Y - X+|| <= GMAP_TOL ||b||
+    with its accepted L; a row with b = 0 stops at iteration 1. Each row's
+    result depends on its own (G, b, radius) alone. A non-finite iterate or
+    product raises RuntimeError.
 
     Rows that stop are compacted out, so later iterations cost only the rows
     still running. G (k, n, n) is compacted in place: its contents are
@@ -231,9 +166,12 @@ def pgd_rows(G, b, radii, project, eta, *, max_iters: int = MAX_ITERS):
         raise ValueError("max_iters must be >= 1")
     k, n = np.shape(b)
     b, radii = np.asarray(b, dtype=float), np.asarray(radii, dtype=float)
-    eta = np.asarray(eta, dtype=float)[:, None]
-    # squared stopping bound on ||Y - X+||
-    tol2 = (GMAP_TOL * eta[:, 0]) ** 2 * np.einsum("ij,ij->i", b, b)
+    bb = np.einsum("ij,ij->i", b, b)
+    bGb = np.einsum("ij,ij->i", b, np.matmul(G[:k], b[:, :, None])[:, :, 0])
+    L = np.ones(k)
+    curved = bGb > 0  # so b != 0
+    L[curved] = bGb[curved] / bb[curved]
+    tol2 = GMAP_TOL**2 * bb  # squared stopping bound on L ||Y - X+||
     rows = np.arange(k)
     X_out = np.zeros((k, n))
     iterations = np.full(k, max_iters)
@@ -241,12 +179,19 @@ def pgd_rows(G, b, radii, project, eta, *, max_iters: int = MAX_ITERS):
     X = GX = Y = GY = np.zeros((k, n))
     t = np.ones(k)
     for it in range(1, max_iters + 1):
-        X_new = project(Y - eta * (GY - b), radii)
-        GX_new = np.matmul(G[:k], X_new[:, :, None])[:, :, 0]
-        if not (np.isfinite(X_new).all() and np.isfinite(GX_new).all()):
-            raise RuntimeError("iterate diverged to a non-finite value")
-        gmap, step = Y - X_new, X_new - X
-        stop = np.einsum("ij,ij->i", gmap, gmap) <= tol2
+        while True:
+            X_new = project(Y - (GY - b) / L[:, None], radii)
+            GX_new = np.matmul(G[:k], X_new[:, :, None])[:, :, 0]
+            if not (np.isfinite(X_new).all() and np.isfinite(GX_new).all()):
+                raise RuntimeError("iterate diverged to a non-finite value")
+            gmap = Y - X_new
+            gmap2 = np.einsum("ij,ij->i", gmap, gmap)
+            fail = np.einsum("ij,ij->i", gmap, GY - GX_new) > L * gmap2
+            if not fail.any():
+                break
+            L = np.where(fail, BACKTRACK * L, L)
+        step = X_new - X
+        stop = L * L * gmap2 <= tol2
         restart = np.einsum("ij,ij->i", gmap, step) > 0
         t_new = 0.5 + np.sqrt(0.25 + t * t)
         beta = np.where(restart, 0.0, (t - 1.0) / t_new)
@@ -262,8 +207,8 @@ def pgd_rows(G, b, radii, project, eta, *, max_iters: int = MAX_ITERS):
             for dst, src in enumerate(np.flatnonzero(keep)):
                 if dst != src:
                     G[dst] = G[src]
-            X, GX, Y, GY, t, b, tol2, radii, eta, rows = (
-                a[keep] for a in (X, GX, Y, GY, t, b, tol2, radii, eta, rows)
+            X, GX, Y, GY, t, L, b, tol2, radii, rows = (
+                a[keep] for a in (X, GX, Y, GY, t, L, b, tol2, radii, rows)
             )
             k = rows.size
             if k == 0:

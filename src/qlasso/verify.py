@@ -14,7 +14,7 @@ from .ensemble import SignalSpec, Sparse, float32_gram_is_exact, gen_sparse_sign
 from .experiment import onebit_moment_check
 from .geometry import estimate_smallball_inf, project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, dither_mean_residual, measure, one_bit_mean_formula
-from .solver import CERT_SLACK, certified_step, glasso_solve, gram_stats, inverse_lipschitz_step, pgd_rows
+from .solver import glasso_solve, gram_stats, pgd_rows
 from .streams import substream
 
 QUICK_SIZE = 200_000
@@ -176,7 +176,7 @@ def solver_correctness(seed: int, size: int):
         X_ls.append(x_ls)
     G, b = (np.stack(s) for s in zip(*stats))
     X_ls = np.stack(X_ls)
-    X, _, converged = pgd_rows(G, b, np.ones(len(b)), _whole_space, inverse_lipschitz_step(G))
+    X, _, converged = pgd_rows(G, b, np.ones(len(b)), _whole_space)
     stacked_rel = float(np.max(np.linalg.norm(X - X_ls, axis=1) / np.linalg.norm(X_ls, axis=1)))
 
     rng = substream(seed, "verify-solver", "gradient")
@@ -233,29 +233,36 @@ def rademacher_gram(seed: int, size: int):
             f"{mismatched} of {draws * n * n} entries differ over {draws} draw(s) at m = {m}, n = {n}")
 
 
-def step_certificate(seed: int, size: int):
-    """On N/10000 (at least one) Gram matrices A^T A / m per ensemble, Rademacher and Gaussian, at
-    n = 100 and m alternating 200 and 2000, certified_step is never above the dense step
-    1 / (1.01 lambda_max) of eigvalsh and never more than a factor 1 + CERT_SLACK below it (each up
-    to 1e-12 relative). A row whose step is the dense step, bitwise, fell back to the eigensolve."""
+def stacked_solver(seed: int, size: int):
+    """On N/10000 (at least one) l1-ball problems per ensemble, Rademacher and Gaussian, at n = 100
+    and m alternating 200 and 2000 (uniform channel, Delta = 3, 25-sparse signals of norm 8), every
+    row of the stacked pgd_rows converges and lands within 1e-6 (relative) of glasso_solve, which
+    converges too; the detail gives each ensemble's range of pgd_rows iterations."""
     n, count = 100, max(1, size // 10_000)
-    lo, hi, fallbacks = math.inf, 0.0, []
+    spec, q = SignalSpec(n, Sparse(25), 8.0), UniformQuantizer(3.0)
+    worst, ok, details = 0.0, True, []
     for kind in ("rademacher", "gaussian"):
-        G = np.empty((count, n, n))
+        refs, stats, radii = [], [], []
         for i in range(count):
             m = (200, 2000)[i % 2]
-            A = sample_measurements(kind, m, n, substream(seed, "verify-step", kind, i))
-            G[i] = A.T @ A / m
-        dense = inverse_lipschitz_step(G)
-        ratio = certified_step(G) / dense
-        lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
-        fallbacks.append(f"{kind} {int(np.count_nonzero(ratio == 1.0))}")
-    floor = 1.0 / (1.0 + CERT_SLACK)
-    return ("certified step within a factor 1 + CERT_SLACK below the dense step",
-            hi <= 1.0 + 1e-12 and lo >= floor * (1.0 - 1e-12),
-            f"{count} Gram matrices per ensemble: step / dense step in [{lo:.7f}, {hi:.7f}] "
-            f"(within [{floor:.7f}, 1]); fallbacks to the eigensolve: {', '.join(fallbacks)}")
+            x0 = gen_sparse_signal(spec, substream(seed, "verify-stacked", kind, i, "signal"))
+            A = sample_measurements(kind, m, n, substream(seed, "verify-stacked", kind, i, "matrix"))
+            y = measure(A, x0, q, substream(seed, "verify-stacked", kind, i, "dither"))
+            radii.append(float(np.abs(x0).sum()))
+            res = glasso_solve(A, y, 1.0, project_l1_rows, radii[-1])
+            ok &= res.converged
+            refs.append(res.x_hat)
+            stats.append(gram_stats(A, y, 1.0))
+        G, b = (np.stack(s) for s in zip(*stats))
+        X, iterations, converged = pgd_rows(G, b, np.array(radii), project_l1_rows)
+        refs = np.stack(refs)
+        worst = max(worst, float(np.max(np.linalg.norm(X - refs, axis=1) / np.linalg.norm(refs, axis=1))))
+        ok &= bool(converged.all())
+        details.append(f"{kind} {int(converged.sum())}/{count} converged in {iterations.min()}-{iterations.max()} "
+                       "iterations")
+    return ("stacked solver matches glasso_solve on l1 balls", ok and worst <= 1e-6,
+            f"worst rel distance to glasso_solve {worst:.2e} (<= 1e-6); {', '.join(details)}")
 
 
 CHECKS = (uniform_dither, kfold_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball,
-          rademacher_draw, rademacher_gram, step_certificate)
+          rademacher_draw, rademacher_gram, stacked_solver)

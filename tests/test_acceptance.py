@@ -36,8 +36,8 @@ SEED = 20240901
 
 # Sample size of the verification checks: 1e4 nonexpansiveness pairs and 1e5
 # feasible candidates per ball, 20 solver instances, 1e6 Rademacher entries,
-# 5 Rademacher Gram matrices, 100 Gram matrices per ensemble for the certified
-# step (see qlasso.verify).
+# 5 Rademacher Gram matrices, 100 l1-ball problems per ensemble for the stacked
+# solver (see qlasso.verify).
 N = 10**6
 
 
@@ -232,5 +232,5 @@ def test_13_rademacher_gram():
     _check(verify.rademacher_gram)
 
 
-def test_14_step_certificate():
-    _check(verify.step_certificate)
+def test_14_stacked_solver():
+    _check(verify.stacked_solver)

@@ -6,7 +6,6 @@ from qlasso import (
     SignalSpec,
     Sparse,
     UniformQuantizer,
-    certified_step,
     dm_estimate,
     estimate_lipschitz,
     gen_lowrank_signal,
@@ -24,7 +23,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.solver import CERT_SLACK, LIPSCHITZ_MARGIN, _top_ritz_value
+from qlasso.solver import BACKTRACK, GMAP_TOL
 
 
 def _instance(seed, m=300, n=50, s=10, delta=1.0):
@@ -110,127 +109,26 @@ def test_exact_step_near_degenerate_top_pair():
     np.testing.assert_allclose(steps * [1.0, 2.0, 1.0], [1 / 1.01, 1 / 1.01, 1.0], rtol=1e-12)
 
 
-def _gram_stack(kind, m, n, k):
-    """k Gram matrices A^T A / m of fresh (m, n) draws of `kind`."""
-    draws = (sample_measurements(kind, m, n, substream(17, "gram", kind, m, n, i)) for i in range(k))
-    return np.stack([A.T @ A / m for A in draws])
+def _fista_restart(G, b, radius, iters):
+    """FISTA with backtracking and gradient restart over an l1 ball, for at most `iters` iterations.
 
-
-def _near_degenerate_top_pair():
-    """The Gram matrix of test_exact_step_near_degenerate_top_pair: eigenvalues 1 and 1 - 1e-4 over 0.98."""
-    m, n = 300, 60
-    rng = substream(15, "spectrum")
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    W, _ = np.linalg.qr(rng.standard_normal((m, n)))
-    lam = np.full(n, 0.98)
-    lam[:2] = (1.0, 1.0 - 1e-4)
-    A = np.sqrt(m) * (W * np.sqrt(lam)) @ Q.T
-    return A.T @ A / m
-
-
-def _hidden_top(n):
-    """A Gram matrix whose top eigenvector (eigenvalue 1.002, the next 1) is orthogonal to the
-    Lanczos start 1 / sqrt(n), so the Ritz values stay at or below 1 and the certificate fails."""
-    M = substream(16, "hidden-top").standard_normal((n, n))
-    M[:, 0] -= M[:, 0].mean()
-    Q, _ = np.linalg.qr(M)
-    lam = np.linspace(1.0, 0.1, n)
-    lam[0] = 1.002
-    G = (Q * lam) @ Q.T
-    return 0.5 * (G + G.T)
-
-
-def _rank_one(n):
-    u = substream(18, "rank-one").standard_normal(n)
-    return np.outer(u, u)
-
-
-STEP_CASES = {
-    "rademacher m=200 n=100": lambda: _gram_stack("rademacher", 200, 100, 13),
-    "gaussian m=200 n=100": lambda: _gram_stack("gaussian", 200, 100, 13),
-    "rademacher m=8000 n=100": lambda: _gram_stack("rademacher", 8000, 100, 13),
-    "gaussian m=8000 n=100": lambda: _gram_stack("gaussian", 8000, 100, 13),
-    "rademacher m=400 n=256": lambda: _gram_stack("rademacher", 400, 256, 4),
-    "gaussian m=400 n=256": lambda: _gram_stack("gaussian", 400, 256, 4),
-    "scaled identity": lambda: np.stack([2.5 * np.eye(40), 1e-3 * np.eye(40)]),
-    "rank one": lambda: _rank_one(30)[None],
-    "near-degenerate top pair": lambda: _near_degenerate_top_pair()[None],
-    "hidden top eigenvector": lambda: _hidden_top(50)[None],
-}
-
-
-@pytest.mark.parametrize("case", sorted(STEP_CASES))
-def test_certified_step_is_safe_and_tight(case):
-    G = STEP_CASES[case]()
-    G_in = G.copy()
-    lam_max = np.linalg.eigvalsh(G)[:, -1]
-    step = certified_step(G)
-    np.testing.assert_array_equal(G, G_in)
-    assert np.all(step * lam_max <= (1.0 / 1.01) * (1.0 + 1e-12))
-    assert np.all(step * lam_max >= (1.0 / (1.01 * (1.0 + CERT_SLACK))) * (1.0 - 1e-12))
-
-
-@pytest.mark.parametrize("case", sorted(STEP_CASES))
-def test_certified_step_equals_a_certificate_on_a_fresh_matrix(case):
-    # certified_step forms U I - G in G itself; the reference factors a fresh copy
-    G = STEP_CASES[case]()
-    n = G.shape[1]
-    U = (1.0 + CERT_SLACK) * _top_ritz_value(G)
-    expected = []
-    for G_i, U_i in zip(G, U):
-        C = -G_i
-        C.flat[:: n + 1] += U_i
-        try:
-            np.linalg.cholesky(C)
-            expected.append(1.0 / (LIPSCHITZ_MARGIN * U_i))
-        except np.linalg.LinAlgError:
-            expected.append(inverse_lipschitz_step(G_i))
-    assert certified_step(G).tobytes() == np.array(expected).tobytes()
-
-
-@pytest.mark.parametrize("case", ["scaled identity", "rank one"])
-def test_certified_step_holds_where_lanczos_breaks_down(case):
-    # the Krylov space is invariant after one step (c I) or two (rank one), so theta is
-    # lambda_max and the certified step is the dense step divided by 1 + CERT_SLACK
-    G = STEP_CASES[case]()
-    np.testing.assert_allclose(certified_step(G), inverse_lipschitz_step(G) / (1.0 + CERT_SLACK), rtol=1e-13)
-
-
-def test_certified_step_of_a_zero_gram_is_one():
-    np.testing.assert_array_equal(certified_step(np.zeros((2, 7, 7))), [1.0, 1.0])
-
-
-def test_certified_step_falls_back_per_matrix():
-    n = 50
-    G = np.concatenate([_gram_stack("rademacher", 200, n, 3), _hidden_top(n)[None], _gram_stack("gaussian", 200, n, 2)])
-    dense = inverse_lipschitz_step(G)
-    step = certified_step(G)
-    assert step[3] == dense[3]  # the hidden top eigenvalue defeats the certificate: the dense step, bitwise
-    others = np.arange(len(G)) != 3
-    assert np.all(step[others] < dense[others])
-    assert np.all(step[others] >= dense[others] / (1.0 + CERT_SLACK) * (1.0 - 1e-12))
-
-
-def test_certified_step_rows_are_independent():
-    n = 40
-    G = np.concatenate([
-        _gram_stack("rademacher", 200, n, 3), _hidden_top(n)[None], STEP_CASES["scaled identity"](),
-        _rank_one(n)[None], np.zeros((1, n, n)), _gram_stack("gaussian", 8000, n, 2),
-    ])
-    step = certified_step(G)
-    for i in range(len(G)):
-        assert certified_step(G[i:i + 1])[0] == step[i]
-
-
-def _fista_restart(G, b, radius, eta, iters):
-    """`iters` steps of FISTA with gradient restart over an l1 ball, two products with G a step.
-
-    Returns the last iterate and the number of restarts.
+    The curvature estimate starts at b^T G b / b^T b and rises by BACKTRACK
+    until (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2. The run stops after the
+    iteration with L ||y - x+|| <= GMAP_TOL ||b||. Returns the last iterate,
+    the number of iterations, restarts and backtracks.
     """
     x = y = np.zeros(len(b))
-    t, restarts = 1.0, 0
-    for _ in range(iters):
-        x_new = project_l1_ball(y - eta * (G @ y - b), radius)
+    L = float(b @ G @ b / (b @ b))
+    t, restarts, backtracks = 1.0, 0, 0
+    for it in range(1, iters + 1):
+        while True:
+            x_new = project_l1_ball(y - (G @ y - b) / L, radius)
+            d = x_new - y
+            if d @ G @ d <= L * (d @ d):
+                break
+            L *= BACKTRACK
+            backtracks += 1
+        stop = L * np.linalg.norm(d) <= GMAP_TOL * np.linalg.norm(b)
         if (y - x_new) @ (x_new - x) > 0:
             t, y = 1.0, x_new
             restarts += 1
@@ -239,7 +137,9 @@ def _fista_restart(G, b, radius, eta, iters):
             y = x_new + ((t - 1.0) / t_new) * (x_new - x)
             t = t_new
         x = x_new
-    return x, restarts
+        if stop:
+            break
+    return x, it, restarts, backtracks
 
 
 def _stack_problems(instances, mu):
@@ -254,7 +154,7 @@ def test_pgd_rows_matches_glasso_solve_l1():
         instances.append((A, y))
         radii.append(float(np.abs(x0).sum()))
     G, b = _stack_problems(instances, 1.0)
-    X, _, conv = pgd_rows(G, b, radii, project_l1_rows, inverse_lipschitz_step(G))
+    X, _, conv = pgd_rows(G, b, radii, project_l1_rows)
     for (A, y), r, x, c in zip(instances, radii, X, conv):
         ref = glasso_solve(A, y, 1.0, project_l1_rows, r)
         assert c and ref.converged
@@ -272,7 +172,7 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
         instances.append((A, y))
         radii.append(float(np.linalg.svd(x0.reshape(d, d), compute_uv=False).sum()))
     G, b = _stack_problems(instances, 1.0)
-    X, _, conv = pgd_rows(G, b, radii, project_nuclear_rows, inverse_lipschitz_step(G))
+    X, _, conv = pgd_rows(G, b, radii, project_nuclear_rows)
     for (A, y), r, x, c in zip(instances, radii, X, conv):
         ref = glasso_solve(A, y, 1.0, project_nuclear_rows, r)
         assert c and ref.converged
@@ -301,7 +201,7 @@ def test_pgd_rows_reaches_the_minimizer_at_small_m():
         ref = project_l1_rows(ref - eta[:, None] * (np.matmul(G, ref[:, :, None])[:, :, 0] - b), radii)
     single = [glasso_solve(A, y, 1.0, project_l1_rows, r) for (A, y), r in zip(instances, radii)]
     assert all(res.converged for res in single)
-    X, _, conv = pgd_rows(G, b, radii, project_l1_rows, eta)
+    X, _, conv = pgd_rows(G, b, radii, project_l1_rows)
     assert conv.all()
     for sol in (X, np.stack([res.x_hat for res in single])):
         rel = np.linalg.norm(sol - ref, axis=1) / np.linalg.norm(ref, axis=1)
@@ -315,29 +215,102 @@ def _max_iters_instances():
         instances.append((A, y))
         radii.append(float(np.abs(x0).sum()))
     G, b = _stack_problems(instances, 1.0)
-    return G, b, radii, inverse_lipschitz_step(G)
+    return G, b, radii
 
 
 def test_pgd_rows_reports_max_iters():
-    G, b, radii, eta = _max_iters_instances()
+    G, b, radii = _max_iters_instances()
     with pytest.raises(ValueError):
-        pgd_rows(G.copy(), b, radii, project_l1_rows, eta, max_iters=0)
-    X, iters, conv = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, max_iters=4)
+        pgd_rows(G.copy(), b, radii, project_l1_rows, max_iters=0)
+    X, iters, conv = pgd_rows(G.copy(), b, radii, project_l1_rows, max_iters=4)
     np.testing.assert_array_equal(iters, [4, 4, 4])
     assert not conv.any()
-    for g, b_i, r, e, x in zip(G, b, radii, eta, X):
-        np.testing.assert_allclose(x, _fista_restart(g, b_i, r, e, 4)[0], rtol=1e-12, atol=1e-14)
+    for g, b_i, r, x in zip(G, b, radii, X):
+        np.testing.assert_allclose(x, _fista_restart(g, b_i, r, 4)[0], rtol=1e-12, atol=1e-14)
 
 
 def test_pgd_rows_restarts_like_fista_with_restart():
     # 12 iterations on the same problems take every row through two restarts
-    G, b, radii, eta = _max_iters_instances()
-    X, iters, _ = pgd_rows(G.copy(), b, radii, project_l1_rows, eta, max_iters=12)
+    # and at least one backtrack
+    G, b, radii = _max_iters_instances()
+    X, iters, _ = pgd_rows(G.copy(), b, radii, project_l1_rows, max_iters=12)
     np.testing.assert_array_equal(iters, [12, 12, 12])
-    for g, b_i, r, e, x in zip(G, b, radii, eta, X):
-        ref, restarts = _fista_restart(g, b_i, r, e, 12)
-        assert restarts == 2
+    for g, b_i, r, x in zip(G, b, radii, X):
+        ref, _, restarts, backtracks = _fista_restart(g, b_i, r, 12)
+        assert restarts == 2 and backtracks >= 1
         np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-14)
+
+
+def _bottom_eigenvector_problem(radius=2.0, lam_min=0.05, n=40):
+    """(A, y, radius) with A^T A / m of spectrum geomspace(lam_min, 5) and b = (1/m) A^T y its bottom
+    eigenvector: the start L0 = b^T G b / b^T b is lambda_min, far below lambda_max."""
+    m = 300
+    rng = substream(19, "wide-spectrum")
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    lam = np.geomspace(lam_min, 5.0, n)
+    A = np.sqrt(m) * (W * np.sqrt(lam)) @ Q.T
+    return A, A @ (Q[:, 0] / lam[0]), radius
+
+
+@pytest.mark.parametrize("lam_min", [0.05, 0.01])
+@pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
+def test_pgd_rows_backtracks_from_the_bottom_eigenvector(radius, lam_min):
+    A, y, r = _bottom_eigenvector_problem(radius, lam_min)
+    G, b = gram_stats(A, y, 1.0)
+    assert b @ G @ b / (b @ b) == pytest.approx(lam_min, rel=1e-9)
+    X, iters, conv = pgd_rows(G[None].copy(), b[None], [r], project_l1_rows)
+    assert conv[0]
+    x, ref_iters, _, backtracks = _fista_restart(G, b, r, 10000)
+    assert backtracks >= 1 and ref_iters == iters[0]
+    np.testing.assert_allclose(X[0], x, rtol=1e-10, atol=1e-12)
+    ref = glasso_solve(A, y, 1.0, project_l1_rows, r)
+    assert ref.converged
+    assert np.linalg.norm(X[0] - ref.x_hat) <= 1e-6 * np.linalg.norm(ref.x_hat)
+
+
+def _mixed_stack(n=36):
+    """Gram statistics and radii: Gaussian 6-sparse problems at several m, the bottom-eigenvector
+    problem, a row with b = 0 and a row with a zero Gram matrix (so b = 0 too)."""
+    instances, radii = [], []
+    for seed in range(5):
+        x0, A, y = _instance(500 + seed, m=60 + 90 * seed, n=n, s=6)
+        instances.append((A, y))
+        radii.append(float(np.abs(x0).sum()))
+    A, y, r = _bottom_eigenvector_problem(n=n)
+    instances.append((A, y))
+    radii.append(r)
+    G, b = _stack_problems(instances, 1.0)
+    G = np.concatenate([G, G[:1], np.zeros((1, n, n))])
+    b = np.concatenate([b, np.zeros((2, n))])
+    return G, b, np.array(radii + [1.0, 1.0])
+
+
+ROW_PROJECTIONS = {"l1": project_l1_rows, "nuclear": project_nuclear_rows}  # n = 36 is a 6 x 6 matrix
+
+
+@pytest.mark.parametrize("ball", sorted(ROW_PROJECTIONS))
+def test_pgd_rows_rows_are_independent_of_their_stack(ball):
+    project = ROW_PROJECTIONS[ball]
+    G, b, radii = _mixed_stack()
+    X, iters, conv = pgd_rows(G.copy(), b, radii, project)
+    assert conv.all()
+    for i in range(len(b)):
+        X_i, iters_i, _ = pgd_rows(G[i:i + 1].copy(), b[i:i + 1], radii[i:i + 1], project)
+        assert X_i.tobytes() == X[i].tobytes() and iters_i[0] == iters[i]
+    X_rev, iters_rev, _ = pgd_rows(G[::-1].copy(), b[::-1], radii[::-1], project)
+    assert X_rev[::-1].tobytes() == X.tobytes()
+    np.testing.assert_array_equal(iters_rev[::-1], iters)
+
+
+@pytest.mark.parametrize("ball", sorted(ROW_PROJECTIONS))
+def test_pgd_rows_stops_at_once_where_b_is_zero(ball):
+    # the last two rows of the mixed stack: b = 0 with a Gram matrix, and a zero Gram matrix
+    G, b, radii = _mixed_stack()
+    X, iters, conv = pgd_rows(G.copy(), b, radii, ROW_PROJECTIONS[ball])
+    np.testing.assert_array_equal(iters[-2:], [1, 1])
+    assert conv[-2:].all() and not X[-2:].any()
+    assert np.all(iters[:-2] > 1)
 
 
 def test_glasso_matches_normal_equations():
