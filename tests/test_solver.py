@@ -23,7 +23,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.solver import BACKTRACK, GMAP_TOL
+from qlasso.solver import BACKTRACK, GMAP_TOL, MAX_ITERS
 
 
 def _instance(seed, m=300, n=50, s=10, delta=1.0):
@@ -115,7 +115,7 @@ def _fista_restart(G, b, radius, iters):
     The curvature estimate starts at b^T G b / b^T b and rises by BACKTRACK
     until (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2. The run stops after the
     iteration with L ||y - x+|| <= GMAP_TOL ||b||. Returns the last iterate,
-    the number of iterations, restarts and backtracks.
+    the number of iterations, restarts and backtracks, and the last accepted L.
     """
     x = y = np.zeros(len(b))
     L = float(b @ G @ b / (b @ b))
@@ -139,7 +139,7 @@ def _fista_restart(G, b, radius, iters):
         x = x_new
         if stop:
             break
-    return x, it, restarts, backtracks
+    return x, it, restarts, backtracks, L
 
 
 def _stack_problems(instances, mu):
@@ -236,7 +236,7 @@ def test_pgd_rows_restarts_like_fista_with_restart():
     X, iters, _ = pgd_rows(G.copy(), b, radii, project_l1_rows, max_iters=12)
     np.testing.assert_array_equal(iters, [12, 12, 12])
     for g, b_i, r, x in zip(G, b, radii, X):
-        ref, _, restarts, backtracks = _fista_restart(g, b_i, r, 12)
+        ref, _, restarts, backtracks, _ = _fista_restart(g, b_i, r, 12)
         assert restarts == 2 and backtracks >= 1
         np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-14)
 
@@ -261,7 +261,7 @@ def test_pgd_rows_backtracks_from_the_bottom_eigenvector(radius, lam_min):
     assert b @ G @ b / (b @ b) == pytest.approx(lam_min, rel=1e-9)
     X, iters, conv = pgd_rows(G[None].copy(), b[None], [r], project_l1_rows)
     assert conv[0]
-    x, ref_iters, _, backtracks = _fista_restart(G, b, r, 10000)
+    x, ref_iters, _, backtracks, _ = _fista_restart(G, b, r, MAX_ITERS)
     assert backtracks >= 1 and ref_iters == iters[0]
     np.testing.assert_allclose(X[0], x, rtol=1e-10, atol=1e-12)
     ref = glasso_solve(A, y, 1.0, project_l1_rows, r)
@@ -289,18 +289,19 @@ def _mixed_stack(n=36):
 ROW_PROJECTIONS = {"l1": project_l1_rows, "nuclear": project_nuclear_rows}  # n = 36 is a 6 x 6 matrix
 
 
-@pytest.mark.parametrize("ball", sorted(ROW_PROJECTIONS))
-def test_pgd_rows_rows_are_independent_of_their_stack(ball):
-    project = ROW_PROJECTIONS[ball]
+def test_certified_step_rows_are_independent():
+    # each row's steps, and so its iterates, depend on its own (G, b, radius) alone: solved alone
+    # or in the reversed stack, every row of the mixed stack comes out bitwise the same
     G, b, radii = _mixed_stack()
-    X, iters, conv = pgd_rows(G.copy(), b, radii, project)
-    assert conv.all()
-    for i in range(len(b)):
-        X_i, iters_i, _ = pgd_rows(G[i:i + 1].copy(), b[i:i + 1], radii[i:i + 1], project)
-        assert X_i.tobytes() == X[i].tobytes() and iters_i[0] == iters[i]
-    X_rev, iters_rev, _ = pgd_rows(G[::-1].copy(), b[::-1], radii[::-1], project)
-    assert X_rev[::-1].tobytes() == X.tobytes()
-    np.testing.assert_array_equal(iters_rev[::-1], iters)
+    for project in ROW_PROJECTIONS.values():
+        X, iters, conv = pgd_rows(G.copy(), b, radii, project)
+        assert conv.all()
+        for i in range(len(b)):
+            X_i, iters_i, _ = pgd_rows(G[i:i + 1].copy(), b[i:i + 1], radii[i:i + 1], project)
+            assert X_i.tobytes() == X[i].tobytes() and iters_i[0] == iters[i]
+        X_rev, iters_rev, _ = pgd_rows(G[::-1].copy(), b[::-1], radii[::-1], project)
+        assert X_rev[::-1].tobytes() == X.tobytes()
+        np.testing.assert_array_equal(iters_rev[::-1], iters)
 
 
 @pytest.mark.parametrize("ball", sorted(ROW_PROJECTIONS))
@@ -311,6 +312,179 @@ def test_pgd_rows_stops_at_once_where_b_is_zero(ball):
     np.testing.assert_array_equal(iters[-2:], [1, 1])
     assert conv[-2:].all() and not X[-2:].any()
     assert np.all(iters[:-2] > 1)
+
+
+def _gram_stack(kind, m, n, k):
+    """k Gram matrices A^T A / m of fresh (m, n) draws of `kind`."""
+    draws = (sample_measurements(kind, m, n, substream(17, "gram", kind, m, n, i)) for i in range(k))
+    return np.stack([A.T @ A / m for A in draws])
+
+
+def _near_degenerate_top_pair():
+    """The Gram matrix of test_exact_step_near_degenerate_top_pair: eigenvalues 1 and 1 - 1e-4 over 0.98."""
+    m, n = 300, 60
+    rng = substream(15, "spectrum")
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    lam = np.full(n, 0.98)
+    lam[:2] = (1.0, 1.0 - 1e-4)
+    A = np.sqrt(m) * (W * np.sqrt(lam)) @ Q.T
+    return A.T @ A / m
+
+
+def _hidden_top(n):
+    """A Gram matrix whose top eigenvector (eigenvalue 1.002, the next 1) is orthogonal to 1 / sqrt(n)."""
+    M = substream(16, "hidden-top").standard_normal((n, n))
+    M[:, 0] -= M[:, 0].mean()
+    Q, _ = np.linalg.qr(M)
+    lam = np.linspace(1.0, 0.1, n)
+    lam[0] = 1.002
+    G = (Q * lam) @ Q.T
+    return 0.5 * (G + G.T)
+
+
+def _rank_one(n):
+    u = substream(18, "rank-one").standard_normal(n)
+    return np.outer(u, u)
+
+
+STEP_CASES = {
+    "rademacher m=200 n=100": lambda: _gram_stack("rademacher", 200, 100, 13),
+    "gaussian m=200 n=100": lambda: _gram_stack("gaussian", 200, 100, 13),
+    "rademacher m=8000 n=100": lambda: _gram_stack("rademacher", 8000, 100, 13),
+    "gaussian m=8000 n=100": lambda: _gram_stack("gaussian", 8000, 100, 13),
+    "rademacher m=400 n=256": lambda: _gram_stack("rademacher", 400, 256, 4),
+    "gaussian m=400 n=256": lambda: _gram_stack("gaussian", 400, 256, 4),
+    "scaled identity": lambda: np.stack([2.5 * np.eye(40), 1e-3 * np.eye(40)]),
+    "rank one": lambda: _rank_one(30)[None],
+    "near-degenerate top pair": lambda: _near_degenerate_top_pair()[None],
+    "hidden top eigenvector": lambda: _hidden_top(50)[None],
+}
+
+
+def _step_problems(case, noise=0.1):
+    """The Gram matrices G of STEP_CASES[case], each with its own 5-sparse x0, the radius 0.8 ||x0||_1
+    and b = G x0 plus Gaussian noise of `noise` times the rms entry of G x0 (so b leaves the range of
+    a rank-one G)."""
+    G = STEP_CASES[case]()
+    k, n = G.shape[:2]
+    X0, B = np.empty((k, n)), np.empty((k, n))
+    for i in range(k):
+        rng = substream(20, "step-problem", case, i)
+        X0[i] = gen_sparse_signal(SignalSpec(n, Sparse(5), 3.0), rng)
+        B[i] = G[i] @ X0[i]
+        B[i] += noise * np.linalg.norm(B[i]) / np.sqrt(n) * rng.standard_normal(n)
+    return G, B, 0.8 * np.abs(X0).sum(axis=1)
+
+
+def _solve_alone(G, b, radius):
+    """pgd_rows on the one problem (G, b, radius), with a fresh copy of G. Returns the row's x,
+    iterations and convergence, and the inputs of its projections: one per iteration and one more
+    per backtrack, the first being b / L0."""
+    inputs = []
+
+    def project(V, radii):
+        inputs.append(V[0].copy())
+        return project_l1_rows(V, radii)
+
+    X, iters, conv = pgd_rows(G[None].copy(), b[None], [radius], project)
+    return X[0], iters[0], conv[0], inputs
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_certified_step_is_safe_and_tight(case):
+    # every accepted step passes the descent test, so each row converges: at the x it returns, the
+    # gradient mapping of the dense step 1 / (1.01 lambda_max) is at the level of the stop. L starts at
+    # a Rayleigh quotient, at most lambda_max, and rises only while below it, so the final
+    # L = L0 BACKTRACK^backtracks is at most BACKTRACK lambda_max: the step never falls more than a
+    # factor BACKTRACK below 1 / lambda_max
+    G, b, radii = _step_problems(case)
+    lam_max = np.linalg.eigvalsh(G)[:, -1]
+    for g, b_i, r, lam, eta in zip(G, b, radii, lam_max, inverse_lipschitz_step(G)):
+        x, iters, conv, inputs = _solve_alone(g, b_i, r)
+        assert conv
+        gmap = np.linalg.norm(x - project_l1_ball(x - eta * (g @ x - b_i), r)) / eta
+        assert gmap <= 4 * GMAP_TOL * np.linalg.norm(b_i)
+        L0 = b_i @ b_i / (b_i @ inputs[0])
+        assert L0 == pytest.approx(b_i @ g @ b_i / (b_i @ b_i), rel=1e-12)
+        assert L0 <= lam * (1.0 + 1e-12)
+        assert L0 * BACKTRACK ** (len(inputs) - iters) <= BACKTRACK * lam * (1.0 + 1e-12)
+
+
+# Every step on c I, and a step along u on u u^T, ties the descent test at L = lambda_max in exact
+# arithmetic, so rounding decides whether it backtracks.
+TIED_CASES = ("scaled identity", "rank one")
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_certified_step_equals_a_certificate_on_a_fresh_matrix(case):
+    # pgd_rows compacts G in place; every row of the stack ends bitwise where its own solve on a fresh
+    # copy of its Gram matrix ends, which backtracks exactly where the reference's descent test fails.
+    # Where that test ties, the two may decide it differently, and only their minimizers must agree
+    G, b, radii = _step_problems(case)
+    X, iters, conv = pgd_rows(G.copy(), b, radii, project_l1_rows)
+    assert conv.all()
+    for g, b_i, r, x, it in zip(G, b, radii, X, iters):
+        x_alone, it_alone, _, inputs = _solve_alone(g, b_i, r)
+        assert x_alone.tobytes() == x.tobytes() and it_alone == it
+        ref, ref_iters, _, backtracks, _ = _fista_restart(g, b_i, r, MAX_ITERS)
+        if case in TIED_CASES:
+            assert ref_iters < MAX_ITERS
+            assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+        else:
+            assert ref_iters == it and backtracks == len(inputs) - it
+            np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", TIED_CASES)
+def test_certified_step_holds_where_lanczos_breaks_down(case):
+    # with b = G x0 in the top eigenspace (c I has one eigenvalue; G x0 is along u for u u^T),
+    # L0 = b^T G b / b^T b is lambda_max and the first step is 1 / lambda_max. Every later step ties the
+    # descent test at L = lambda_max in exact arithmetic, so rounding may backtrack once, and no more
+    G, b, radii = _step_problems(case, noise=0.0)
+    lam_max = np.linalg.eigvalsh(G)[:, -1]
+    for g, b_i, r, lam in zip(G, b, radii, lam_max):
+        x, iters, conv, inputs = _solve_alone(g, b_i, r)
+        np.testing.assert_allclose(inputs[0], b_i / lam, rtol=1e-13)
+        assert conv and len(inputs) - iters <= 1
+        eta = float(inverse_lipschitz_step(g))
+        gmap = np.linalg.norm(x - project_l1_ball(x - eta * (g @ x - b_i), r)) / eta
+        assert gmap <= 4 * GMAP_TOL * np.linalg.norm(b_i)
+
+
+def test_certified_step_of_a_zero_gram_is_one():
+    # b^T G b = 0 gives L = 1, which passes every descent test on a zero G: the first iterate is
+    # project(b), and the row ends at the vertex r sign(b_j) e_j of the largest |b_j|, minimizing -b^T x
+    b = substream(21, "zero-gram").standard_normal((2, 7))
+    radii = np.array([0.5, 3.0])
+    X1, _, _ = pgd_rows(np.zeros((2, 7, 7)), b, radii, project_l1_rows, max_iters=1)
+    assert X1.tobytes() == project_l1_rows(b, radii).tobytes()
+    for b_i, r in zip(b, radii):
+        x, iters, conv, inputs = _solve_alone(np.zeros((7, 7)), b_i, r)
+        assert conv and len(inputs) == iters
+        j = np.argmax(np.abs(b_i))
+        np.testing.assert_allclose(x, r * np.sign(b_i[j]) * np.eye(7)[j], atol=1e-12)
+
+
+def test_certified_step_falls_back_per_matrix():
+    # the bottom-eigenvector row must backtrack; it raises its own L only: after three iterations
+    # every row of the stack, including rows that have not backtracked, is where the reference puts it
+    n = 100
+    G, b, radii = _step_problems("rademacher m=200 n=100")
+    A, y, r = _bottom_eigenvector_problem(n=n)
+    G_bottom, b_bottom = gram_stats(A, y, 1.0)
+    x0 = gen_sparse_signal(SignalSpec(n, Sparse(5), 3.0), substream(22, "identity-x0"))
+    G = np.concatenate([G[:3], G_bottom[None], 2.5 * np.eye(n)[None], G[3:5]])
+    b = np.concatenate([b[:3], b_bottom[None], 2.5 * x0[None], b[3:5]])
+    radii = np.concatenate([radii[:3], [r, 0.8 * np.abs(x0).sum()], radii[3:5]])
+    X, iters, _ = pgd_rows(G.copy(), b, radii, project_l1_rows, max_iters=3)
+    backtracks = []
+    for g, b_i, r_i, x, it in zip(G, b, radii, X, iters):
+        ref, ref_iters, _, bt, _ = _fista_restart(g, b_i, r_i, 3)
+        assert ref_iters == it
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-14)
+        backtracks.append(bt)
+    assert backtracks[3] >= 1 and backtracks[4] == 0
 
 
 def test_glasso_matches_normal_equations():
