@@ -1,57 +1,80 @@
-"""Recovery of structured signals from dithered quantized measurements."""
+"""Recovery of structured signals from dithered quantized measurements.
 
-from .ensemble import (
-    LowRank,
-    SignalSpec,
-    Sparse,
-    gen_lowrank_signal,
-    gen_signal,
-    gen_sparse_signal,
-    sample_measurements,
-)
-from .experiment import (
-    ErrorCurve,
-    ExperimentConfig,
-    MomentReport,
-    RateFit,
-    block_size,
-    fit_rate,
-    onebit_dither_range,
-    onebit_moment_check,
-    run_curve,
-    run_trial,
-)
-from .geometry import (
-    estimate_smallball_inf,
-    gw_bound_lowrank,
-    gw_bound_sparse,
-    project_l1_ball,
-    project_l1_rows,
-    project_nuclear_ball,
-    project_nuclear_rows,
-    sample_descent_directions,
-)
-from .quantizer import (
-    OneBitQuantizer,
-    UniformQuantizer,
-    dither_mean_residual,
-    measure,
-    one_bit_mean_formula,
-    one_bit_quantize,
-    quantization_noise,
-    sample_dither,
-    uniform_quantize,
-)
-from .solver import (
-    SolverResult,
-    dm_estimate,
-    estimate_lipschitz,
-    glasso_solve,
-    gram_stats,
-    inverse_lipschitz_step,
-    pbp_estimate,
-    pgd_rows,
-)
-from .streams import substream
+Each public name loads its module on first use, so `import qlasso` loads no
+numpy and `qlasso.cli` can pin BLAS to one thread before numpy loads.
+"""
+
+import importlib
+
+# the public names, by the module that defines them
+_EXPORTS = {
+    "ensemble": (
+        "LowRank",
+        "SignalSpec",
+        "Sparse",
+        "gen_lowrank_signal",
+        "gen_signal",
+        "gen_sparse_signal",
+        "sample_measurements",
+    ),
+    "experiment": (
+        "ErrorCurve",
+        "ExperimentConfig",
+        "MomentReport",
+        "RateFit",
+        "block_size",
+        "fit_rate",
+        "onebit_dither_range",
+        "onebit_moment_check",
+        "run_curve",
+        "run_trial",
+    ),
+    "geometry": (
+        "estimate_smallball_inf",
+        "gw_bound_lowrank",
+        "gw_bound_sparse",
+        "project_l1_ball",
+        "project_l1_rows",
+        "project_nuclear_ball",
+        "project_nuclear_rows",
+        "sample_descent_directions",
+    ),
+    "quantizer": (
+        "OneBitQuantizer",
+        "UniformQuantizer",
+        "dither_mean_residual",
+        "measure",
+        "one_bit_mean_formula",
+        "one_bit_quantize",
+        "quantization_noise",
+        "sample_dither",
+        "uniform_quantize",
+    ),
+    "solver": (
+        "SolverResult",
+        "dm_estimate",
+        "estimate_lipschitz",
+        "glasso_solve",
+        "gram_stats",
+        "inverse_lipschitz_step",
+        "pbp_estimate",
+        "pgd_rows",
+    ),
+    "streams": (
+        "substream",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    # looked up afresh on every access, so a rebinding of the module attribute shows here too
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
 
 __version__ = "0.1.0"

@@ -12,6 +12,13 @@ of the wrong JSON type, a config "quantizer" contradicting the subcommand, an
 estimator list with an unknown name, a repeat or, where no default fills it,
 no name, a non-finite norm, R or delta, or an n, s, trials, seed or m_grid
 entry that is not an integer), 3 runtime failure.
+
+Every CLI process runs BLAS on one thread, as the --jobs workers do, so the
+outputs follow from the seed whatever --jobs and the environment say:
+importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy loads. Where numpy is already loaded (a
+library caller or a test importing this module), that could not take effect,
+and the environment is left as it is.
 """
 
 import argparse
@@ -20,6 +27,10 @@ import math
 import os
 import sys
 
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+# numpy loads below this line, through the package modules too
 import numpy as np
 
 from .ensemble import Sparse
@@ -350,7 +361,7 @@ def build_parser():
         p.add_argument("--out", help="output directory (overrides config)")
         if name != "verify":
             p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for blocks of trials (one BLAS thread each)")
+                           help="processes, this one included, one BLAS thread each")
 
     widths = sub.add_parser("widths")
     widths.add_argument("--sparse", action="append", metavar="N:S")

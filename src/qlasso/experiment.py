@@ -210,21 +210,38 @@ def _one_blas_thread():
 
 
 def _map_blocks(tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        try:
-            return [_solve_block(*t) for t in tasks]
-        finally:
-            _buffers.slot = None
-    # imported here so that a run with one job, and every other subcommand, does not load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    """_solve_block of every task, in task order, from min(jobs, len(tasks)) processes, this one included.
 
-    # Spawned, not forked: each worker loads BLAS afresh and reads the
-    # one-thread setting from its environment, so N workers keep N cores busy
-    # instead of starting N BLAS thread pools.
-    ctx = multiprocessing.get_context("spawn")
-    with _one_blas_thread(), ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=ctx) as pool:
-        return list(pool.map(_solve_block, *zip(*tasks)))
+    The others are spawned workers with one BLAS thread each (none, and no pool
+    module imported, for one process). They take the tasks from the back of
+    the list, and this process takes them from the front, in order, until it
+    meets one a worker has started: one whose future it cannot cancel. Should a
+    block raise, the futures not yet started are cancelled.
+    """
+    pool, futures, results = None, [], []
+    try:
+        if jobs > 1 and len(tasks) > 1:
+            # imported here so that a run in one process, and every other subcommand, does not load them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Spawned, not forked: each worker loads BLAS afresh and reads the
+            # one-thread setting from its environment, so N workers keep N cores
+            # busy instead of starting N BLAS thread pools. Workers start as
+            # tasks are submitted, hence the submissions within that setting.
+            pool = ProcessPoolExecutor(min(jobs, len(tasks)) - 1, mp_context=multiprocessing.get_context("spawn"))
+            with _one_blas_thread():
+                futures = [pool.submit(_solve_block, *t) for t in reversed(tasks)][::-1]
+        for i, task in enumerate(tasks):
+            if pool is not None and not futures[i].cancel():
+                break
+            results.append(_solve_block(*task))
+        results += [f.result() for f in futures[len(results):]]
+    finally:
+        _buffers.slot = None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return results
 
 
 def _check_estimators(names) -> Tuple[str, ...]:
@@ -253,11 +270,12 @@ def run_curve(
 
     `estimator` is one name, which returns its ErrorCurve, or a sequence of
     names, which returns {name: ErrorCurve} computed from the same draws.
-    Trials run in blocks of block_size(cfg.n); with jobs > 1 the (m, block)
-    tasks are spread over that many worker processes, each with one BLAS
-    thread. A trial's result does not depend on its block, so the curves do
-    not depend on jobs wherever BLAS rounds alike in the calling process and
-    the workers (for OpenBLAS: OPENBLAS_NUM_THREADS=1).
+    Trials run in blocks of block_size(cfg.n), and the (m, block) tasks are
+    shared by `jobs` processes: this one and jobs - 1 spawned workers, each
+    with one BLAS thread. A trial's result does not depend on its block or its
+    process, so the curves do not depend on jobs wherever BLAS rounds alike in
+    this process and the workers: the CLI runs one BLAS thread; a library
+    caller sets OPENBLAS_NUM_THREADS=1 (or OMP_ or MKL_) before numpy loads.
     """
     names = _check_estimators(estimator)
     step = block_size(cfg.n)

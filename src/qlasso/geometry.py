@@ -5,8 +5,9 @@ A constraint set K is its row projection project(V, radii), which maps a
 projections: project_l1_rows onto scaled l1 balls, project_nuclear_rows onto
 nuclear-norm balls of vectorized d x d matrices, the row identity onto the
 whole space. The l1 projection is the sort-based soft-threshold selection
-(Duchi et al.) in O(n log n); the nuclear projection applies it to the
-singular values. A single point is projected as a stack of one.
+(Duchi et al.) in O(n log n); the nuclear projection applies its threshold
+to the singular values, which come sorted. A single point is projected as a
+stack of one.
 """
 
 import math
@@ -34,13 +35,19 @@ def project_l1_rows(V: np.ndarray, radii) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     radii = _check_radii(radii, V.shape[0])
     U = np.abs(V)
-    # With each row's magnitudes sorted in decreasing order and S_j their
-    # partial sums, (S_j - r) / j increases while j is in the support of the
-    # projection and decreases after it, so its maximum is the soft threshold
-    # theta (Duchi et al.). It is <= 0 exactly when the row is inside its ball.
-    cumsum = np.cumsum(np.sort(U, axis=1)[:, ::-1], axis=1)
-    theta = np.max((cumsum - radii[:, None]) / np.arange(1, V.shape[1] + 1), axis=1)
-    return np.sign(V) * np.maximum(U - np.maximum(theta, 0.0)[:, None], 0.0)
+    return np.sign(V) * _shrink(U, np.sort(U, axis=1)[:, ::-1], radii)
+
+
+def _shrink(U: np.ndarray, sorted_U: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """max(U - theta, 0): the nonnegative rows of U, which sorted_U holds in
+    decreasing order, soft-thresholded onto the l1 balls of radii."""
+    # With S_j the partial sums of a sorted row, (S_j - r) / j increases while
+    # j is in the support of the projection and decreases after it, so its
+    # maximum is the soft threshold theta (Duchi et al.). It is <= 0 exactly
+    # when the row is inside its ball, which leaves the row unchanged.
+    cumsum = np.cumsum(sorted_U, axis=1)
+    theta = np.max((cumsum - radii[:, None]) / np.arange(1, U.shape[1] + 1), axis=1)
+    return np.maximum(U - np.maximum(theta, 0.0)[:, None], 0.0)
 
 
 def project_nuclear_rows(V: np.ndarray, radii) -> np.ndarray:
@@ -52,7 +59,7 @@ def project_nuclear_rows(V: np.ndarray, radii) -> np.ndarray:
     if d * d != V.shape[1]:
         raise ValueError(f"length {V.shape[1]} is not a square; cannot reshape to d x d")
     U, s, Vt = np.linalg.svd(V.reshape(-1, d, d), full_matrices=False)
-    s_proj = project_l1_rows(s, radii)
+    s_proj = _shrink(s, s, radii)  # singular values are nonnegative and in decreasing order
     out = (U @ (s_proj[:, :, None] * Vt)).reshape(V.shape)
     inside = s.sum(axis=1) <= radii
     return np.where(inside[:, None], V, out)

@@ -20,7 +20,7 @@ keeps a curvature estimate L, starting from the Rayleigh quotient
 L0 = b^T G b / b^T b <= lambda_max(G), and steps x+ = P_K(y - grad L(y) / L)
 from its extrapolated point y. The step is accepted only if it passes the
 quadratic's descent test (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2; a row that
-fails raises L by BACKTRACK and the iteration is redone. So L never falls,
+fails raises L by BACKTRACK and redoes its step. So L never falls,
 and it rises only while it is below lambda_max(G). A row drops its momentum
 whenever its step runs against the gradient mapping L (y - x+), and stops
 once that mapping, with the accepted L, is at most GMAP_TOL ||b||. Where
@@ -145,10 +145,10 @@ def pgd_rows(G, b, radii, project, *, max_iters: int = MAX_ITERS):
     Each row starts from X = Y = 0, t = 1 and L = b^T G b / b^T b (1 where
     b = 0 or b^T G b <= 0), and forms X+ = project(Y - (G Y - b) / L). The
     step is accepted if <Y - X+, G Y - G X+> <= L ||Y - X+||^2; rows that fail
-    set L *= BACKTRACK, and the whole stack redoes the iteration (rows that
-    passed recompute the same values). Once every row passes, a row restarts
-    (t = 1, Y = X+) when <Y - X+, X+ - X> > 0, that is when the step X+ - X
-    runs against the gradient mapping; otherwise it moves to
+    set L *= BACKTRACK and redo the step, by themselves, until every row
+    passes. Then a row restarts (t = 1, Y = X+) when <Y - X+, X+ - X> > 0,
+    that is when the step X+ - X runs against the gradient mapping; otherwise
+    it moves to
     Y = X+ + ((t - 1) / t+) (X+ - X) with t+ = (1 + sqrt(1 + 4 t^2)) / 2.
     G Y comes from G X+ and G X, so an attempt costs one matrix-vector product
     per row. A row stops, returning X+, once L ||Y - X+|| <= GMAP_TOL ||b||
@@ -179,17 +179,21 @@ def pgd_rows(G, b, radii, project, *, max_iters: int = MAX_ITERS):
     X = GX = Y = GY = np.zeros((k, n))
     t = np.ones(k)
     for it in range(1, max_iters + 1):
+        X_new = project(Y - (GY - b) / L[:, None], radii)
+        GX_new = np.matmul(G[:k], X_new[:, :, None])[:, :, 0]
         while True:
-            X_new = project(Y - (GY - b) / L[:, None], radii)
-            GX_new = np.matmul(G[:k], X_new[:, :, None])[:, :, 0]
             if not (np.isfinite(X_new).all() and np.isfinite(GX_new).all()):
                 raise RuntimeError("iterate diverged to a non-finite value")
             gmap = Y - X_new
             gmap2 = np.einsum("ij,ij->i", gmap, gmap)
-            fail = np.einsum("ij,ij->i", gmap, GY - GX_new) > L * gmap2
-            if not fail.any():
+            fail = np.flatnonzero(np.einsum("ij,ij->i", gmap, GY - GX_new) > L * gmap2)
+            if not fail.size:
                 break
-            L = np.where(fail, BACKTRACK * L, L)
+            # only the failing rows redo the step; G[i] is read in place, as G[fail] would copy it
+            L[fail] *= BACKTRACK
+            X_new[fail] = project(Y[fail] - (GY[fail] - b[fail]) / L[fail, None], radii[fail])
+            for i in fail:
+                np.matmul(G[i], X_new[i], out=GX_new[i])
         step = X_new - X
         stop = L * L * gmap2 <= tol2
         restart = np.einsum("ij,ij->i", gmap, step) > 0

@@ -130,33 +130,80 @@ def test_run_deterministic_across_invocations(tmp_path):
     assert a == b
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _subprocess_env(**blas):
+    """The environment with the package on the path, no BLAS thread variable but those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    return dict(env, PYTHONPATH=str(Path(qlasso.__file__).resolve().parents[1]), **blas)
+
+
 def test_jobs_do_not_change_outputs(tmp_path):
-    # Pool workers run BLAS on one thread. OpenBLAS rounds a Gram matrix
-    # differently with more threads, so the contract holds for a main process
-    # whose BLAS also runs one thread: the runs get their own interpreters.
-    # n=100 runs 15 trials as blocks of 13 and 2, so two workers share eight tasks;
+    # With no BLAS thread variable set, BLAS would run a thread per core in the
+    # main process and one in each worker, and OpenBLAS rounds a Gaussian Gram
+    # matrix differently with more threads. The CLI pins every process to one
+    # thread, so --jobs 1 and --jobs 2 write the same bytes, run to run.
+    # n=100 runs 15 trials as blocks of 13 and 2, so two processes share eight tasks;
     # m=2700 draws each matrix in three row panels.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=str(Path(qlasso.__file__).resolve().parents[1]))
     cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300, 2700], trials=15)
-    outs = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
+    outs = []
+    for jobs in ("1", "2", "2"):
+        out = tmp_path / f"run{len(outs)}"
         subprocess.run([sys.executable, "-m", "qlasso.cli", "run-uniform", "--config", cfg,
-                        "--out", str(out), "--jobs", jobs], env=env, check=True, timeout=120,
+                        "--out", str(out), "--jobs", jobs], env=_subprocess_env(), check=True, timeout=120,
                        capture_output=True)
-        outs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert set(outs["1"]) == {"uniform_glasso.csv", "uniform_glasso.svg", "uniform_pbp.csv",
-                              "uniform_pbp.svg", "uniform_rates.csv"}
-    assert outs["1"] == outs["2"]
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert set(outs[0]) == {"uniform_glasso.csv", "uniform_glasso.svg", "uniform_pbp.csv",
+                            "uniform_pbp.svg", "uniform_rates.csv"}
+    assert outs[0] == outs[1] == outs[2]
 
 
-def test_cli_import_loads_no_process_pool():
+def test_calling_process_solves_blocks():
+    # The caller solves blocks next to its worker and the curves are bitwise those
+    # of one process. The count patches _block_buffers in the caller only: workers
+    # import the package afresh, and _solve_block is sent to them by name.
+    code = """if True:
+        import numpy as np, qlasso.experiment as ex
+        from qlasso import ExperimentConfig, Sparse, run_curve
+        cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble="gaussian",
+                               quantizer="uniform", delta=1.0, m_grid=(150, 200, 300, 2700), trials=15,
+                               master_seed=11)
+        one = run_curve(cfg, "glasso", jobs=1)
+        calls, orig = [], ex._block_buffers
+        ex._block_buffers = lambda n: calls.append(n) or orig(n)
+        two = run_curve(cfg, "glasso", jobs=2)
+        same = all(np.array_equal(getattr(one, f), getattr(two, f)) for f in ("errors", "iterations", "converged"))
+        print(len(calls), same)
+    """
+    env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120, capture_output=True, text=True)
+    blocks, same = out.stdout.split()
+    assert int(blocks) >= 1 and same == "True"
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
     # the pool modules are imported by a run with --jobs above 1, not by `import qlasso.cli`
-    env = dict(os.environ, PYTHONPATH=str(Path(qlasso.__file__).resolve().parents[1]))
-    code = "import sys, qlasso.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    # nor by a run with --jobs 1
+    cfg = _write_cfg(tmp_path)
+    code = (
+        "import sys, qlasso.cli; before = {'multiprocessing', 'concurrent.futures'} & set(sys.modules); "
+        f"qlasso.cli.main(['run-uniform', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}, '--jobs', '1']); "
+        "print(sorted(before), 'concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True, timeout=60,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "[] False False"
+
+
+def test_import_loads_no_numpy_and_cli_pins_blas():
+    # `import qlasso` loads no numpy, so `import qlasso.cli` sets every BLAS thread
+    # variable to 1 before numpy loads, over a value the environment gave
+    code = ("import os, sys, qlasso; print('numpy' in sys.modules); import qlasso.cli; "
+            "print(' '.join(os.environ.get(k, '-') for k in {!r}))".format(BLAS_VARS))
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(OPENBLAS_NUM_THREADS="4"), check=True,
+                         timeout=60, capture_output=True, text=True)
+    assert out.stdout.splitlines() == ["False", "1 1 1"]
 
 
 def test_nonconverged_solves_reported(tmp_path, capsys, monkeypatch):
