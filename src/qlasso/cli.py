@@ -1,14 +1,15 @@
 """Command-line front end: experiment runs, sweeps, verification, and tables.
 
-Subcommands: run-uniform, run-onebit, compare, delta-sweep, verify, widths,
-quantize-demo. Configuration is a flat JSON file (keys: n, s, norm, R,
-ensemble, quantizer, delta, m_grid, trials, seed, estimators, out_dir);
-flags override config keys, which override defaults. QLASSO_SEED is a
-fallback master seed. The subcommand fixes the quantizer (run-uniform and
-delta-sweep: uniform, run-onebit: one-bit); compare reads it from the config
-(default uniform) and verify ignores it. Exit codes: 0 success, 1 verification
-failure, 2 configuration error (before any trial runs: among others, a value
-of the wrong JSON type, a config "quantizer" contradicting the subcommand, an
+The table _COMMANDS holds the subcommands and the quantizer each one runs;
+compare reads it from the config (default uniform) and verify ignores it.
+Configuration is a flat JSON file whose keys, defaults and JSON types are the
+table _SETTINGS; flags override config keys, which override defaults.
+QLASSO_SEED is a fallback master seed. m_grid is a list of integers.
+delta-sweep runs at one m and sweeps a list "delta" (six widths by default),
+so a scalar delta or an m_grid of more than one value in its config is a
+configuration error. Exit codes: 0 success, 1 verification failure, 2
+configuration error (before any trial runs: among others, a value of the
+wrong JSON type, a config "quantizer" contradicting the subcommand, an
 estimator list with an unknown name, a repeat or, where no default fills it,
 no name, a non-finite norm, R or delta, or an n, s, trials, seed or m_grid
 entry that is not an integer), 3 runtime failure.
@@ -54,34 +55,24 @@ class VerificationFailure(Exception):
     pass
 
 
-_CONFIG_KEYS = {
-    "n", "s", "norm", "R", "ensemble", "quantizer", "delta",
-    "m_grid", "trials", "seed", "estimators", "out_dir",
+# Config key: (default, allowed JSON types). The counts have none: _integer
+# checks them where a subcommand reads them. A subcommand with a channel puts it
+# in place of the default quantizer, and a null m_grid takes the quantizer's
+# default grid.
+_SETTINGS = {
+    "n": (100, None),
+    "s": (25, None),
+    "norm": (8.0, (int, float)),
+    "R": (10.0, (int, float)),
+    "ensemble": ("rademacher", str),
+    "quantizer": ("uniform", str),
+    "delta": (3.0, (int, float, list)),
+    "m_grid": (None, (list, type(None))),
+    "trials": (200, None),
+    "seed": (0, None),
+    "estimators": (["glasso"], list),
+    "out_dir": (".", str),
 }
-
-_DEFAULTS = {
-    "n": 100,
-    "s": 25,
-    "norm": 8.0,
-    "R": 10.0,
-    "ensemble": "rademacher",
-    "delta": 3.0,
-    "m_grid": None,  # filled per quantizer
-    "trials": 200,
-    "seed": 0,
-    "estimators": ["glasso"],
-    "out_dir": ".",
-}
-
-# JSON types of the config values other than counts, which _integer checks;
-# a null m_grid takes the quantizer's default grid.
-_JSON_TYPES = {
-    "norm": (int, float), "R": (int, float), "delta": (int, float, list), "m_grid": (int, list, type(None)),
-    "ensemble": str, "quantizer": str, "out_dir": str, "estimators": list,
-}
-
-# The channel each subcommand runs; compare reads it from the config, verify ignores it.
-_CHANNEL = {"run-uniform": "uniform", "run-onebit": "one_bit", "delta-sweep": "uniform"}
 
 _DEFAULT_M_GRID = {
     "uniform": [200, 400, 700, 1000, 1400, 2000],
@@ -102,25 +93,28 @@ def _load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for key in raw:
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config field {key!r}")
     return raw
 
 
 def _resolve(args):
-    """Merge flag > config > env (seed only) > default into a settings dict."""
+    """Merge flag > config > env (seed only) > default into a settings dict; return it and the config's dict."""
     from_file = _load_config(args.config)
-    channel = _CHANNEL.get(args.command)
-    cfg = {**_DEFAULTS, "quantizer": channel or "uniform", **from_file}
-    for key, types in _JSON_TYPES.items():
-        if not isinstance(cfg[key], types) or isinstance(cfg[key], bool):
+    channel = _COMMANDS[args.command][1]
+    cfg = {key: default for key, (default, _) in _SETTINGS.items()}
+    if channel != "any":
+        cfg["quantizer"] = channel
+    cfg.update(from_file)
+    for key, (_, types) in _SETTINGS.items():
+        if types and (not isinstance(cfg[key], types) or isinstance(cfg[key], bool)):
             raise ConfigError(f"{key} has the wrong JSON type: {cfg[key]!r}")
     if cfg["quantizer"] not in _DEFAULT_M_GRID:
         raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
     # checked before compare and delta-sweep put their defaults in place of a short list
     if any(e not in ESTIMATORS for e in cfg["estimators"]):
         raise ConfigError(f"estimators must name some of {list(ESTIMATORS)}, got {cfg['estimators']!r}")
-    if channel and cfg["quantizer"] != channel:
+    if channel != "any" and cfg["quantizer"] != channel:
         raise ConfigError(f"{args.command} runs the {channel} quantizer, but the config sets {cfg['quantizer']!r}")
     if cfg["m_grid"] is None:
         cfg["m_grid"] = _DEFAULT_M_GRID[cfg["quantizer"]]
@@ -134,7 +128,7 @@ def _resolve(args):
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
-    return cfg
+    return cfg, from_file
 
 
 def _integer(key, value):
@@ -145,7 +139,7 @@ def _integer(key, value):
 
 
 def _experiment_config(cfg):
-    if cfg["quantizer"] == "uniform" and isinstance(cfg["delta"], (list, tuple)):
+    if cfg["quantizer"] == "uniform" and isinstance(cfg["delta"], list):
         raise ConfigError("this subcommand needs a scalar 'delta'; use delta-sweep for lists")
     try:
         return ExperimentConfig(
@@ -186,7 +180,7 @@ def _run_curves(ecfg, jobs, label=""):
 
 
 def _cmd_run(args):
-    cfg = _resolve(args)
+    cfg, _ = _resolve(args)
     ecfg = _experiment_config(cfg)
     if len(ecfg.m_grid) < 3:
         raise ConfigError(f"{args.command} fits rates and needs at least 3 m values, got {len(ecfg.m_grid)}")
@@ -216,7 +210,7 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    cfg = _resolve(args)
+    cfg, _ = _resolve(args)
     if len(cfg["estimators"]) < 2:
         cfg["estimators"] = ["glasso", "pbp", "dm"]
     ecfg = _experiment_config(cfg)
@@ -240,14 +234,13 @@ def _cmd_compare(args):
 
 
 def _cmd_sweep(args):
-    cfg = _resolve(args)
-    deltas = cfg["delta"]
-    if not isinstance(deltas, (list, tuple)):
-        deltas = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
-    if not deltas or not all(type(d) in (int, float) and d > 0 for d in deltas):
-        raise ConfigError(f"delta-sweep needs a nonempty list of positive 'delta' values, got {deltas}")
-    grid = cfg["m_grid"] if isinstance(cfg["m_grid"], (list, tuple)) else [_integer("m_grid", cfg["m_grid"])]
-    cfg["m_grid"] = grid[:1]
+    cfg, from_file = _resolve(args)
+    deltas = from_file.get("delta", [4.0, 2.0, 1.0, 0.5, 0.25, 0.125])
+    if not isinstance(deltas, list) or not deltas or not all(type(d) in (int, float) and d > 0 for d in deltas):
+        raise ConfigError(f"delta-sweep needs a nonempty list of positive 'delta' values, got {deltas!r}")
+    if len(from_file.get("m_grid") or []) > 1:
+        raise ConfigError(f"delta-sweep runs at one m, got m_grid {from_file['m_grid']}")
+    cfg["m_grid"] = cfg["m_grid"][:1]
     if len(cfg["estimators"]) < 2:
         cfg["estimators"] = ["glasso", "pbp"]
     # every per-delta config is checked before any trial runs
@@ -316,7 +309,7 @@ def _cmd_quantize_demo(args):
 def _cmd_verify(args):
     from . import verify  # imported here so that other subcommands do not load the checks
 
-    cfg = _resolve(args)
+    cfg, _ = _resolve(args)
     seed = _integer("seed", cfg["seed"])
     out, _ = _output_dir(cfg)
     lines = []
@@ -336,14 +329,17 @@ def _cmd_verify(args):
     return 0
 
 
+# Subcommand: (handler, channel). The channel is the quantizer the subcommand
+# runs, "any" where the config names it (compare; verify ignores it), or None
+# where the subcommand reads no config.
 _COMMANDS = {
-    "run-uniform": _cmd_run,
-    "run-onebit": _cmd_run,
-    "compare": _cmd_compare,
-    "delta-sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "widths": _cmd_widths,
-    "quantize-demo": _cmd_quantize_demo,
+    "run-uniform": (_cmd_run, "uniform"),
+    "run-onebit": (_cmd_run, "one_bit"),
+    "compare": (_cmd_compare, "any"),
+    "delta-sweep": (_cmd_sweep, "uniform"),
+    "verify": (_cmd_verify, "any"),
+    "widths": (_cmd_widths, None),
+    "quantize-demo": (_cmd_quantize_demo, None),
 }
 
 
@@ -353,9 +349,11 @@ def build_parser():
         description="Recovery from dithered quantized measurements via the Generalized Lasso.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("run-uniform", "run-onebit", "compare", "delta-sweep", "verify"):
-        p = sub.add_parser(name)
+    parsers = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, (_, channel) in _COMMANDS.items():
+        if channel is None:
+            continue
+        p = parsers[name]
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
@@ -363,11 +361,11 @@ def build_parser():
             p.add_argument("--jobs", type=int, default=1,
                            help="processes, this one included, one BLAS thread each")
 
-    widths = sub.add_parser("widths")
+    widths = parsers["widths"]
     widths.add_argument("--sparse", action="append", metavar="N:S")
     widths.add_argument("--lowrank", action="append", metavar="D:R")
 
-    demo = sub.add_parser("quantize-demo")
+    demo = parsers["quantize-demo"]
     demo.add_argument("--delta", type=float, action="append")
     demo.add_argument("--xmin", type=float, default=-5.0)
     demo.add_argument("--xmax", type=float, default=5.0)
@@ -380,7 +378,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

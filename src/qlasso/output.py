@@ -8,6 +8,7 @@ SVG plots are self-contained hand-rolled polylines on log-log axes with an
 optional dashed reference guide line.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -50,25 +51,11 @@ def write_error_curves_csv(path, curves: Sequence[ErrorCurve], cfg_hash: str) ->
 
 
 def read_error_curves_csv(path) -> list:
-    """Parse rows back into dicts; comment lines are skipped."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("estimator,"):
-                continue
-            est, m, mean, std, trials, shash = line.split(",")
-            rows.append(
-                {
-                    "estimator": est,
-                    "m": int(m),
-                    "mean_err": float(mean),
-                    "std_err": float(std),
-                    "trials": int(trials),
-                    "seed_hash": shash,
-                }
-            )
-    return rows
+    """Parse rows back into dicts keyed by the header; comment lines are skipped."""
+    types = {"m": int, "mean_err": float, "std_err": float, "trials": int}
+    with open(path, newline="") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return [{key: types.get(key, str)(value) for key, value in row.items()} for row in rows]
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -92,15 +79,14 @@ def write_svg_lineplot(
         all_y += list(guide[2])
     if not all_x or min(all_y) <= 0 or min(all_x) <= 0:
         raise ValueError("log-log plot needs positive data")
-    lx0, lx1 = math.log10(min(all_x)), math.log10(max(all_x))
-    ly0, ly1 = math.log10(min(all_y)), math.log10(max(all_y))
-    if lx1 == lx0:
-        lx1 = lx0 + 1
-    if ly1 == ly0:
-        ly1 = ly0 + 1
-    pad = 0.05
-    lx0, lx1 = lx0 - pad * (lx1 - lx0), lx1 + pad * (lx1 - lx0)
-    ly0, ly1 = ly0 - pad * (ly1 - ly0), ly1 + pad * (ly1 - ly0)
+
+    def span(values):
+        """The log10 range of `values`, a point widened to one decade, padded by 5% at each end."""
+        lo, hi = math.log10(min(values)), math.log10(max(values))
+        hi = hi if hi > lo else lo + 1
+        return lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+
+    (lx0, lx1), (ly0, ly1) = span(all_x), span(all_y)
 
     def px(x):
         return ml + (math.log10(x) - lx0) / (lx1 - lx0) * (width - ml - mr)
@@ -108,49 +94,36 @@ def write_svg_lineplot(
     def py(y):
         return height - mb - (math.log10(y) - ly0) / (ly1 - ly0) * (height - mt - mb)
 
+    def text(x, y, body, size=11, anchor="middle", attrs=""):
+        """A <text> element at (x, y); float coordinates print to one decimal, an anchor of None is left out."""
+        x, y = (f"{v:.1f}" if isinstance(v, float) else v for v in (x, y))
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        return f'<text x="{x}" y="{y}"{anchor} font-size="{size}" font-family="sans-serif"{attrs}>{body}</text>'
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{title}</text>',
+        text(width / 2, 24, title, size=15),
+        f'<rect x="{ml}" y="{mt}" width="{width-ml-mr}" height="{height-mt-mb}" fill="none" stroke="black"/>',
     ]
-    # axes box
-    parts.append(
-        f'<rect x="{ml}" y="{mt}" width="{width-ml-mr}" height="{height-mt-mb}" '
-        f'fill="none" stroke="black"/>'
-    )
     # decade ticks
     for d in range(math.ceil(lx0), math.floor(lx1) + 1):
         x = px(10.0**d)
         parts.append(f'<line x1="{x:.1f}" y1="{height-mb}" x2="{x:.1f}" y2="{height-mb+6}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x:.1f}" y="{height-mb+20}" text-anchor="middle" font-size="11" '
-            f'font-family="sans-serif">1e{d}</text>'
-        )
+        parts.append(text(x, height - mb + 20, f"1e{d}"))
     for d in range(math.ceil(ly0), math.floor(ly1) + 1):
         y = py(10.0**d)
         parts.append(f'<line x1="{ml-6}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{ml-10}" y="{y+4:.1f}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif">1e{d}</text>'
-        )
-    parts.append(
-        f'<text x="{(ml+width-mr)/2:.1f}" y="{height-16}" text-anchor="middle" font-size="13" '
-        f'font-family="sans-serif">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(mt+height-mb)/2:.1f}" text-anchor="middle" font-size="13" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {(mt+height-mb)/2:.1f})">{ylabel}</text>'
-    )
+        parts.append(text(ml - 10, y + 4, f"1e{d}", anchor="end"))
+    parts.append(text((ml + width - mr) / 2, height - 16, xlabel, size=13))
+    ymid = (mt + height - mb) / 2
+    parts.append(text(18, ymid, ylabel, size=13, attrs=f' transform="rotate(-90 18 {ymid:.1f})"'))
     if guide is not None:
         label, gx, gy = guide
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(gx, gy))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="red" stroke-dasharray="6,4"/>')
-        parts.append(
-            f'<text x="{px(gx[-1]):.1f}" y="{py(gy[-1])-6:.1f}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif" fill="red">{label}</text>'
-        )
+        parts.append(text(px(gx[-1]), py(gy[-1]) - 6, label, anchor="end", attrs=' fill="red"'))
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -159,9 +132,7 @@ def write_svg_lineplot(
             parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>')
         ly = mt + 16 + 16 * i
         parts.append(f'<line x1="{width-mr-130}" y1="{ly}" x2="{width-mr-105}" y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{width-mr-100}" y="{ly+4}" font-size="11" font-family="sans-serif">{label}</text>'
-        )
+        parts.append(text(width - mr - 100, ly + 4, label, anchor=None))
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -19,12 +19,15 @@ restart (O'Donoghue & Candes 2015). No step is computed in advance: each row
 keeps a curvature estimate L, starting from the Rayleigh quotient
 L0 = b^T G b / b^T b <= lambda_max(G), and steps x+ = P_K(y - grad L(y) / L)
 from its extrapolated point y. The step is accepted only if it passes the
-quadratic's descent test (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2; a row that
-fails raises L by BACKTRACK and redoes its step. So L never falls,
-and it rises only while it is below lambda_max(G). A row drops its momentum
-whenever its step runs against the gradient mapping L (y - x+), and stops
-once that mapping, with the accepted L, is at most GMAP_TOL ||b||. Where
-lambda_min(G) > 0, that stop bounds the distance to the minimizer:
+quadratic's descent test (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2, to a
+relative slack DESCENT_SLACK of four ulps, so that rounding cannot fail a
+step that ties the test exactly (a first step whose projection is inactive
+does, L0 being the Rayleigh quotient along b); a row that fails raises L by
+BACKTRACK and redoes its step. So L never falls, and it rises only while it
+is below lambda_max(G). A row drops its momentum whenever its step runs
+against the gradient mapping L (y - x+), and stops once that mapping, with
+the accepted L, is at most GMAP_TOL ||b||. Where lambda_min(G) > 0, that stop
+bounds the distance to the minimizer:
 ||y - x*|| <= 2 L ||y - x+|| / lambda_min(G) (for PGD, with y = x and L = 1 / eta).
 Both solvers also stop after max_iters iterations (MAX_ITERS by default).
 
@@ -86,8 +89,10 @@ GMAP_TOL = 1e-8
 MAX_ITERS = 10000
 
 # pgd_rows: the factor by which a row raises its curvature estimate L when a
-# step fails the descent test.
+# step fails the descent test, and the relative slack of that test, so that a
+# step which ties it in exact arithmetic passes whatever the rounding.
 BACKTRACK = 1.25
+DESCENT_SLACK = 1.0 + 4.0 * np.finfo(float).eps
 
 
 def glasso_solve(A, y, mu: float, project, radius, *, max_iters: int = MAX_ITERS) -> SolverResult:
@@ -144,7 +149,8 @@ def pgd_rows(G, b, radii, project, *, max_iters: int = MAX_ITERS):
 
     Each row starts from X = Y = 0, t = 1 and L = b^T G b / b^T b (1 where
     b = 0 or b^T G b <= 0), and forms X+ = project(Y - (G Y - b) / L). The
-    step is accepted if <Y - X+, G Y - G X+> <= L ||Y - X+||^2; rows that fail
+    step is accepted if <Y - X+, G Y - G X+> <= L ||Y - X+||^2 DESCENT_SLACK
+    (1 + 4 eps, so a tie in exact arithmetic passes); rows that fail
     set L *= BACKTRACK and redo the step, by themselves, until every row
     passes. Then a row restarts (t = 1, Y = X+) when <Y - X+, X+ - X> > 0,
     that is when the step X+ - X runs against the gradient mapping; otherwise
@@ -186,7 +192,7 @@ def pgd_rows(G, b, radii, project, *, max_iters: int = MAX_ITERS):
                 raise RuntimeError("iterate diverged to a non-finite value")
             gmap = Y - X_new
             gmap2 = np.einsum("ij,ij->i", gmap, gmap)
-            fail = np.flatnonzero(np.einsum("ij,ij->i", gmap, GY - GX_new) > L * gmap2)
+            fail = np.flatnonzero(np.einsum("ij,ij->i", gmap, GY - GX_new) > L * gmap2 * DESCENT_SLACK)
             if not fail.size:
                 break
             # only the failing rows redo the step; G[i] is read in place, as G[fail] would copy it

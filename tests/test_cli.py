@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import qlasso
 import qlasso.experiment
 import qlasso.verify
 from qlasso import ExperimentConfig, Sparse, fit_rate, run_curve
-from qlasso.cli import build_parser, main
+from qlasso.cli import _COMMANDS, _SETTINGS, build_parser, main
 from qlasso.output import read_error_curves_csv
 
 
@@ -302,7 +303,7 @@ def test_unknown_config_field(tmp_path):
 
 @pytest.mark.parametrize("command,overrides", [
     ("compare", dict(estimators=["pbp", "dm"])),
-    ("delta-sweep", dict(m_grid=[])),
+    ("delta-sweep", dict(m_grid=[], delta=[1.0])),
     ("delta-sweep", dict(delta=[])),
     ("delta-sweep", dict(delta=[1.0, -1.0])),
     ("run-uniform", dict(m_grid=[0, 200, 400])),
@@ -347,6 +348,9 @@ def test_unknown_config_field(tmp_path):
     ("run-uniform", dict(norm="3")),
     ("run-uniform", dict(norm=True)),
     ("run-uniform", dict(out_dir=5)),
+    # delta-sweep sweeps a list of deltas at one m
+    ("delta-sweep", dict(delta=1.5, m_grid=[150])),
+    ("delta-sweep", dict(delta=[1.5], m_grid=[150, 300])),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)
@@ -415,3 +419,12 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     failed = [line for line in report if line.startswith("[FAIL]")]
     assert len(failed) == 1 and failed[0].startswith("[FAIL] one-bit bias identity:")
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_readme_lists_the_settings_and_the_subcommands():
+    # the README's config example names every config key, and its subcommand table every subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert sorted(example) == sorted(_SETTINGS)
+    assert sorted(re.findall(r"^\| `([a-z-]+)` \|", section, re.M)) == sorted(_COMMANDS)

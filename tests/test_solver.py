@@ -23,7 +23,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.solver import BACKTRACK, GMAP_TOL, MAX_ITERS
+from qlasso.solver import BACKTRACK, DESCENT_SLACK, GMAP_TOL, MAX_ITERS
 
 
 def _instance(seed, m=300, n=50, s=10, delta=1.0):
@@ -113,7 +113,7 @@ def _fista_restart(G, b, radius, iters):
     """FISTA with backtracking and gradient restart over an l1 ball, for at most `iters` iterations.
 
     The curvature estimate starts at b^T G b / b^T b and rises by BACKTRACK
-    until (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2. The run stops after the
+    until (x+ - y)^T G (x+ - y) <= L ||x+ - y||^2 DESCENT_SLACK. The run stops after the
     iteration with L ||y - x+|| <= GMAP_TOL ||b||. Returns the last iterate,
     the number of iterations, restarts and backtracks, and the last accepted L.
     """
@@ -124,7 +124,7 @@ def _fista_restart(G, b, radius, iters):
         while True:
             x_new = project_l1_ball(y - (G @ y - b) / L, radius)
             d = x_new - y
-            if d @ G @ d <= L * (d @ d):
+            if d @ G @ d <= L * (d @ d) * DESCENT_SLACK:
                 break
             L *= BACKTRACK
             backtracks += 1
@@ -412,15 +412,15 @@ def test_certified_step_is_safe_and_tight(case):
 
 
 # Every step on c I, and a step along u on u u^T, ties the descent test at L = lambda_max in exact
-# arithmetic, so rounding decides whether it backtracks.
+# arithmetic; the test's slack DESCENT_SLACK lets such a step pass whatever the rounding.
 TIED_CASES = ("scaled identity", "rank one")
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_certified_step_equals_a_certificate_on_a_fresh_matrix(case):
     # pgd_rows compacts G in place; every row of the stack ends bitwise where its own solve on a fresh
-    # copy of its Gram matrix ends, which backtracks exactly where the reference's descent test fails.
-    # Where that test ties, the two may decide it differently, and only their minimizers must agree
+    # copy of its Gram matrix ends, which backtracks exactly where the reference's descent test fails,
+    # ties included
     G, b, radii = _step_problems(case)
     X, iters, conv = pgd_rows(G.copy(), b, radii, project_l1_rows)
     assert conv.all()
@@ -428,25 +428,21 @@ def test_certified_step_equals_a_certificate_on_a_fresh_matrix(case):
         x_alone, it_alone, _, inputs = _solve_alone(g, b_i, r)
         assert x_alone.tobytes() == x.tobytes() and it_alone == it
         ref, ref_iters, _, backtracks, _ = _fista_restart(g, b_i, r, MAX_ITERS)
-        if case in TIED_CASES:
-            assert ref_iters < MAX_ITERS
-            assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
-        else:
-            assert ref_iters == it and backtracks == len(inputs) - it
-            np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
+        assert ref_iters == it and backtracks == len(inputs) - it
+        np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", TIED_CASES)
 def test_certified_step_holds_where_lanczos_breaks_down(case):
     # with b = G x0 in the top eigenspace (c I has one eigenvalue; G x0 is along u for u u^T),
     # L0 = b^T G b / b^T b is lambda_max and the first step is 1 / lambda_max. Every later step ties the
-    # descent test at L = lambda_max in exact arithmetic, so rounding may backtrack once, and no more
+    # descent test at L = lambda_max in exact arithmetic, which the slack passes: no step backtracks
     G, b, radii = _step_problems(case, noise=0.0)
     lam_max = np.linalg.eigvalsh(G)[:, -1]
     for g, b_i, r, lam in zip(G, b, radii, lam_max):
         x, iters, conv, inputs = _solve_alone(g, b_i, r)
         np.testing.assert_allclose(inputs[0], b_i / lam, rtol=1e-13)
-        assert conv and len(inputs) - iters <= 1
+        assert conv and len(inputs) == iters
         eta = float(inverse_lipschitz_step(g))
         gmap = np.linalg.norm(x - project_l1_ball(x - eta * (g @ x - b_i), r)) / eta
         assert gmap <= 4 * GMAP_TOL * np.linalg.norm(b_i)
