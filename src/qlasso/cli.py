@@ -14,12 +14,12 @@ estimator list with an unknown name, a repeat or, where no default fills it,
 no name, a non-finite norm, R or delta, or an n, s, trials, seed or m_grid
 entry that is not an integer), 3 runtime failure.
 
-Every CLI process runs BLAS on one thread, as the --jobs workers do, so the
-outputs follow from the seed whatever --jobs and the environment say:
-importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS to 1 before numpy loads. Where numpy is already loaded (a
-library caller or a test importing this module), that could not take effect,
-and the environment is left as it is.
+Every CLI process runs BLAS on one thread, and the --jobs workers, forked
+from it, keep that setting, so the outputs follow from the seed whatever
+--jobs and the environment say: importing this module sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy
+loads. Where numpy is already loaded (a library caller or a test importing
+this module), that could not take effect, and the environment is left as it is.
 """
 
 import argparse

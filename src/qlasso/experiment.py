@@ -8,9 +8,7 @@ comparisons are valid.
 """
 
 import math
-import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -23,8 +21,6 @@ from .solver import MAX_ITERS, pgd_rows
 from .streams import substream
 
 ESTIMATORS = ("glasso", "pbp", "dm")
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -194,29 +190,15 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     return out
 
 
-@contextmanager
-def _one_blas_thread():
-    """Environment in which spawned workers start with a single BLAS thread each."""
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
-    os.environ.update({k: "1" for k in _BLAS_THREAD_VARS})
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def _map_blocks(tasks: list, jobs: int) -> list:
     """_solve_block of every task, in task order, from min(jobs, len(tasks)) processes, this one included.
 
-    The others are spawned workers with one BLAS thread each (none, and no pool
-    module imported, for one process). They take the tasks from the back of
-    the list, and this process takes them from the front, in order, until it
-    meets one a worker has started: one whose future it cannot cancel. Should a
-    block raise, the futures not yet started are cancelled.
+    The others are workers forked from this process (none, and no pool module
+    imported, for one process), so they run its modules and its BLAS setting
+    and round as it does. They take the tasks from the back of the list, and
+    this process takes them from the front, in order, until it meets one a
+    worker has started: one whose future it cannot cancel. Should a block
+    raise, the futures not yet started are cancelled.
     """
     pool, futures, results = None, [], []
     try:
@@ -225,13 +207,9 @@ def _map_blocks(tasks: list, jobs: int) -> list:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            # Spawned, not forked: each worker loads BLAS afresh and reads the
-            # one-thread setting from its environment, so N workers keep N cores
-            # busy instead of starting N BLAS thread pools. Workers start as
-            # tasks are submitted, hence the submissions within that setting.
-            pool = ProcessPoolExecutor(min(jobs, len(tasks)) - 1, mp_context=multiprocessing.get_context("spawn"))
-            with _one_blas_thread():
-                futures = [pool.submit(_solve_block, *t) for t in reversed(tasks)][::-1]
+            # a fork pool forks its workers at the first submission, before it starts its manager thread
+            pool = ProcessPoolExecutor(min(jobs, len(tasks)) - 1, mp_context=multiprocessing.get_context("fork"))
+            futures = [pool.submit(_solve_block, *t) for t in reversed(tasks)][::-1]
         for i, task in enumerate(tasks):
             if pool is not None and not futures[i].cancel():
                 break
@@ -271,11 +249,12 @@ def run_curve(
     `estimator` is one name, which returns its ErrorCurve, or a sequence of
     names, which returns {name: ErrorCurve} computed from the same draws.
     Trials run in blocks of block_size(cfg.n), and the (m, block) tasks are
-    shared by `jobs` processes: this one and jobs - 1 spawned workers, each
-    with one BLAS thread. A trial's result does not depend on its block or its
-    process, so the curves do not depend on jobs wherever BLAS rounds alike in
-    this process and the workers: the CLI runs one BLAS thread; a library
-    caller sets OPENBLAS_NUM_THREADS=1 (or OMP_ or MKL_) before numpy loads.
+    shared by `jobs` processes: this one and jobs - 1 workers forked from it,
+    which keep its BLAS setting. A trial's result does not depend on its block
+    or its process, so the curves do not depend on jobs. jobs > 1 needs the
+    fork start method (Linux), and is fastest with one BLAS thread a process:
+    the CLI runs one; a library caller sets OPENBLAS_NUM_THREADS=1 (or OMP_ or
+    MKL_) before numpy loads.
     """
     names = _check_estimators(estimator)
     step = block_size(cfg.n)

@@ -141,10 +141,10 @@ def _subprocess_env(**blas):
 
 
 def test_jobs_do_not_change_outputs(tmp_path):
-    # With no BLAS thread variable set, BLAS would run a thread per core in the
-    # main process and one in each worker, and OpenBLAS rounds a Gaussian Gram
-    # matrix differently with more threads. The CLI pins every process to one
-    # thread, so --jobs 1 and --jobs 2 write the same bytes, run to run.
+    # With no BLAS thread variable set, BLAS would run a thread per core in
+    # every process, and OpenBLAS rounds a Gaussian Gram matrix differently with
+    # more threads. The CLI pins itself to one thread and its forked workers
+    # keep that, so --jobs 1 and --jobs 2 write the same bytes, run to run.
     # n=100 runs 15 trials as blocks of 13 and 2, so two processes share eight tasks;
     # m=2700 draws each matrix in three row panels.
     cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300, 2700], trials=15)
@@ -160,27 +160,82 @@ def test_jobs_do_not_change_outputs(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+# A library caller's Gaussian curve at jobs=1 and jobs=2: the caller's calls of
+# _block_buffers during the jobs=2 run, and whether the two curves are bitwise equal.
+_GAUSSIAN_JOBS_CODE = """if True:
+    import numpy as np, qlasso.experiment as ex
+    from qlasso import ExperimentConfig, Sparse, run_curve
+    cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble="gaussian",
+                           quantizer="uniform", delta=1.0, m_grid=(150, 200, 300, 2700), trials=15,
+                           master_seed=11)
+    one = run_curve(cfg, "glasso", jobs=1)
+    calls, orig = [], ex._block_buffers
+    ex._block_buffers = lambda n: calls.append(n) or orig(n)
+    two = run_curve(cfg, "glasso", jobs=2)
+    same = all(np.array_equal(getattr(one, f), getattr(two, f)) for f in ("errors", "iterations", "converged"))
+    print(len(calls), same)
+"""
+
+
 def test_calling_process_solves_blocks():
     # The caller solves blocks next to its worker and the curves are bitwise those
-    # of one process. The count patches _block_buffers in the caller only: workers
-    # import the package afresh, and _solve_block is sent to them by name.
+    # of one process. The count is the caller's: a forked worker appends to its own
+    # copy of the list.
+    env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
+    out = subprocess.run([sys.executable, "-c", _GAUSSIAN_JOBS_CODE], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    blocks, same = out.stdout.split()
+    assert int(blocks) >= 1 and same == "True"
+
+
+def test_forked_workers_round_as_an_unpinned_caller():
+    # A caller that leaves BLAS on two threads forks workers with two threads as
+    # well, so each block rounds in a worker as it would in the caller.
+    env = _subprocess_env(OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", _GAUSSIAN_JOBS_CODE], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    assert out.stdout.split()[1] == "True"
+
+
+def test_pool_runs_from_a_script_without_main_guard(tmp_path):
+    # forked workers do not run the calling script again, so it needs no __main__ guard
+    script = tmp_path / "curve.py"
+    script.write_text(
+        "from qlasso import ExperimentConfig, Sparse, run_curve\n"
+        "cfg = ExperimentConfig(n=30, structure=Sparse(5), norm_target=3.0, R=4.0, ensemble='gaussian',\n"
+        "                       quantizer='uniform', delta=1.0, m_grid=(100, 200), trials=2, master_seed=3)\n"
+        "print(run_curve(cfg, 'glasso', jobs=2).errors.shape)\n"
+    )
+    out = subprocess.run([sys.executable, str(script)], env=_subprocess_env(), check=True, timeout=60,
+                         capture_output=True, text=True)
+    assert out.stdout.split("\n")[0] == "(2, 2)"
+
+
+def test_dying_worker_breaks_the_pool():
+    # a forked worker inherits the patched _solve_block and exits at its first block;
+    # the caller raises BrokenProcessPool instead of waiting for its results
     code = """if True:
-        import numpy as np, qlasso.experiment as ex
+        import os, qlasso.experiment as ex
+        from concurrent.futures.process import BrokenProcessPool
         from qlasso import ExperimentConfig, Sparse, run_curve
+        caller, solve = os.getpid(), ex._solve_block
+        def dying(*task):
+            if os.getpid() != caller:
+                os._exit(3)
+            return solve(*task)
+        ex._solve_block = dying
         cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble="gaussian",
                                quantizer="uniform", delta=1.0, m_grid=(150, 200, 300, 2700), trials=15,
                                master_seed=11)
-        one = run_curve(cfg, "glasso", jobs=1)
-        calls, orig = [], ex._block_buffers
-        ex._block_buffers = lambda n: calls.append(n) or orig(n)
-        two = run_curve(cfg, "glasso", jobs=2)
-        same = all(np.array_equal(getattr(one, f), getattr(two, f)) for f in ("errors", "iterations", "converged"))
-        print(len(calls), same)
+        try:
+            run_curve(cfg, "glasso", jobs=2)
+        except BrokenProcessPool:
+            print("broken")
     """
     env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120, capture_output=True, text=True)
-    blocks, same = out.stdout.split()
-    assert int(blocks) >= 1 and same == "True"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True,
+                         text=True)
+    assert out.stdout.split() == ["broken"]
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

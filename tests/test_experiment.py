@@ -1,6 +1,4 @@
-import contextlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -30,7 +28,6 @@ from qlasso import (
 )
 from qlasso.experiment import (
     ESTIMATORS,
-    _one_blas_thread,
     onebit_eta2_formula,
     onebit_xi_mean_literal,
     onebit_xi_mean_norm_scaled,
@@ -348,20 +345,3 @@ def test_xi_literal_vs_norm_scaled():
 def test_moment_check_refuses_small_samples():
     with pytest.raises(ValueError):
         onebit_moment_check(1.0, 4.0, 4.0, 100, substream(1, "mom"))
-
-
-@pytest.mark.parametrize("body_raises", [False, True])
-def test_one_blas_thread_pins_and_restores_the_environment(body_raises, monkeypatch):
-    # inside, every BLAS thread variable reads "1"; afterwards a set variable has its value back and an
-    # unset one is unset again, whether the body returned or raised
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    with pytest.raises(RuntimeError) if body_raises else contextlib.nullcontext():
-        with _one_blas_thread():
-            inside = [os.environ.get(k) for k in names]
-            if body_raises:
-                raise RuntimeError("the body failed")
-    assert inside == ["1", "1", "1"]
-    assert [os.environ.get(k) for k in names] == ["4", None, None]
