@@ -14,12 +14,14 @@ estimator list with an unknown name, a repeat or, where no default fills it,
 no name, a non-finite norm, R or delta, or an n, s, trials, seed or m_grid
 entry that is not an integer), 3 runtime failure.
 
-Every CLI process runs BLAS on one thread, and the --jobs workers, forked
-from it, keep that setting, so the outputs follow from the seed whatever
---jobs and the environment say: importing this module sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy
-loads. Where numpy is already loaded (a library caller or a test importing
-this module), that could not take effect, and the environment is left as it is.
+--jobs N > 1 runs every block in N workers forked from this process, which
+waits for them; --jobs 1 runs them here and starts no worker. Every CLI
+process runs BLAS on one thread, and the forked workers keep that setting,
+so the outputs follow from the seed whatever --jobs and the environment
+say: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy loads. Where numpy is already loaded (a
+library caller or a test importing this module), that could not take
+effect, and the environment is left as it is.
 """
 
 import argparse
@@ -240,7 +242,8 @@ def _cmd_sweep(args):
         raise ConfigError(f"delta-sweep needs a nonempty list of positive 'delta' values, got {deltas!r}")
     if len(from_file.get("m_grid") or []) > 1:
         raise ConfigError(f"delta-sweep runs at one m, got m_grid {from_file['m_grid']}")
-    cfg["m_grid"] = cfg["m_grid"][:1]
+    # the config hash covers the grid and the deltas that the sweep runs
+    cfg["m_grid"], cfg["delta"] = cfg["m_grid"][:1], deltas
     if len(cfg["estimators"]) < 2:
         cfg["estimators"] = ["glasso", "pbp"]
     # every per-delta config is checked before any trial runs
@@ -359,7 +362,7 @@ def build_parser():
         p.add_argument("--out", help="output directory (overrides config)")
         if name != "verify":
             p.add_argument("--jobs", type=int, default=1,
-                           help="processes, this one included, one BLAS thread each")
+                           help="worker processes forked from this one, one BLAS thread each; 1 runs here")
 
     widths = parsers["widths"]
     widths.add_argument("--sparse", action="append", metavar="N:S")

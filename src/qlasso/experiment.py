@@ -191,35 +191,27 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
 
 
 def _map_blocks(tasks: list, jobs: int) -> list:
-    """_solve_block of every task, in task order, from min(jobs, len(tasks)) processes, this one included.
+    """_solve_block of every task, in task order: here for one process, else in min(jobs, len(tasks)) workers.
 
-    The others are workers forked from this process (none, and no pool module
-    imported, for one process), so they run its modules and its BLAS setting
-    and round as it does. They take the tasks from the back of the list, and
-    this process takes them from the front, in order, until it meets one a
-    worker has started: one whose future it cannot cancel. Should a block
-    raise, the futures not yet started are cancelled.
+    The workers are forked from this process, which solves no block and waits
+    for their results (one process imports no pool module). So they run its
+    modules and its BLAS setting and round as it does. Should a block raise,
+    or a worker die, the tasks not yet started are cancelled and the error is
+    raised here once the pool has shut down.
     """
-    pool, futures, results = None, [], []
-    try:
-        if jobs > 1 and len(tasks) > 1:
-            # imported here so that a run in one process, and every other subcommand, does not load them
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        try:
+            return [_solve_block(*t) for t in tasks]
+        finally:
+            _buffers.slot = None
+    # imported here so that a run in one process, and every other subcommand, does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-            # a fork pool forks its workers at the first submission, before it starts its manager thread
-            pool = ProcessPoolExecutor(min(jobs, len(tasks)) - 1, mp_context=multiprocessing.get_context("fork"))
-            futures = [pool.submit(_solve_block, *t) for t in reversed(tasks)][::-1]
-        for i, task in enumerate(tasks):
-            if pool is not None and not futures[i].cancel():
-                break
-            results.append(_solve_block(*task))
-        results += [f.result() for f in futures[len(results):]]
-    finally:
-        _buffers.slot = None
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return results
+    # a fork pool forks its workers at the first submission, before it starts its manager thread
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_solve_block, *zip(*tasks)))
 
 
 def _check_estimators(names) -> Tuple[str, ...]:
@@ -248,10 +240,11 @@ def run_curve(
 
     `estimator` is one name, which returns its ErrorCurve, or a sequence of
     names, which returns {name: ErrorCurve} computed from the same draws.
-    Trials run in blocks of block_size(cfg.n), and the (m, block) tasks are
-    shared by `jobs` processes: this one and jobs - 1 workers forked from it,
-    which keep its BLAS setting. A trial's result does not depend on its block
-    or its process, so the curves do not depend on jobs. jobs > 1 needs the
+    Trials run in blocks of block_size(cfg.n). jobs=1 solves the (m, block)
+    tasks in this process; jobs > 1 shares them among `jobs` workers forked
+    from it, which keep its BLAS setting, while this process waits. A trial's
+    result does not depend on its block or its process, so the curves do not
+    depend on jobs. jobs > 1 needs the
     fork start method (Linux), and is fastest with one BLAS thread a process:
     the CLI runs one; a library caller sets OPENBLAS_NUM_THREADS=1 (or OMP_ or
     MKL_) before numpy loads.

@@ -145,7 +145,7 @@ def test_jobs_do_not_change_outputs(tmp_path):
     # every process, and OpenBLAS rounds a Gaussian Gram matrix differently with
     # more threads. The CLI pins itself to one thread and its forked workers
     # keep that, so --jobs 1 and --jobs 2 write the same bytes, run to run.
-    # n=100 runs 15 trials as blocks of 13 and 2, so two processes share eight tasks;
+    # n=100 runs 15 trials as blocks of 13 and 2, so two workers share eight tasks;
     # m=2700 draws each matrix in three row panels.
     cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300, 2700], trials=15)
     outs = []
@@ -177,15 +177,14 @@ _GAUSSIAN_JOBS_CODE = """if True:
 """
 
 
-def test_calling_process_solves_blocks():
-    # The caller solves blocks next to its worker and the curves are bitwise those
-    # of one process. The count is the caller's: a forked worker appends to its own
-    # copy of the list.
+def test_forked_workers_solve_every_block():
+    # The workers solve every block while the caller waits, and the curves are bitwise
+    # those of one process. The count is the caller's: a forked worker appends to its
+    # own copy of the list.
     env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
     out = subprocess.run([sys.executable, "-c", _GAUSSIAN_JOBS_CODE], env=env, check=True, timeout=120,
                          capture_output=True, text=True)
-    blocks, same = out.stdout.split()
-    assert int(blocks) >= 1 and same == "True"
+    assert out.stdout.split() == ["0", "True"]
 
 
 def test_forked_workers_round_as_an_unpinned_caller():
@@ -211,31 +210,53 @@ def test_pool_runs_from_a_script_without_main_guard(tmp_path):
     assert out.stdout.split("\n")[0] == "(2, 2)"
 
 
-def test_dying_worker_breaks_the_pool():
-    # a forked worker inherits the patched _solve_block and exits at its first block;
-    # the caller raises BrokenProcessPool instead of waiting for its results
-    code = """if True:
-        import os, qlasso.experiment as ex
-        from concurrent.futures.process import BrokenProcessPool
-        from qlasso import ExperimentConfig, Sparse, run_curve
-        caller, solve = os.getpid(), ex._solve_block
-        def dying(*task):
-            if os.getpid() != caller:
-                os._exit(3)
-            return solve(*task)
-        ex._solve_block = dying
-        cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble="gaussian",
-                               quantizer="uniform", delta=1.0, m_grid=(150, 200, 300, 2700), trials=15,
-                               master_seed=11)
-        try:
-            run_curve(cfg, "glasso", jobs=2)
-        except BrokenProcessPool:
-            print("broken")
-    """
+# A library caller's curve at jobs=2 whose blocks run FAIL in a forked worker (which
+# inherits the patched _solve_block): the caller prints the error run_curve raises,
+# then "no child" if it has no child process left, not even a zombie.
+_FAILING_WORKER_CODE = """if True:
+    import os, qlasso.experiment as ex
+    from qlasso import ExperimentConfig, Sparse, run_curve
+    caller, solve = os.getpid(), ex._solve_block
+    def failing(*task):
+        if os.getpid() != caller:
+            FAIL
+        return solve(*task)
+    ex._solve_block = failing
+    cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble="gaussian",
+                           quantizer="uniform", delta=1.0, m_grid=(150, 200, 300, 2700), trials=15,
+                           master_seed=11)
+    try:
+        run_curve(cfg, "glasso", jobs=2)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child")
+"""
+
+
+def _run_failing_worker(fail):
+    """stdout lines and stderr of _FAILING_WORKER_CODE with its blocks running `fail` in a worker."""
     env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True,
-                         text=True)
-    assert out.stdout.split() == ["broken"]
+    out = subprocess.run([sys.executable, "-c", _FAILING_WORKER_CODE.replace("FAIL", fail)], env=env, check=True,
+                         timeout=60, capture_output=True, text=True)
+    return out.stdout.splitlines(), out.stderr
+
+
+def test_dying_worker_breaks_the_pool():
+    # the caller raises BrokenProcessPool instead of waiting for the results, prints
+    # no traceback from the pool's own thread, and leaves no zombie behind
+    lines, err = _run_failing_worker("os._exit(3)")
+    assert [line.split(":")[0] for line in lines] == ["BrokenProcessPool", "no child"]
+    assert "InvalidStateError" not in err
+
+
+def test_raising_worker_block_reaches_the_caller():
+    # the error of a block raised in a worker is raised again by run_curve
+    lines, err = _run_failing_worker("raise ValueError('block failed in a worker')")
+    assert lines == ["ValueError: block failed in a worker", "no child"]
+    assert "InvalidStateError" not in err
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
@@ -301,6 +322,18 @@ def test_delta_sweep_outputs(tmp_path):
     lines = (tmp_path / "out" / "delta_sweep.csv").read_text().splitlines()
     assert lines[1] == "estimator,delta,mean_err,std_err,trials"
     assert (tmp_path / "out" / "delta_sweep.svg").exists()
+
+
+def test_delta_sweep_hashes_the_deltas_it_runs(tmp_path):
+    # a config that omits delta sweeps the six default widths, so it writes the hash of one that lists them
+    comment_lines = []
+    for k, delta in enumerate((None, [4.0, 2.0, 1.0, 0.5, 0.25, 0.125], [4.0, 2.0])):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(json.dumps(dict(n=30, s=5, norm=3.0, R=4.0, m_grid=[100], trials=1, seed=11,
+                                       **({} if delta is None else {"delta": delta}))))
+        assert main(["delta-sweep", "--config", str(cfg), "--out", str(tmp_path / f"d{k}")]) == 0
+        comment_lines.append((tmp_path / f"d{k}" / "delta_sweep.csv").read_text().splitlines()[0])
+    assert comment_lines[0] == comment_lines[1] != comment_lines[2]
 
 
 def test_one_name_estimator_list_takes_the_defaults(tmp_path):

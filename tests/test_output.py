@@ -48,5 +48,7 @@ def test_run_uniform_comment_line(tmp_path):
 
 
 def test_delta_sweep_comment_line(tmp_path):
+    # the hash covers the six default deltas the sweep runs, not the scalar default delta
+    # of the other subcommands, which it covered before (config_hash=fc8c6773fa68d848)
     line = _comment_line(tmp_path, "delta-sweep", "delta_sweep.csv")
-    assert line == "# master_seed=11 config_hash=fc8c6773fa68d848"
+    assert line == "# master_seed=11 config_hash=f2d56c77038510d9"
