@@ -20,33 +20,27 @@ _EXPORTS = {
     "experiment": (
         "ErrorCurve",
         "ExperimentConfig",
-        "MomentReport",
         "RateFit",
         "block_size",
         "fit_rate",
         "onebit_dither_range",
-        "onebit_moment_check",
         "run_curve",
         "run_trial",
     ),
     "geometry": (
-        "estimate_smallball_inf",
         "gw_bound_lowrank",
         "gw_bound_sparse",
         "project_l1_ball",
         "project_l1_rows",
         "project_nuclear_ball",
         "project_nuclear_rows",
-        "sample_descent_directions",
     ),
     "quantizer": (
         "OneBitQuantizer",
         "UniformQuantizer",
-        "dither_mean_residual",
         "measure",
         "one_bit_mean_formula",
         "one_bit_quantize",
-        "quantization_noise",
         "sample_dither",
         "uniform_quantize",
     ),

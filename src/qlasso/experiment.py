@@ -1,5 +1,5 @@
-"""Monte Carlo harness: error curves over m, rate fitting, and verification
-of the Gaussian one-bit moment formulas.
+"""Monte Carlo harness: error curves over m, rate fitting, and the closed forms
+of the Gaussian one-bit moments (qlasso.verify checks them by sampling).
 
 Trial substreams are keyed by (master_seed, m, trial_id) plus a purpose tag,
 never by estimator or by the quantizer resolution, so different estimators
@@ -16,7 +16,7 @@ import numpy as np
 
 from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
 from .geometry import project_l1_rows, project_nuclear_rows
-from .quantizer import OneBitQuantizer, UniformQuantizer, measure, sample_dither
+from .quantizer import OneBitQuantizer, UniformQuantizer, measure
 from .solver import MAX_ITERS, pgd_rows
 from .streams import substream
 
@@ -339,47 +339,3 @@ def onebit_eta2_formula(norm_x0: float, T: float, mu: float) -> float:
     s = norm_x0
     t = T / s if s > 0 else math.inf
     return mu * mu + s * s - 2.0 * (mu / T) * s * s * (1.0 - 2.0 * qfunc(t))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    xi_mc: float
-    xi_se: float
-    xi_formula_literal: float
-    xi_formula_norm_scaled: float
-    xi2_mc: float
-    xi2_se: float
-    xi2_formula: float
-    eta2_mc: float
-    eta2_se: float
-    eta2_formula: float
-
-
-def onebit_moment_check(
-    norm_x0: float, T: float, mu: float, N: int, rng: np.random.Generator
-) -> MomentReport:
-    """Monte Carlo moments of the one-bit Gaussian scalar model vs closed forms.
-
-    Model: zeta ~ N(0,1), tau ~ Unif[-T, T],
-    eta = mu * sign(norm_x0 * zeta + tau) - norm_x0 * zeta, xi = eta * zeta.
-    """
-    if N < 10**4:
-        raise ValueError("N < 1e4 gives uninformative standard errors; refuse")
-    zeta = rng.standard_normal(N)
-    tau = sample_dither(OneBitQuantizer(T), rng, N)
-    sgn = np.where(norm_x0 * zeta + tau >= 0, 1.0, -1.0)
-    eta = mu * sgn - norm_x0 * zeta
-    xi = eta * zeta
-    sqn = math.sqrt(N)
-    return MomentReport(
-        xi_mc=float(xi.mean()),
-        xi_se=float(xi.std() / sqn),
-        xi_formula_literal=onebit_xi_mean_literal(norm_x0, T, mu),
-        xi_formula_norm_scaled=onebit_xi_mean_norm_scaled(norm_x0, T, mu),
-        xi2_mc=float((xi**2).mean()),
-        xi2_se=float((xi**2).std() / sqn),
-        xi2_formula=onebit_xi2_formula(norm_x0, T, mu),
-        eta2_mc=float((eta**2).mean()),
-        eta2_se=float((eta**2).std() / sqn),
-        eta2_formula=onebit_eta2_formula(norm_x0, T, mu),
-    )

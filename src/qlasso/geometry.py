@@ -1,4 +1,4 @@
-"""Exact Euclidean projections onto norm balls, and tangent-cone diagnostics.
+"""Exact Euclidean projections onto norm balls, and tangent-cone width bounds.
 
 A constraint set K is its row projection project(V, radii), which maps a
 (k, n) stack of points and one radius per row (or one for all) to their
@@ -87,45 +87,3 @@ def gw_bound_lowrank(d: int, r: int) -> float:
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     return math.sqrt(6.0 * d * r)
-
-
-def sample_descent_directions(project, radius, x0: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample unit vectors in the descent cone of K at x0, stacked as rows.
-
-    K is the set the row projection `project` maps onto with `radius`. Each
-    direction is the normalized displacement P_K(x0 + delta * g) - x0 for
-    standard normal g, with probe scale delta = 0.01 * ||x0||_2 (0.01 when
-    x0 = 0). Displacements below 1e-12 are discarded and resampled. An anchor
-    farther than 1e-9 from its projection is not in K and raises ValueError.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if np.linalg.norm(project(x0[None], radius)[0] - x0) > 1e-9:
-        raise ValueError("anchor x0 is not feasible for K")
-    norm_x0 = np.linalg.norm(x0)
-    delta = 0.01 * norm_x0 if norm_x0 > 0 else 0.01
-    out = np.empty((count, x0.size))
-    filled = 0
-    while filled < count:
-        g = rng.standard_normal(x0.size)
-        w = project((x0 + delta * g)[None], radius)[0] - x0
-        norm_w = np.linalg.norm(w)
-        if norm_w < 1e-12:
-            continue
-        out[filled] = w / norm_w
-        filled += 1
-    return out
-
-
-def estimate_smallball_inf(A, project, radius, x0, N_d: int, rng: np.random.Generator) -> float:
-    """Minimum of (1/m) ||A w||_2^2 over N_d sampled descent directions of the
-    set `project` maps onto with `radius`, at x0.
-
-    This is an upper estimate of the restricted-eigenvalue infimum used as a
-    diagnostic that the lower-bound side of the error analysis is active.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape[1] != np.asarray(x0).shape[0]:
-        raise ValueError("dimension mismatch between A and x0")
-    W = sample_descent_directions(project, radius, x0, N_d, rng)
-    vals = np.sum((A @ W.T) ** 2, axis=0) / A.shape[0]
-    return float(vals.min())

@@ -93,37 +93,6 @@ def measure(
     return apply_quantizer(q, A @ x0 + tau)
 
 
-def quantization_noise(y: np.ndarray, A: np.ndarray, x0, mu: float) -> np.ndarray:
-    """Estimator-facing discrepancy e_i = mu * y_i - a_i^T x0."""
-    x0 = np.asarray(x0, dtype=float)
-    if A.shape != (y.shape[0], x0.shape[0]):
-        raise ValueError("dimension mismatch between observations, matrix and signal")
-    return mu * y - A @ x0
-
-
-@dataclass(frozen=True)
-class MeanResidual:
-    mean: float
-    stderr: float
-
-
-def dither_mean_residual(
-    x: float,
-    q: UniformQuantizer | OneBitQuantizer,
-    mu: float,
-    N: int,
-    rng: np.random.Generator,
-) -> MeanResidual:
-    """Monte Carlo estimate of E_tau[mu * Q(x + tau)] - x with its standard error."""
-    if N < 1:
-        raise ValueError("need at least one sample")
-    tau = sample_dither(q, rng, N)
-    vals = mu * apply_quantizer(q, x + tau) - x
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals) / np.sqrt(N))
-    return MeanResidual(mean=mean, stderr=stderr)
-
-
 def one_bit_mean_formula(x: float, T: float, mu: float) -> float:
     """Exact one-bit dither bias E_tau[mu * sign(x + tau) - x], valid for mu = T."""
     if not (T > 0):

@@ -17,7 +17,6 @@ from qlasso import (
     gram_stats,
     measure,
     onebit_dither_range,
-    onebit_moment_check,
     pbp_estimate,
     pgd_rows,
     project_l1_rows,
@@ -340,8 +339,3 @@ def test_xi_literal_vs_norm_scaled():
     scaled = onebit_xi_mean_norm_scaled(s, T, mu)
     gap = 2.0 * (mu / T) * (s - 1.0) * qfunc(T / s)
     assert scaled - lit == pytest.approx(-gap, rel=1e-12)
-
-
-def test_moment_check_refuses_small_samples():
-    with pytest.raises(ValueError):
-        onebit_moment_check(1.0, 4.0, 4.0, 100, substream(1, "mom"))

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from qlasso import (
-    estimate_smallball_inf,
     gw_bound_lowrank,
     gw_bound_sparse,
     project_l1_ball,
     project_l1_rows,
     project_nuclear_ball,
     project_nuclear_rows,
-    sample_descent_directions,
     substream,
 )
 from qlasso.verify import project_l1_bisection
@@ -138,41 +136,3 @@ def test_width_bound_invalid():
         gw_bound_sparse(10, 11)
     with pytest.raises(ValueError):
         gw_bound_lowrank(5, 6)
-
-
-def test_descent_directions_unit_norm():
-    rng = substream(6, "dir")
-    x0 = np.zeros(20)
-    x0[:4] = 0.5
-    W = sample_descent_directions(project_l1_rows, float(np.abs(x0).sum()), x0, 50, rng)
-    assert W.shape == (50, 20)
-    np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, atol=1e-12)
-
-
-def test_descent_directions_infeasible_anchor():
-    with pytest.raises(ValueError):
-        sample_descent_directions(project_l1_rows, 1.0, np.array([2.0, 2.0]), 5, substream(7, "d"))
-    # an anchor counts as feasible within 1e-9 of its projection
-    with pytest.raises(ValueError):
-        sample_descent_directions(project_l1_rows, 1.0, np.array([0.5 + 1e-8, 0.5]), 5, substream(7, "d"))
-    W = sample_descent_directions(project_l1_rows, 1.0, np.array([0.5 + 1e-10, 0.5]), 5, substream(7, "d"))
-    assert W.shape == (5, 2)
-
-
-def test_smallball_orthonormal_exact():
-    # A = sqrt(n) I has A^T A / m = I, so every unit direction scores exactly 1
-    n = 8
-    A = math.sqrt(n) * np.eye(n)
-    val = estimate_smallball_inf(A, lambda V, radii: V, 1.0, np.zeros(n), 100, substream(8, "sb"))
-    assert abs(val - 1.0) <= 1e-12
-
-
-def test_smallball_gaussian_range():
-    from qlasso import sample_measurements
-
-    rng = substream(9, "sb")
-    A = sample_measurements("gaussian", 2000, 40, rng)
-    x0 = np.zeros(40)
-    x0[:5] = 1.0
-    val = estimate_smallball_inf(A, project_l1_rows, 5.0, x0, 200, rng)
-    assert 0.5 <= val <= 1.5

@@ -1,8 +1,8 @@
 """Every module of the package (but the __init__ re-exports) and every test module
 uses each name it imports, every module of the package reads each private
 top-level name it defines, some expression of the package or its tests reads
-each dataclass field of the package, and every function the benchmark's tracer
-wraps exists in its module."""
+each dataclass field of the package, every function the benchmark's tracer
+wraps exists in its module, and every name of qlasso.__all__ resolves."""
 
 import ast
 import importlib
@@ -126,3 +126,10 @@ def test_traced_names_exist(module):
     # the tracer looks each name up with getattr, so a missing one breaks trace mode
     mod = importlib.import_module(module)
     assert [name for name in TRACED[module] if not hasattr(mod, name)] == []
+
+
+def test_every_export_resolves():
+    # the lazy export table is kept by hand, so it can outlive a function it names
+    import qlasso
+
+    assert [name for name in qlasso.__all__ if not hasattr(qlasso, name)] == []

@@ -42,3 +42,11 @@ PINNED = {
 def test_sampling_checks_keep_their_text(name):
     assert getattr(verify, name) in verify.CHECKS
     assert getattr(verify, name)(0, verify.QUICK_SIZE) == PINNED[name]
+
+
+@pytest.mark.parametrize("size", [100, 1000])
+@pytest.mark.parametrize("check", verify.CHECKS, ids=lambda c: c.__name__)
+def test_checks_report_at_small_sizes(check, size):
+    # every count a check takes from size is at least one, so no check raises on a small sample
+    name, ok, detail = check(0, size)
+    assert (type(name), type(ok), type(detail)) == (str, bool, str)
