@@ -190,30 +190,6 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     return out
 
 
-def _map_blocks(tasks: list, jobs: int) -> list:
-    """_solve_block of every task, in task order: here for one process, else in min(jobs, len(tasks)) workers.
-
-    The workers are forked from this process, which solves no block and waits
-    for their results (one process imports no pool module). So they run its
-    modules and its BLAS setting and round as it does. Should a block raise,
-    or a worker die, the tasks not yet started are cancelled and the error is
-    raised here once the pool has shut down.
-    """
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        try:
-            return [_solve_block(*t) for t in tasks]
-        finally:
-            _buffers.slot = None
-    # imported here so that a run in one process, and every other subcommand, does not load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a fork pool forks its workers at the first submission, before it starts its manager thread
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_solve_block, *zip(*tasks)))
-
-
 def _check_estimators(names) -> Tuple[str, ...]:
     names = (names,) if isinstance(names, str) else tuple(names)
     for est in names:
@@ -240,15 +216,15 @@ def run_curve(
 
     `estimator` is one name, which returns its ErrorCurve, or a sequence of
     names, which returns {name: ErrorCurve} computed from the same draws.
-    Trials run in blocks of block_size(cfg.n). jobs=1 solves the (m, block)
-    tasks in this process; jobs > 1 shares them among `jobs` workers forked
-    from it, which keep its BLAS setting, while this process waits. A trial's
-    result does not depend on its block or its process, so the curves do not
-    depend on jobs. jobs > 1 needs the
-    fork start method (Linux), and is fastest with one BLAS thread a process:
-    the CLI runs one; a library caller sets OPENBLAS_NUM_THREADS=1 (or OMP_ or
-    MKL_) before numpy loads.
+    Trials run in blocks of block_size(cfg.n). jobs (an int >= 1) = 1 solves the
+    (m, block) tasks here; jobs > 1 shares them among `jobs` forked workers that
+    keep its BLAS setting (see forked_map). A trial's result does not depend on
+    its block or process, so the curves do not depend on jobs. jobs > 1 needs
+    fork (Linux) and is fastest with one BLAS thread a process: the CLI runs
+    one; a library caller sets OPENBLAS_NUM_THREADS=1 (or OMP_, MKL_) before numpy loads.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     names = _check_estimators(estimator)
     step = block_size(cfg.n)
     tasks = [
@@ -256,7 +232,15 @@ def run_curve(
         for m in cfg.m_grid
         for start in range(0, cfg.trials, step)
     ]
-    blocks = _map_blocks(tasks, jobs)
+    if (workers := min(jobs, len(tasks))) > 1:  # the workers solve every block; this process waits
+        # imported here so that a run in one process, and every other subcommand, neither loads nor compiles it
+        from .forked import forked_map
+        blocks = forked_map(_solve_block, tasks, workers)
+    else:
+        try:
+            blocks = [_solve_block(*t) for t in tasks]
+        finally:
+            _buffers.slot = None
     curves = {}
     for est in names:
         errors, iterations, converged = (
@@ -278,14 +262,13 @@ def run_curve(
 
 
 def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
-    """Fit c / sqrt(m) or c * sqrt(ln m / m) to a curve; also report log-log slope."""
+    """Fit c / sqrt(m) or c * sqrt(ln m / m) to a curve; also report the least-squares log-log slope."""
     ms = np.asarray(curve.m_grid, dtype=float)
     errs = np.asarray(curve.mean_err, dtype=float)
-    if ms.size < 3:
-        raise ValueError("need at least 3 curve points")
-    if np.any(errs <= 0):
-        raise ValueError("all mean errors must be positive")
-    slope = float(np.polyfit(np.log(ms), np.log(errs), 1)[0])
+    if len(set(curve.m_grid)) < 3 or not np.all(np.isfinite(errs) & (errs > 0)):
+        raise ValueError(f"a fit needs 3 distinct m and finite, positive errors, got {curve.m_grid} and {errs}")
+    dx, dy = (v - v.mean() for v in (np.log(ms), np.log(errs)))  # centred, so the slope is closed form
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
     if model == "inv_sqrt_m":
         basis = 1.0 / np.sqrt(ms)
     elif model == "sqrtlog_m_over_sqrt_m":

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,32 @@ def test_raising_worker_block_reaches_the_caller():
     lines, err = _run_failing_worker("raise ValueError('block failed in a worker')")
     assert lines == ["ValueError: block failed in a worker", "no child"]
     assert "InvalidStateError" not in err
+
+
+def test_failing_block_stops_the_run_at_once():
+    # worker 0's first block raises while worker 1's blocks each sleep 20 s: the caller
+    # kills worker 1 at once instead of waiting for its running blocks, as a process pool did
+    fail = ("__import__('time').sleep(0 if task[1:3] == (150, range(13)) else 20); "
+            "raise ValueError(f'block {task[1]} {task[2]} failed')")
+    start = time.monotonic()
+    lines, err = _run_failing_worker(fail)
+    assert lines == ["ValueError: block 150 range(0, 13) failed", "no child"]
+    assert time.monotonic() - start < 5
+
+
+def test_pooled_caller_loads_no_pool_module():
+    # a jobs=2 run forks its workers itself: the caller imports no pool module and starts no thread
+    code = (
+        "import sys, threading\n"
+        "from qlasso import ExperimentConfig, Sparse, run_curve\n"
+        "cfg = ExperimentConfig(n=30, structure=Sparse(5), norm_target=3.0, R=4.0, ensemble='gaussian',\n"
+        "                       quantizer='uniform', delta=1.0, m_grid=(100, 200), trials=2, master_seed=3)\n"
+        "run_curve(cfg, 'glasso', jobs=2)\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)), threading.active_count())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True, timeout=60,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines() == ["[] 1"]
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

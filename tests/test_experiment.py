@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +139,37 @@ def test_run_curve_shapes_and_determinism():
     assert c1.errors.shape == (2, 3)
     np.testing.assert_array_equal(c1.errors, c2.errors)
     np.testing.assert_array_equal(c1.mean_err, c1.errors.mean(axis=1))
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.0, True, "2", None])
+def test_run_curve_rejects_bad_jobs(jobs):
+    # jobs=0 and -1 used to run one process, and jobs=2.0 failed deep in the pool
+    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+        run_curve(_cfg(), "glasso", jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [3, 8])
+def test_more_workers_solve_every_block_once(jobs):
+    # six tasks taken from the shared counter by three workers, or by six: each block is solved once
+    # and comes back in task order. A subprocess, so that workers left waiting fail by the timeout.
+    code = (
+        "import numpy as np\n"
+        "from qlasso import ExperimentConfig, Sparse, run_curve\n"
+        "cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=3.0, ensemble='gaussian',\n"
+        "                       quantizer='uniform', delta=1.0, m_grid=(200, 400), trials=30, master_seed=7)\n"
+        "one, many = (run_curve(cfg, ('glasso', 'pbp'), jobs=j) for j in (1, JOBS))\n"
+        "print(all(np.array_equal(getattr(one[e], f), getattr(many[e], f))\n"
+        "          for e in one for f in ('errors', 'iterations', 'converged')))\n"
+    ).replace("JOBS", str(jobs))
+    env = dict(os.environ, PYTHONPATH=str(Path(qlasso.experiment.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, _ = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the forked workers too, which share its process group
+            raise
+    assert proc.returncode == 0 and out.split() == ["True"]
 
 
 def test_block_size_bounds_gram_stack():
@@ -317,6 +353,35 @@ def test_fit_rate_validation():
     ok = ErrorCurve("glasso", (1, 2, 4), np.array([1.0, 0.8, 0.6]), np.zeros(3), 1, 0)
     with pytest.raises(ValueError):
         fit_rate(ok, "log_m")
+    # a non-finite error, and a grid of fewer than 3 distinct m, used to give a NaN or arbitrary fit
+    for errs in ([1.0, np.nan, 0.5], [1.0, np.inf, 0.5]):
+        with pytest.raises(ValueError, match="finite, positive errors"):
+            fit_rate(ErrorCurve("glasso", (1, 2, 4), np.array(errs), np.zeros(3), 1, 0), "inv_sqrt_m")
+    with pytest.raises(ValueError, match="3 distinct m"):
+        fit_rate(ErrorCurve("glasso", (100, 100, 100), np.array([1.0, 0.8, 0.6]), np.zeros(3), 1, 0), "inv_sqrt_m")
+
+
+def test_fit_rate_runs_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_rate ran a least-squares solver")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    ms = (100, 200, 400, 800, 1600)
+    curve = ErrorCurve("glasso", ms, np.array([5.0 / math.sqrt(m) for m in ms]), np.zeros(5), 1, 0)
+    for model in ("inv_sqrt_m", "sqrtlog_m_over_sqrt_m"):
+        assert fit_rate(curve, model).loglog_slope == pytest.approx(-0.5, rel=1e-12)
+
+
+def test_fit_rate_slope_matches_polyfit():
+    # np.polyfit is the reference: the closed form is the same least-squares line
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        ms = np.sort(rng.choice(10**6, size=rng.integers(3, 12), replace=False)) + 2
+        errs = rng.uniform(0.1, 10) * ms ** rng.uniform(-1.0, -0.2) * np.exp(rng.normal(0, 0.1, ms.size))
+        curve = ErrorCurve("glasso", tuple(int(m) for m in ms), errs, np.zeros(ms.size), 1, 0)
+        reference = np.polyfit(np.log(ms), np.log(errs), 1)[0]
+        assert fit_rate(curve, "inv_sqrt_m").loglog_slope == pytest.approx(reference, rel=1e-12, abs=0)
 
 
 def test_qfunc_values():
