@@ -265,8 +265,8 @@ def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
     """Fit c / sqrt(m) or c * sqrt(ln m / m) to a curve; also report the least-squares log-log slope."""
     ms = np.asarray(curve.m_grid, dtype=float)
     errs = np.asarray(curve.mean_err, dtype=float)
-    if len(set(curve.m_grid)) < 3 or not np.all(np.isfinite(errs) & (errs > 0)):
-        raise ValueError(f"a fit needs 3 distinct m and finite, positive errors, got {curve.m_grid} and {errs}")
+    if len(set(curve.m_grid)) < 3 or min(curve.m_grid) < 1 or not np.all(np.isfinite(errs) & (errs > 0)):
+        raise ValueError(f"a fit needs 3 distinct m >= 1 and finite, positive errors, got {curve.m_grid} and {errs}")
     dx, dy = (v - v.mean() for v in (np.log(ms), np.log(errs)))  # centred, so the slope is closed form
     slope = float(np.sum(dx * dy) / np.sum(dx * dx))
     if model == "inv_sqrt_m":

@@ -6,12 +6,12 @@ continuous dither). Each quantizer fixes its dither law:
 
   * UniformQuantizer(delta): uniform on (-Delta/2, Delta/2], sampled as
     Delta * (u - 1/2) with u ~ Unif[0, 1); the boundary discrepancy is
-    measure-zero. With folds=k the dither is the sum of k such draws.
+    measure-zero.
   * OneBitQuantizer(T): uniform on [-T, T], sampled as T * (2u - 1).
 
-With its dither, mu * Q(x + tau) is an unbiased reading of x in the uniform
-case; in the one-bit case with mu = T the residual bias is the exact clipping
-term implemented by one_bit_mean_formula.
+measure runs the channel y = Q(<a, x0> + tau). With its dither, mu * Q(x + tau)
+is an unbiased reading of x in the uniform case (mu = 1); with mu = T the one-bit
+residual bias is the exact clipping term implemented by one_bit_mean_formula.
 """
 
 from dataclasses import dataclass
@@ -21,16 +21,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class UniformQuantizer:
-    """Mid-riser quantizer of cell width delta; its dither sums `folds` half-open uniform draws."""
+    """Mid-riser quantizer of cell width delta; its dither is uniform on one cell."""
 
     delta: float
-    folds: int = 1
 
     def __post_init__(self):
         if not (self.delta > 0):
             raise ValueError(f"resolution delta must be positive, got {self.delta}")
-        if self.folds < 1:
-            raise ValueError(f"fold count must be >= 1, got {self.folds}")
 
 
 @dataclass(frozen=True)
@@ -64,18 +61,10 @@ def one_bit_quantize(x):
     return out if out.ndim else float(out)
 
 
-def apply_quantizer(q: UniformQuantizer | OneBitQuantizer, x):
-    if isinstance(q, UniformQuantizer):
-        return uniform_quantize(x, q.delta)
-    if isinstance(q, OneBitQuantizer):
-        return one_bit_quantize(x)
-    raise ValueError(f"unknown quantizer {q!r}")
-
-
 def sample_dither(q: UniformQuantizer | OneBitQuantizer, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw `size` iid dithers from the law of quantizer q."""
     if isinstance(q, UniformQuantizer):
-        return q.delta * (rng.random((q.folds, size)) - 0.5).sum(axis=0)
+        return q.delta * (rng.random(size) - 0.5)
     if isinstance(q, OneBitQuantizer):
         return q.T * (2.0 * rng.random(size) - 1.0)
     raise ValueError(f"unknown quantizer {q!r}")
@@ -89,14 +78,14 @@ def measure(
     x0 = np.asarray(x0, dtype=float)
     if A.ndim != 2 or A.shape[1] != x0.shape[0]:
         raise ValueError(f"dimension mismatch: A has shape {A.shape}, x0 has length {x0.shape[0]}")
-    tau = sample_dither(q, rng, A.shape[0])
-    return apply_quantizer(q, A @ x0 + tau)
+    tau = sample_dither(q, rng, A.shape[0])  # raises on any other q
+    if isinstance(q, UniformQuantizer):
+        return uniform_quantize(A @ x0 + tau, q.delta)
+    return one_bit_quantize(A @ x0 + tau)
 
 
-def one_bit_mean_formula(x: float, T: float, mu: float) -> float:
-    """Exact one-bit dither bias E_tau[mu * sign(x + tau) - x], valid for mu = T."""
+def one_bit_mean_formula(x: float, T: float) -> float:
+    """Exact one-bit dither bias E_tau[T * sign(x + tau) - x] for tau ~ Unif[-T, T]."""
     if not (T > 0):
         raise ValueError("T must be positive")
-    if mu != T:
-        raise ValueError(f"the closed-form bias is derived for mu = T; got mu={mu}, T={T}")
     return -x * (abs(x) > T) + T * (x > T) - T * (x < -T)

@@ -4,8 +4,8 @@ CHECKS holds functions (seed, size) -> (name, ok, detail). A check fixes its own
 grid, substream keys and tolerances; the caller picks the master seed and the
 Monte Carlo sample size N = size, from which sweeps take their counts.
 `qlasso verify` runs every check at QUICK_SIZE, the acceptance suite at 10**6.
-The Monte Carlo checks draw their own samples; the closed forms they test are
-the library's.
+The Monte Carlo checks run the channel through quantizer.measure, the code the
+curves run; the closed forms they test are the library's.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 from .ensemble import SignalSpec, Sparse, float32_gram_is_exact, gen_sparse_signal, sample_measurements
 from .experiment import onebit_eta2_formula, onebit_xi2_formula, onebit_xi_mean_literal, onebit_xi_mean_norm_scaled
 from .geometry import project_l1_rows, project_nuclear_rows
-from .quantizer import OneBitQuantizer, UniformQuantizer, apply_quantizer, measure, one_bit_mean_formula, sample_dither
+from .quantizer import OneBitQuantizer, UniformQuantizer, measure, one_bit_mean_formula
 from .solver import glasso_solve, gram_stats, pgd_rows
 from .streams import substream
 
@@ -36,10 +36,11 @@ def _mean_se(v):
 
 
 def _residual_gaps(seed, tag, size, cases):
-    """(MC mean - exact, standard error) of mu Q(x + tau) - x per case (q, mu, x, exact)."""
+    """(MC mean - exact, standard error) of mu Q(x + tau) - x per case (q, mu, x, exact), measured
+    with a ones column as A, so that <a, x0> is exactly x."""
     gaps = []
     for i, (q, mu, x, exact) in enumerate(cases):
-        mean, se = _mean_se(mu * apply_quantizer(q, x + sample_dither(q, substream(seed, tag, i), size)) - x)
+        mean, se = _mean_se(mu * measure(np.ones((size, 1)), np.array([x]), q, substream(seed, tag, i)) - x)
         gaps.append((mean - exact, se))
     return gaps
 
@@ -62,22 +63,11 @@ def uniform_dither(seed: int, size: int):
     )
 
 
-def kfold_dither(seed: int, size: int):
-    """E[Q(x + tau)] = x when tau sums k = 2, 3 half-open uniform draws: within 5 se."""
-    cases = [
-        (UniformQuantizer(1.0, folds=k), 1.0, x, 0.0)
-        for k in (2, 3)
-        for x in (-1.0, 0.25, 0.37, 7.9)
-    ]
-    worst = max(_z(gap, se) for gap, se in _residual_gaps(seed, "verify-kfold", size, cases))
-    return ("k-fold dither unbiased (k = 2, 3)", worst <= 5.0, f"worst |mean|/se = {worst:.2f} (<= 5)")
-
-
 def one_bit_bias(seed: int, size: int):
     """E[T sign(x + tau)] - x for tau ~ Unif[-T, T], T = 4, is the exact clipping bias: within 5 se."""
     T = 4.0
     cases = [
-        (OneBitQuantizer(T), T, x, one_bit_mean_formula(x, T, T))
+        (OneBitQuantizer(T), T, x, one_bit_mean_formula(x, T))
         for x in (0.0, 0.5 * T, 2 * T, -2 * T, 3 * T, -3 * T)
     ]
     worst = max(_z(gap, se) for gap, se in _residual_gaps(seed, "verify-onebit", size, cases))
@@ -99,8 +89,7 @@ def one_bit_moments(seed: int, size: int):
     for i, (s, T) in enumerate(MOMENT_PAIRS):
         rng = substream(seed, "verify-moments", i)
         zeta = rng.standard_normal(size)
-        tau = sample_dither(OneBitQuantizer(T), rng, size)
-        eta = T * np.where(s * zeta + tau >= 0, 1.0, -1.0) - s * zeta
+        eta = T * measure(zeta[:, None], np.array([s]), OneBitQuantizer(T), rng) - s * zeta  # tau after zeta
         xi = eta * zeta
         xi_exact = onebit_xi_mean_norm_scaled(s, T, T)
         for v, exact in ((eta**2, onebit_eta2_formula(s, T, T)), (xi**2, onebit_xi2_formula(s, T, T)), (xi, xi_exact)):
@@ -280,5 +269,5 @@ def stacked_solver(seed: int, size: int):
             f"worst rel distance to glasso_solve {worst:.2e} (<= 1e-6); {', '.join(details)}")
 
 
-CHECKS = (uniform_dither, kfold_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball,
+CHECKS = (uniform_dither, one_bit_bias, one_bit_moments, projections, solver_correctness, small_ball,
           rademacher_draw, rademacher_gram, stacked_solver)

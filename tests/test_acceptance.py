@@ -24,7 +24,6 @@ from qlasso import (
     gw_bound_lowrank,
     gw_bound_sparse,
     measure,
-    project_l1_ball,
     project_l1_rows,
     run_curve,
     sample_measurements,
@@ -52,7 +51,6 @@ def _check(check) -> None:
 
 def test_01_uniform_dither_unbiased():
     _check(verify.uniform_dither)
-    _check(verify.kfold_dither)
 
 
 def test_02_one_bit_bias_identity():
@@ -169,22 +167,8 @@ def test_07_solver_correctness():
     _check(verify.solver_correctness)
 
 
-def test_08_projection_oracles(l1_qp):
+def test_08_projection_oracles():
     _check(verify.projections)
-    if l1_qp is None:
-        return
-    rng = substream(SEED, "acc8", "qp")
-    worst = 0.0
-    for n in (2, 4, 8):
-        for _ in range(10):
-            v = rng.standard_normal(n) * 2
-            radius = float(rng.uniform(0.2, 2.0))
-            worst = max(worst, float(np.max(np.abs(project_l1_ball(v, radius) - l1_qp(v, radius)))))
-    _report(
-        "l1 projection against the quadratic program",
-        worst <= 1e-6,
-        f"worst deviation {worst:.2e} (<=1e-6)",
-    )
 
 
 def test_09_noiseless_limit():

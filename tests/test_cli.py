@@ -287,8 +287,8 @@ def test_pooled_caller_loads_no_pool_module():
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
-    # the pool modules are imported by a run with --jobs above 1, not by `import qlasso.cli`
-    # nor by a run with --jobs 1
+    # neither `import qlasso.cli` nor a run with --jobs 1 imports the pool modules; a run with
+    # --jobs above 1 imports only BrokenProcessPool, and only when a worker dies
     cfg = _write_cfg(tmp_path)
     code = (
         "import sys, qlasso.cli; before = {'multiprocessing', 'concurrent.futures'} & set(sys.modules); "
@@ -526,7 +526,7 @@ def test_verify_passes(tmp_path, capsys):
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a wrong closed form must make the one-bit bias check, and only it, fail
-    monkeypatch.setattr(qlasso.verify, "one_bit_mean_formula", lambda x, T, mu: 0.0)
+    monkeypatch.setattr(qlasso.verify, "one_bit_mean_formula", lambda x, T: 0.0)
     rc = main(["verify", "--out", str(tmp_path / "v"), "--seed", "0"])
     assert rc == 1
     report = (tmp_path / "v" / "verify.txt").read_text().splitlines()

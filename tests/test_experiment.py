@@ -359,6 +359,11 @@ def test_fit_rate_validation():
             fit_rate(ErrorCurve("glasso", (1, 2, 4), np.array(errs), np.zeros(3), 1, 0), "inv_sqrt_m")
     with pytest.raises(ValueError, match="3 distinct m"):
         fit_rate(ErrorCurve("glasso", (100, 100, 100), np.array([1.0, 0.8, 0.6]), np.zeros(3), 1, 0), "inv_sqrt_m")
+    # an m below 1 used to give a RuntimeWarning from np.log and a NaN fit
+    for m_grid in ((0, 10, 100), (-5, 10, 100)):
+        for model in ("inv_sqrt_m", "sqrtlog_m_over_sqrt_m"):
+            with pytest.raises(ValueError, match="m >= 1"):
+                fit_rate(ErrorCurve("glasso", m_grid, np.array([1.0, 0.8, 0.6]), np.zeros(3), 1, 0), model)
 
 
 def test_fit_rate_runs_no_lapack(monkeypatch):

@@ -1,8 +1,9 @@
-"""Every module of the package (but the __init__ re-exports) and every test module
-uses each name it imports, every module of the package reads each private
-top-level name it defines, some expression of the package or its tests reads
-each dataclass field of the package, every function the benchmark's tracer
-wraps exists in its module, and every name of qlasso.__all__ resolves."""
+"""Every module of the package (but the __init__ re-exports), of the benchmark and
+of the tests uses each name it imports, every module of the package and of the
+benchmark reads each private top-level name it defines, some expression of the
+package or its tests reads each dataclass field of the package, every function
+the benchmark's tracer wraps exists in its module, and every name of
+qlasso.__all__ resolves."""
 
 import ast
 import importlib
@@ -12,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qlasso").glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))  # read as text, never imported
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + BENCH + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -69,7 +71,7 @@ def test_guard_finds_a_dead_private_name():
     assert dead_private_names(source) == ["_Gone (line 5)", "_UNREAD (line 8)", "_dead (line 3)"]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", PACKAGE + BENCH, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text()) == []
 

@@ -13,7 +13,6 @@ PINNED = {
         True,
         "worst |mean|/se = 1.89 (<= 5); worst |mean| at 0.153 of 5 Delta/sqrt(N) (< 1)",
     ),
-    "kfold_dither": ("k-fold dither unbiased (k = 2, 3)", True, "worst |mean|/se = 2.04 (<= 5)"),
     "one_bit_bias": ("one-bit bias identity", True, "worst |mc - exact|/se = 1.10 (<= 5)"),
     "one_bit_moments": (
         "one-bit moment closed forms",
