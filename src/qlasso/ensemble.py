@@ -23,10 +23,17 @@ front to back: entry k of the output covers stage entries 2k - mn and
 reading it (the last two at most) is copied out first.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+
+
+def check_integers(**values):
+    """Raise ValueError unless every value is an integer: a numbers.Integral (numpy's too) but not a bool."""
+    if bad := {k: v for k, v in values.items() if isinstance(v, bool) or not isinstance(v, numbers.Integral)}:
+        raise ValueError(f"counts must be integers, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,9 @@ class SignalSpec:
     norm_target: float
 
     def __post_init__(self):
+        if not isinstance(self.structure, (Sparse, LowRank)):
+            raise ValueError(f"unknown structure {self.structure!r}")
+        check_integers(n=self.n, **vars(self.structure))
         if self.n < 1:
             raise ValueError(f"ambient dimension must be positive, got n={self.n}")
         if self.norm_target <= 0:
@@ -59,14 +69,12 @@ class SignalSpec:
             s = self.structure.s
             if not 1 <= s <= self.n:
                 raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={s}, n={self.n}")
-        elif isinstance(self.structure, LowRank):
+        else:
             d, r = self.structure.d, self.structure.r
             if not 1 <= r <= d:
                 raise ValueError(f"rank must satisfy 1 <= r <= d, got r={r}, d={d}")
             if self.n != d * d:
                 raise ValueError(f"low-rank spec needs n = d^2, got n={self.n}, d={d}")
-        else:
-            raise ValueError(f"unknown structure {self.structure!r}")
 
 
 ENSEMBLES = ("gaussian", "rademacher")

@@ -8,13 +8,12 @@ comparisons are valid.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
+from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, gen_signal, sample_measurements
 from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure
 from .solver import MAX_ITERS, pgd_rows
@@ -38,6 +37,8 @@ class ExperimentConfig:
     estimators: Tuple[str, ...] = ("glasso",)
 
     def __post_init__(self):
+        check_integers(trials=self.trials, master_seed=self.master_seed,
+                       **{f"m_grid[{i}]": m for i, m in enumerate(self.m_grid)})
         if not (math.isfinite(self.R) and self.norm_target <= self.R):
             raise ValueError(f"R must be a finite bound on the signal norm {self.norm_target}, got {self.R}")
         if self.trials < 1:
@@ -109,23 +110,12 @@ def panel_rows(n: int) -> int:
     return max(2, PANEL_ENTRIES // n // 2 * 2)
 
 
-# The draw panel, Gram stack and scratch Gram of the calling thread's blocks at
-# one n, kept for every block and every m of a curve: allocated afresh per
-# block, the heap handed their pages back to the OS and the next block faulted
-# them in again.
-_buffers = threading.local()
+def _workspace(n: int):
+    """The (panel_rows(n), n) draw panel, (block_size(n), n, n) Gram stack and (n, n) scratch of a curve's blocks."""
+    return np.empty((panel_rows(n), n)), np.empty((block_size(n), n, n)), np.empty((n, n))
 
 
-def _block_buffers(n: int):
-    """The (panel_rows(n), n) panel, the (block_size(n), n, n) Gram stack and an (n, n) scratch of a block at n."""
-    slot = getattr(_buffers, "slot", None)
-    if slot is None or slot[0].shape != (panel_rows(n), n):
-        _buffers.slot = None  # drop the old arrays before allocating those of the new n
-        _buffers.slot = np.empty((panel_rows(n), n)), np.empty((block_size(n), n, n)), np.empty((n, n))
-    return _buffers.slot
-
-
-def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...]) -> dict:
+def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...], workspace) -> dict:
     """Errors, solver iterations and convergence flags of every estimator on a block of trials.
 
     Each trial's (x0, A, y) is drawn once from its (seed, m, trial, purpose)
@@ -135,15 +125,15 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the block,
     which finds each trial's step by backtracking, so no step is computed here.
 
-    A is drawn in row panels into one (panel_rows(n), n) array, so no buffer
-    grows with m. The panels read the substreams as one whole-matrix draw and
-    one measure call would (the channel's dither has one fold), so A is
-    bitwise the whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies
-    within an ulp of a cell edge: BLAS may round a panel's A x0 in the last
-    bit unlike the whole matrix's (OpenBLAS groups rows by four). Summed over
-    panels in float64, G and b are bitwise gram_stats for +-1 entries with y
-    on a grid that keeps the sums exact (one-bit y, a cell width of 3 or a
-    power of two), and equal to rounding for Gaussian entries.
+    A is drawn in row panels into the panel of `workspace` (a _workspace(n)),
+    so no buffer grows with m. The panels read the substreams as one
+    whole-matrix draw and one measure call would, so A is bitwise the
+    whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies within an
+    ulp of a cell edge: BLAS may round a panel's A x0 in the last bit unlike
+    the whole matrix's (OpenBLAS groups rows by four). Summed over panels in
+    float64, G and b are bitwise gram_stats for +-1 entries with y on a grid
+    that keeps the sums exact (one-bit y, a cell width of 3 or a power of
+    two), and equal to rounding for Gaussian entries.
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
@@ -153,7 +143,7 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     x0s = np.empty((k, n))
     b = np.empty((k, n))
     radii = np.empty(k)
-    panel, G, scratch = _block_buffers(n)
+    panel, G, scratch = workspace
     G = G[:k]
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
@@ -205,7 +195,7 @@ def run_trial(cfg: ExperimentConfig, m: int, trial_id: int, estimator: str) -> f
     if m not in cfg.m_grid:
         raise ValueError(f"m={m} is not in the configured grid")
     names = _check_estimators(estimator)
-    errors, _, _ = _solve_block(cfg, m, range(trial_id, trial_id + 1), names)[estimator]
+    errors, _, _ = _solve_block(cfg, m, range(trial_id, trial_id + 1), names, _workspace(cfg.n))[estimator]
     return float(errors[0])
 
 
@@ -226,21 +216,15 @@ def run_curve(
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     names = _check_estimators(estimator)
-    step = block_size(cfg.n)
-    tasks = [
-        (cfg, m, range(start, min(start + step, cfg.trials)), names)
-        for m in cfg.m_grid
-        for start in range(0, cfg.trials, step)
-    ]
+    step, workspace = block_size(cfg.n), _workspace(cfg.n)  # a forked worker writes its own copy of it
+    tasks = [(cfg, m, range(start, min(start + step, cfg.trials)), names, workspace)
+             for m in cfg.m_grid for start in range(0, cfg.trials, step)]
     if (workers := min(jobs, len(tasks))) > 1:  # the workers solve every block; this process waits
         # imported here so that a run in one process, and every other subcommand, neither loads nor compiles it
         from .forked import forked_map
         blocks = forked_map(_solve_block, tasks, workers)
     else:
-        try:
-            blocks = [_solve_block(*t) for t in tasks]
-        finally:
-            _buffers.slot = None
+        blocks = [_solve_block(*t) for t in tasks]
     curves = {}
     for est in names:
         errors, iterations, converged = (

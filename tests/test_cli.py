@@ -162,7 +162,7 @@ def test_jobs_do_not_change_outputs(tmp_path):
 
 
 # A library caller's Gaussian curve at jobs=1 and jobs=2: the caller's calls of
-# _block_buffers during the jobs=2 run, and whether the two curves are bitwise equal.
+# _solve_block during the jobs=2 run, and whether the two curves are bitwise equal.
 _GAUSSIAN_JOBS_CODE = """if True:
     import numpy as np, qlasso.experiment as ex
     from qlasso import ExperimentConfig, Sparse, run_curve
@@ -170,8 +170,8 @@ _GAUSSIAN_JOBS_CODE = """if True:
                            quantizer="uniform", delta=1.0, m_grid=(150, 200, 300, 2700), trials=15,
                            master_seed=11)
     one = run_curve(cfg, "glasso", jobs=1)
-    calls, orig = [], ex._block_buffers
-    ex._block_buffers = lambda n: calls.append(n) or orig(n)
+    calls, orig = [], ex._solve_block
+    ex._solve_block = lambda *task: calls.append(task[1]) or orig(*task)
     two = run_curve(cfg, "glasso", jobs=2)
     same = all(np.array_equal(getattr(one, f), getattr(two, f)) for f in ("errors", "iterations", "converged"))
     print(len(calls), same)
@@ -195,6 +195,63 @@ def test_forked_workers_round_as_an_unpinned_caller():
     out = subprocess.run([sys.executable, "-c", _GAUSSIAN_JOBS_CODE], env=env, check=True, timeout=120,
                          capture_output=True, text=True)
     assert out.stdout.split()[1] == "True"
+
+
+def test_forking_caller_keeps_no_workspace_resident():
+    # A jobs=2 curve at n=256 allocates a 2.5 MiB workspace in the caller, but only the
+    # forked workers write it, each into its own copy: the caller's peak resident memory
+    # rises by far less than 1 MiB (it rises by 2.5 MiB if the caller writes it once). The
+    # peak is VmHWM, as ru_maxrss keeps that of the process that started this one.
+    code = """if True:
+        from qlasso import ExperimentConfig, Sparse, run_curve
+        def peak_kib():
+            with open("/proc/self/status") as status:
+                return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+        cfg = ExperimentConfig(n=256, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble="gaussian",
+                               quantizer="uniform", delta=1.0, m_grid=(300, 400), trials=4, master_seed=5)
+        before = peak_kib()
+        run_curve(cfg, "glasso", jobs=2)
+        print(peak_kib() - before)
+    """
+    env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                         capture_output=True, text=True)
+    assert int(out.stdout) < 1024  # KiB
+
+
+# Two threads of one library caller each run three curves at n=100 at once: the
+# errors they raise, then whether each curve is bitwise its config's curve run alone.
+_THREADED_CURVES_CODE = """if True:
+    import threading, numpy as np
+    from qlasso import ExperimentConfig, Sparse, run_curve
+    cfgs = [ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble=ensemble,
+                             quantizer=quantizer, delta=delta, m_grid=(150, 300, 2700), trials=15, master_seed=seed)
+            for ensemble, quantizer, delta, seed in (("rademacher", "uniform", 1.0, 3), ("gaussian", "one_bit", None, 4))]
+    alone = [run_curve(cfg, "glasso") for cfg in cfgs]
+    curves, failures = ([], []), []
+    def run(i):
+        try:
+            for _ in range(3):
+                curves[i].append(run_curve(cfgs[i], "glasso"))
+        except Exception as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    print(failures)
+    print([all(np.array_equal(getattr(one, f), getattr(c, f)) for f in ("errors", "iterations", "converged"))
+           for one, cs in zip(alone, curves) for c in cs])
+"""
+
+
+def test_concurrent_curves_in_threads_match_their_runs_alone():
+    # each run_curve call allocates its own workspace, so two threads' curves never share one
+    env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
+    out = subprocess.run([sys.executable, "-c", _THREADED_CURVES_CODE], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines() == ["[]", str([True] * 6)]
 
 
 def test_pool_runs_from_a_script_without_main_guard(tmp_path):

@@ -39,6 +39,8 @@ def test_invalid_sparse_specs():
         SignalSpec(10, Sparse(11), 1.0)
     with pytest.raises(ValueError):
         SignalSpec(10, Sparse(5), -1.0)
+    with pytest.raises(ValueError, match="counts must be integers"):
+        SignalSpec(20, Sparse(2.5), 1.0)
 
 
 def test_lowrank_rank_and_norm():
@@ -64,6 +66,9 @@ def test_lowrank_invalid():
         SignalSpec(64, LowRank(8, 9), 1.0)
     with pytest.raises(ValueError):
         SignalSpec(63, LowRank(8, 2), 1.0)
+    for d, r in ((8.0, 2), (8, 2.0), (8, True)):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            SignalSpec(64, LowRank(d, r), 1.0)
 
 
 def test_rademacher_entries():

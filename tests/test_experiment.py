@@ -84,6 +84,11 @@ def test_config_validation():
         _cfg(m_grid=(0, 200))
     with pytest.raises(ValueError):
         _cfg(structure=Sparse(0))
+    for counts in (dict(master_seed=1.5), dict(n=20.0), dict(trials=2.5), dict(trials=True),
+                   dict(m_grid=(30.0, 40.0, 50.0))):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            _cfg(**counts)
+    _cfg(n=np.int64(50), trials=np.int32(3), m_grid=(np.int64(200), 400), master_seed=np.uint8(7))
     _cfg(m_grid=(1, 200))  # the uniform channel is defined at m = 1
     with pytest.raises(ValueError):  # the one-bit dither range R sqrt(ln m) is 0 at m = 1
         _cfg(quantizer="one_bit", delta=None, m_grid=(1, 200))
@@ -309,7 +314,8 @@ def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
     monkeypatch.undo()
     for i, m in enumerate(cfg.m_grid):
         for t in range(cfg.trials):
-            errors, iterations, _ = qlasso.experiment._solve_block(cfg, m, range(t, t + 1), ("glasso",))["glasso"]
+            errors, iterations, _ = qlasso.experiment._solve_block(
+                cfg, m, range(t, t + 1), ("glasso",), qlasso.experiment._workspace(cfg.n))["glasso"]
             assert curve.errors[i, t] == errors[0] == run_trial(cfg, m, t, "glasso")
             assert curve.iterations[i, t] == iterations[0]
 

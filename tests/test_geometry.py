@@ -40,7 +40,7 @@ def test_l1_projection_idempotent():
         np.testing.assert_allclose(project_l1_ball(p, 1.5), p, atol=1e-12)
 
 
-def test_l1_projection_against_qp_oracle():
+def test_l1_projection_against_bisection_oracle():
     # the bisection oracle shares no step with the sort-based projection
     np.testing.assert_allclose(
         project_l1_bisection([[3.0, 0.0], [1.0, 1.0], [0.2, -0.3]], 1.0),

@@ -289,7 +289,7 @@ def _mixed_stack(n=36):
 ROW_PROJECTIONS = {"l1": project_l1_rows, "nuclear": project_nuclear_rows}  # n = 36 is a 6 x 6 matrix
 
 
-def test_certified_step_rows_are_independent():
+def test_backtracking_step_rows_are_independent():
     # each row's steps, and so its iterates, depend on its own (G, b, radius) alone: solved alone
     # or in the reversed stack, every row of the mixed stack comes out bitwise the same
     G, b, radii = _mixed_stack()
@@ -433,7 +433,7 @@ def test_certified_step_equals_a_certificate_on_a_fresh_matrix(case):
 
 
 @pytest.mark.parametrize("case", TIED_CASES)
-def test_certified_step_holds_where_lanczos_breaks_down(case):
+def test_backtracking_step_holds_in_the_top_eigenspace(case):
     # with b = G x0 in the top eigenspace (c I has one eigenvalue; G x0 is along u for u u^T),
     # L0 = b^T G b / b^T b is lambda_max and the first step is 1 / lambda_max. Every later step ties the
     # descent test at L = lambda_max in exact arithmetic, which the slack passes: no step backtracks
@@ -462,7 +462,7 @@ def test_certified_step_of_a_zero_gram_is_one():
         np.testing.assert_allclose(x, r * np.sign(b_i[j]) * np.eye(7)[j], atol=1e-12)
 
 
-def test_certified_step_falls_back_per_matrix():
+def test_backtracking_step_backtracks_per_matrix():
     # the bottom-eigenvector row must backtrack; it raises its own L only: after three iterations
     # every row of the stack, including rows that have not backtracked, is where the reference puts it
     n = 100
