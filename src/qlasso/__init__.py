@@ -50,7 +50,6 @@ _EXPORTS = {
         "estimate_lipschitz",
         "glasso_solve",
         "gram_stats",
-        "inverse_lipschitz_step",
         "pbp_estimate",
         "pgd_rows",
     ),

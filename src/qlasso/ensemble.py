@@ -63,8 +63,8 @@ class SignalSpec:
         check_integers(n=self.n, **vars(self.structure))
         if self.n < 1:
             raise ValueError(f"ambient dimension must be positive, got n={self.n}")
-        if self.norm_target <= 0:
-            raise ValueError(f"norm_target must be positive, got {self.norm_target}")
+        if not (self.norm_target > 0 and np.isfinite(self.norm_target)):
+            raise ValueError(f"norm_target must be finite and positive, got {self.norm_target}")
         if isinstance(self.structure, Sparse):
             s = self.structure.s
             if not 1 <= s <= self.n:

@@ -194,6 +194,9 @@ def run_trial(cfg: ExperimentConfig, m: int, trial_id: int, estimator: str) -> f
     """One Monte Carlo trial: fresh (x0, A, dither), solve, return ||x_hat - x0||_2."""
     if m not in cfg.m_grid:
         raise ValueError(f"m={m} is not in the configured grid")
+    check_integers(trial_id=trial_id)
+    if not 0 <= trial_id < cfg.trials:
+        raise ValueError(f"trial_id={trial_id} is not in range({cfg.trials})")
     names = _check_estimators(estimator)
     errors, _, _ = _solve_block(cfg, m, range(trial_id, trial_id + 1), names, _workspace(cfg.n))[estimator]
     return float(errors[0])
@@ -271,38 +274,34 @@ def qfunc(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def onebit_xi_mean_literal(norm_x0: float, T: float, mu: float) -> float:
-    """First-moment formula as printed: s(mu/T - 1) - 2(mu/T) Q(T/s), s = ||x0||.
+def _tail_ratio(norm_x0: float, T: float) -> float:
+    """T / s with s = ||x0||, infinite where s = 0."""
+    return T / norm_x0 if norm_x0 > 0 else math.inf
+
+
+def onebit_xi_mean_literal(norm_x0: float, T: float) -> float:
+    """First-moment formula as printed, s(mu/T - 1) - 2(mu/T) Q(T/s) with s = ||x0||, at mu = T: -2 Q(T/s).
 
     The second term lacks a factor of s relative to the derivation; it is
     reported verbatim next to the Monte Carlo truth rather than corrected.
     """
-    t = T / norm_x0 if norm_x0 > 0 else math.inf
-    return norm_x0 * (mu / T - 1.0) - 2.0 * (mu / T) * qfunc(t)
+    return -2.0 * qfunc(_tail_ratio(norm_x0, T))
 
 
-def onebit_xi_mean_norm_scaled(norm_x0: float, T: float, mu: float) -> float:
-    """Dimensionally consistent variant with the ||x0|| factor restored."""
-    t = T / norm_x0 if norm_x0 > 0 else math.inf
-    return norm_x0 * (mu / T - 1.0) - 2.0 * (mu / T) * norm_x0 * qfunc(t)
+def onebit_xi_mean_norm_scaled(norm_x0: float, T: float) -> float:
+    """Dimensionally consistent variant with the ||x0|| factor restored: -2 s Q(T/s)."""
+    return -2.0 * norm_x0 * qfunc(_tail_ratio(norm_x0, T))
 
 
-def onebit_xi2_formula(norm_x0: float, T: float, mu: float) -> float:
-    """Closed form for E[xi^2] in the Gaussian scalar model."""
-    s = norm_x0
-    t = T / s if s > 0 else math.inf
+def onebit_xi2_formula(norm_x0: float, T: float) -> float:
+    """Closed form for E[xi^2] in the Gaussian scalar model at mu = T:
+    T^2 - 3 s^2 + 12 s^2 Q(T/s) + 2 sqrt(2/pi) T s exp(-(T/s)^2 / 2)."""
+    s, t = norm_x0, _tail_ratio(norm_x0, T)
     expterm = math.exp(-(t * t) / 2.0) if math.isfinite(t) else 0.0
-    return (
-        3.0 * s * s
-        + mu * mu
-        - 6.0 * s * s * mu / T
-        + 12.0 * s * s * (mu / T) * qfunc(t)
-        + 2.0 * mu * math.sqrt(2.0 / math.pi) * s * expterm
-    )
+    return T * T - 3.0 * s * s + 12.0 * s * s * qfunc(t) + 2.0 * T * math.sqrt(2.0 / math.pi) * s * expterm
 
 
-def onebit_eta2_formula(norm_x0: float, T: float, mu: float) -> float:
-    """Closed form for E[eta^2]: mu^2 + s^2 - 2(mu/T) s^2 (1 - 2Q(T/s))."""
+def onebit_eta2_formula(norm_x0: float, T: float) -> float:
+    """Closed form for E[eta^2] at mu = T: T^2 + s^2 - 2 s^2 (1 - 2Q(T/s))."""
     s = norm_x0
-    t = T / s if s > 0 else math.inf
-    return mu * mu + s * s - 2.0 * (mu / T) * s * s * (1.0 - 2.0 * qfunc(t))
+    return T * T + s * s - 2.0 * s * s * (1.0 - 2.0 * qfunc(_tail_ratio(s, T)))

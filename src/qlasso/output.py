@@ -8,7 +8,6 @@ SVG plots are self-contained hand-rolled polylines on log-log axes with an
 optional dashed reference guide line.
 """
 
-import csv
 import hashlib
 import json
 import math
@@ -48,14 +47,6 @@ def write_error_curves_csv(path, curves: Sequence[ErrorCurve], cfg_hash: str) ->
     ]
     header = ("estimator", "m", "mean_err", "std_err", "trials", "seed_hash")
     write_csv(path, master_seed, cfg_hash, header, rows)
-
-
-def read_error_curves_csv(path) -> list:
-    """Parse rows back into dicts keyed by the header; comment lines are skipped."""
-    types = {"m": int, "mean_err": float, "std_err": float, "trials": int}
-    with open(path, newline="") as fh:
-        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        return [{key: types.get(key, str)(value) for key, value in row.items()} for row in rows]
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

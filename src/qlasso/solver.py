@@ -9,7 +9,7 @@ constant L(x) = 0.5 x^T G x - b^T x, so an iteration's cost does not grow with m
 
 glasso_solve is the single-problem reference: fixed-step projected gradient
 descent (PGD) x+ = P_K(x - eta * grad L(x)) from x = 0, with the step
-eta = 1 / (1.01 lambda_max(G)) of inverse_lipschitz_step, a dense eigensolve.
+eta = 1 / (1.01 lambda_max(G)) from its own dense eigensolve of G.
 It stops once its gradient mapping (x - x+) / eta is at most
 GMAP_TOL ||grad L(0)|| = GMAP_TOL ||b||.
 
@@ -61,26 +61,12 @@ def gram_stats(A, y, mu: float):
 LIPSCHITZ_MARGIN = 1.01
 
 
-def _lipschitz(G: np.ndarray) -> np.ndarray:
-    return LIPSCHITZ_MARGIN * np.linalg.eigvalsh(G)[..., -1]
-
-
-def inverse_lipschitz_step(G: np.ndarray) -> np.ndarray:
-    """Fixed PGD step 1 / (1.01 lambda_max(G)) for a Gram matrix or a (k, n, n) stack of them.
-
-    A zero Gram matrix (every direction is flat) gets step 1.
-    """
-    lipschitz = _lipschitz(G)
-    with np.errstate(divide="ignore"):
-        return np.where(lipschitz > 0, 1.0 / lipschitz, 1.0)
-
-
 def estimate_lipschitz(A) -> float:
-    """Lipschitz constant lambda_max(A^T A) / m of grad L, inflated 1% as a safety factor."""
+    """LIPSCHITZ_MARGIN * lambda_max(A^T A / m), the Lipschitz constant of grad L inflated 1% for safety."""
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         raise ValueError("A must be nonempty")
-    return float(_lipschitz(A.T @ A / A.shape[0]))
+    return LIPSCHITZ_MARGIN * float(np.linalg.eigvalsh(A.T @ A / A.shape[0])[-1])
 
 
 # Both solvers stop once the gradient mapping is at most GMAP_TOL ||b||, where
@@ -100,7 +86,8 @@ def glasso_solve(A, y, mu: float, project, radius, *, max_iters: int = MAX_ITERS
 
     K is the set the row projection `project` maps onto with `radius`. This is
     the single-problem reference for pgd_rows: plain PGD with the fixed step
-    eta of inverse_lipschitz_step and the same stop on the gradient mapping,
+    eta = 1 / (LIPSCHITZ_MARGIN * lambda_max(G)) from a dense eigensolve of G
+    (1 where that product is 0) and the same stop on the gradient mapping,
     returning x+ once ||x - x+|| / eta <= GMAP_TOL ||b||, with
     the whole objective trace kept. A non-2-d or non-finite A, a y without one
     entry per row of A, a non-finite mu or max_iters < 1 raises ValueError.
@@ -121,7 +108,8 @@ def glasso_solve(A, y, mu: float, project, radius, *, max_iters: int = MAX_ITERS
     def f(x, Gx):
         return 0.5 * float(x @ Gx) - float(b @ x) + 0.5 * const
 
-    eta = float(inverse_lipschitz_step(G))
+    lipschitz = LIPSCHITZ_MARGIN * float(np.linalg.eigvalsh(G)[-1])
+    eta = 1.0 / lipschitz if lipschitz > 0 else 1.0
     tol = GMAP_TOL * eta * float(np.linalg.norm(b))
     x = np.zeros(n)
     Gx = np.zeros(n)

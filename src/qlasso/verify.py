@@ -91,11 +91,11 @@ def one_bit_moments(seed: int, size: int):
         zeta = rng.standard_normal(size)
         eta = T * measure(zeta[:, None], np.array([s]), OneBitQuantizer(T), rng) - s * zeta  # tau after zeta
         xi = eta * zeta
-        xi_exact = onebit_xi_mean_norm_scaled(s, T, T)
-        for v, exact in ((eta**2, onebit_eta2_formula(s, T, T)), (xi**2, onebit_xi2_formula(s, T, T)), (xi, xi_exact)):
+        xi_exact = onebit_xi_mean_norm_scaled(s, T)
+        for v, exact in ((eta**2, onebit_eta2_formula(s, T)), (xi**2, onebit_xi2_formula(s, T)), (xi, xi_exact)):
             mean, se = _mean_se(v)
             worst = max(worst, _z(mean - exact, se))  # the last v is xi, so mean is then E[xi]
-        details.append(f"s={s:g} T={T:g}: E[xi] mc={mean:+.4f} literal={onebit_xi_mean_literal(s, T, T):+.4f} "
+        details.append(f"s={s:g} T={T:g}: E[xi] mc={mean:+.4f} literal={onebit_xi_mean_literal(s, T):+.4f} "
                        f"norm-scaled={xi_exact:+.4f}")
     return ("one-bit moment closed forms", worst <= 5.0,
             f"worst |mc - formula|/se = {worst:.2f} (<= 5); " + "; ".join(details))

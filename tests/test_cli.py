@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -15,7 +16,6 @@ import qlasso.experiment
 import qlasso.verify
 from qlasso import ExperimentConfig, Sparse, fit_rate, run_curve
 from qlasso.cli import _COMMANDS, _SETTINGS, build_parser, main
-from qlasso.output import read_error_curves_csv
 
 
 def _write_cfg(tmp_path, **kw):
@@ -48,6 +48,14 @@ def _library_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _curve_rows(path):
+    """An error-curve CSV's rows as dicts keyed by its header, comment lines skipped."""
+    types = {"m": int, "mean_err": float, "std_err": float, "trials": int}
+    with open(path, newline="") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return [{key: types.get(key, str)(value) for key, value in row.items()} for row in rows]
 
 
 def _data_rows(path):
@@ -105,7 +113,7 @@ def test_run_uniform_outputs(tmp_path, capsys):
         svg = tmp_path / "out" / f"uniform_{est}.svg"
         assert csv.exists() and svg.exists()
         assert svg.read_text().startswith("<svg")
-    rows = read_error_curves_csv(tmp_path / "out" / "uniform_glasso.csv")
+    rows = _curve_rows(tmp_path / "out" / "uniform_glasso.csv")
     assert [r["m"] for r in rows] == [100, 200, 400]
     assert all(r["trials"] == 2 for r in rows)
     header = (tmp_path / "out" / "uniform_glasso.csv").read_text().splitlines()[0]
@@ -117,7 +125,7 @@ def test_run_uniform_outputs(tmp_path, capsys):
 def test_csv_roundtrip_lossless(tmp_path):
     cfg = _write_cfg(tmp_path, estimators=["glasso"])
     main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "a")])
-    rows = read_error_curves_csv(tmp_path / "a" / "uniform_glasso.csv")
+    rows = _curve_rows(tmp_path / "a" / "uniform_glasso.csv")
     curve = run_curve(_library_cfg(estimators=("glasso",)), "glasso")
     # 17 significant digits round-trips doubles exactly
     assert [r["mean_err"] for r in rows] == list(curve.mean_err)

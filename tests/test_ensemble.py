@@ -41,6 +41,9 @@ def test_invalid_sparse_specs():
         SignalSpec(10, Sparse(5), -1.0)
     with pytest.raises(ValueError, match="counts must be integers"):
         SignalSpec(20, Sparse(2.5), 1.0)
+    for norm in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="norm_target must be finite and positive"):
+            SignalSpec(20, Sparse(3), norm)
 
 
 def test_lowrank_rank_and_norm():

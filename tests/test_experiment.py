@@ -119,6 +119,14 @@ def test_run_trial_deterministic():
         run_trial(cfg, 300, 0, "glasso")
 
 
+@pytest.mark.parametrize("trial_id", [-1, True, 1.5, 3])
+def test_run_trial_rejects_a_trial_id_outside_the_config(trial_id):
+    # -1 would key the substream of trial 2**64 - 1, True that of trial 1; cfg.trials is 3
+    cfg = _cfg()
+    with pytest.raises(ValueError):
+        run_trial(cfg, 200, trial_id, "glasso")
+
+
 def test_run_trial_paired_across_estimators():
     # Every estimator of a trial sees the (x0, A, y) that the trial's signal,
     # matrix and dither substreams draw: rebuilt from them, the single-problem
@@ -401,17 +409,17 @@ def test_qfunc_values():
 
 
 def test_eta2_formula_limits():
-    # s = 0: eta = mu * sign(tau), so E[eta^2] = mu^2
-    assert onebit_eta2_formula(0.0, 4.0, 4.0) == pytest.approx(16.0, rel=1e-12)
-    # mu = T and T >> s: 1 - 2Q(T/s) -> 1, value -> T^2 - s^2
-    val = onebit_eta2_formula(0.1, 50.0, 50.0)
+    # s = 0: eta = T * sign(tau), so E[eta^2] = T^2
+    assert onebit_eta2_formula(0.0, 4.0) == pytest.approx(16.0, rel=1e-12)
+    # T >> s: 1 - 2Q(T/s) -> 1, value -> T^2 - s^2
+    val = onebit_eta2_formula(0.1, 50.0)
     assert val == pytest.approx(50.0**2 - 0.1**2, rel=1e-6)
 
 
 def test_xi_literal_vs_norm_scaled():
     # the two variants differ exactly by (||x0|| - 1) times the tail term
-    s, T, mu = 2.0, 5.0, 5.0
-    lit = onebit_xi_mean_literal(s, T, mu)
-    scaled = onebit_xi_mean_norm_scaled(s, T, mu)
-    gap = 2.0 * (mu / T) * (s - 1.0) * qfunc(T / s)
+    s, T = 2.0, 5.0
+    lit = onebit_xi_mean_literal(s, T)
+    scaled = onebit_xi_mean_norm_scaled(s, T)
+    gap = 2.0 * (s - 1.0) * qfunc(T / s)
     assert scaled - lit == pytest.approx(-gap, rel=1e-12)

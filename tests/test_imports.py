@@ -1,12 +1,14 @@
 """Every module of the package (but the __init__ re-exports), of the benchmark and
 of the tests uses each name it imports, every module of the package and of the
-benchmark reads each private top-level name it defines, some expression of the
-package or its tests reads each dataclass field of the package, every function
-the benchmark's tracer wraps exists in its module, and every name of
-qlasso.__all__ resolves."""
+benchmark reads each private top-level name it defines, the package, the
+benchmark or the entry point reads each public top-level name of the package,
+some expression of the package or its tests reads each dataclass field of the
+package, every function the benchmark's tracer wraps exists in its module, and
+every name of qlasso.__all__ resolves."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -44,10 +46,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def dead_private_names(source: str) -> list:
-    """Top-level functions, classes and constants of `source` named with a leading
-    underscore (dunders aside) that no expression of `source` reads."""
-    tree = ast.parse(source)
+def top_level_names(tree: ast.Module) -> dict:
+    """{name: line} of the functions, classes and constants a module defines at its top level."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -56,6 +56,14 @@ def dead_private_names(source: str) -> list:
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if isinstance(target, ast.Name):
                     defined[target.id] = node.lineno
+    return defined
+
+
+def dead_private_names(source: str) -> list:
+    """Top-level functions, classes and constants of `source` named with a leading
+    underscore (dunders aside) that no expression of `source` reads."""
+    tree = ast.parse(source)
+    defined = top_level_names(tree)
     read = {
         node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     }
@@ -74,6 +82,36 @@ def test_guard_finds_a_dead_private_name():
 @pytest.mark.parametrize("path", PACKAGE + BENCH, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text()) == []
+
+
+def unread_public_names(sources: dict, texts=()) -> list:
+    """Public top-level names of the modules `sources` ({module: source}) that no expression of
+    any of them reads as a name or attribute and no word of the `texts` names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    read |= {word for text in texts for word in re.findall(r"\w+", text)}
+    return sorted(
+        f"{module}.{name} (line {line})" for module, tree in trees.items()
+        for name, line in top_level_names(tree).items() if not name.startswith("_") and name not in read
+    )
+
+
+def test_guard_finds_a_test_only_name():
+    sources = {"a": "def used():\n    pass\ndef only_tests():\n    pass\nLIMIT = 1\n_private = 2\n",
+               "b": "from a import used\nimport a\nprint(used(), a.LIMIT)\ndef traced():\n    pass\n"}
+    assert unread_public_names(sources, ['TRACED = {"b": ("traced",)}']) == ["a.only_tests (line 3)"]
+
+
+def test_no_test_only_public_names():
+    # a public name that only tests read is reference API the program does not need; the
+    # benchmark's tracer and the entry point name functions as strings, so they count as text
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    texts = [path.read_text() for path in BENCH] + [(ROOT / "pyproject.toml").read_text()]
+    assert unread_public_names(sources, texts) == []
 
 
 def dead_fields(source: str, readers=()) -> list:

@@ -13,7 +13,6 @@ from qlasso import (
     gen_sparse_signal,
     glasso_solve,
     gram_stats,
-    inverse_lipschitz_step,
     measure,
     pbp_estimate,
     pgd_rows,
@@ -23,7 +22,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.solver import BACKTRACK, DESCENT_SLACK, GMAP_TOL, MAX_ITERS
+from qlasso.solver import BACKTRACK, DESCENT_SLACK, GMAP_TOL, LIPSCHITZ_MARGIN, MAX_ITERS
 
 
 def _instance(seed, m=300, n=50, s=10, delta=1.0):
@@ -103,10 +102,15 @@ def test_exact_step_near_degenerate_top_pair():
     G = A.T @ A / m
     lam_max = lam[0]
     bound = (1.0 / 1.01) * (1.0 + 1e-12)
-    assert float(inverse_lipschitz_step(G)) * lam_max <= bound
+    assert 1 / (LIPSCHITZ_MARGIN * np.linalg.eigvalsh(G)[..., -1]) * lam_max <= bound
     assert estimate_lipschitz(A) >= 1.01 * lam_max * (1.0 - 1e-12)
-    steps = inverse_lipschitz_step(np.stack([G, 2.0 * G, np.zeros((n, n))]))
-    np.testing.assert_allclose(steps * [1.0, 2.0, 1.0], [1 / 1.01, 1 / 1.01, 1.0], rtol=1e-12)
+
+
+def test_glasso_step_of_a_zero_gram_is_one():
+    # A = 0 makes G = 0 and b = 0: the step is 1, not 1 / 0, so x stays at 0 and the solve stops at once
+    res = glasso_solve(np.zeros((5, 4)), np.ones(5), 1.0, project_l1_rows, 1.0)
+    assert res.converged and res.iterations == 1
+    assert not res.x_hat.any()
 
 
 def _fista_restart(G, b, radius, iters):
@@ -195,7 +199,7 @@ def test_pgd_rows_reaches_the_minimizer_at_small_m():
         instances.append((A, measure(A, x0, UniformQuantizer(3.0), substream(seed, m, t, "dither"))))
         radii.append(float(np.abs(x0).sum()))
     G, b = _stack_problems(instances, 1.0)
-    eta = inverse_lipschitz_step(G)
+    eta = 1 / (LIPSCHITZ_MARGIN * np.linalg.eigvalsh(G)[..., -1])
     ref = np.zeros_like(b)
     for _ in range(2000):
         ref = project_l1_rows(ref - eta[:, None] * (np.matmul(G, ref[:, :, None])[:, :, 0] - b), radii)
@@ -392,7 +396,7 @@ def _solve_alone(G, b, radius):
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
-def test_certified_step_is_safe_and_tight(case):
+def test_backtracking_step_is_safe_and_tight(case):
     # every accepted step passes the descent test, so each row converges: at the x it returns, the
     # gradient mapping of the dense step 1 / (1.01 lambda_max) is at the level of the stop. L starts at
     # a Rayleigh quotient, at most lambda_max, and rises only while below it, so the final
@@ -400,7 +404,7 @@ def test_certified_step_is_safe_and_tight(case):
     # factor BACKTRACK below 1 / lambda_max
     G, b, radii = _step_problems(case)
     lam_max = np.linalg.eigvalsh(G)[:, -1]
-    for g, b_i, r, lam, eta in zip(G, b, radii, lam_max, inverse_lipschitz_step(G)):
+    for g, b_i, r, lam, eta in zip(G, b, radii, lam_max, 1 / (LIPSCHITZ_MARGIN * lam_max)):
         x, iters, conv, inputs = _solve_alone(g, b_i, r)
         assert conv
         gmap = np.linalg.norm(x - project_l1_ball(x - eta * (g @ x - b_i), r)) / eta
@@ -417,7 +421,7 @@ TIED_CASES = ("scaled identity", "rank one")
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
-def test_certified_step_equals_a_certificate_on_a_fresh_matrix(case):
+def test_backtracking_row_equals_its_solve_on_a_fresh_matrix(case):
     # pgd_rows compacts G in place; every row of the stack ends bitwise where its own solve on a fresh
     # copy of its Gram matrix ends, which backtracks exactly where the reference's descent test fails,
     # ties included
@@ -443,12 +447,12 @@ def test_backtracking_step_holds_in_the_top_eigenspace(case):
         x, iters, conv, inputs = _solve_alone(g, b_i, r)
         np.testing.assert_allclose(inputs[0], b_i / lam, rtol=1e-13)
         assert conv and len(inputs) == iters
-        eta = float(inverse_lipschitz_step(g))
+        eta = 1 / (LIPSCHITZ_MARGIN * np.linalg.eigvalsh(g)[..., -1])
         gmap = np.linalg.norm(x - project_l1_ball(x - eta * (g @ x - b_i), r)) / eta
         assert gmap <= 4 * GMAP_TOL * np.linalg.norm(b_i)
 
 
-def test_certified_step_of_a_zero_gram_is_one():
+def test_backtracking_step_of_a_zero_gram_is_one():
     # b^T G b = 0 gives L = 1, which passes every descent test on a zero G: the first iterate is
     # project(b), and the row ends at the vertex r sign(b_j) e_j of the largest |b_j|, minimizing -b^T x
     b = substream(21, "zero-gram").standard_normal((2, 7))
@@ -514,7 +518,8 @@ def test_fixed_point_optimality():
     project, r = _l1(x0)
     res = glasso_solve(A, y, 1.0, project, r)
     G, b = gram_stats(A, y, 1.0)
-    moved = project_l1_ball(res.x_hat - float(inverse_lipschitz_step(G)) * (G @ res.x_hat - b), r)
+    eta = 1 / (LIPSCHITZ_MARGIN * np.linalg.eigvalsh(G)[..., -1])
+    moved = project_l1_ball(res.x_hat - eta * (G @ res.x_hat - b), r)
     assert np.linalg.norm(moved - res.x_hat) <= 1e-6 * (1 + np.linalg.norm(res.x_hat))
 
 
