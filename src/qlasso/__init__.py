@@ -12,9 +12,7 @@ _EXPORTS = {
         "LowRank",
         "SignalSpec",
         "Sparse",
-        "gen_lowrank_signal",
         "gen_signal",
-        "gen_sparse_signal",
         "sample_measurements",
     ),
     "experiment": (

@@ -1,8 +1,10 @@
 """Ground-truth signals and random isotropic measurement ensembles.
 
 Signals are either exactly s-sparse vectors or vectorized d x d matrices of
-rank r, rescaled to a prescribed l2 (Frobenius) norm. Measurement matrices
-stack iid isotropic rows: standard Gaussian or Rademacher entries.
+rank r, rescaled to a prescribed l2 (Frobenius) norm. Each structure owns its
+ball K: `project` onto it, `gauge(X)`, its norm of each row (the radius of K
+through the row), and `draw(spec, rng)`, so no caller branches on it.
+Measurement matrices stack iid isotropic rows: standard Gaussian or Rademacher entries.
 
 A Rademacher entry is 2 b - 1, b the top bit of the next 32-bit half of the
 generator's raw 64-bit words, low half first. These are the bits
@@ -29,6 +31,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .geometry import project_l1_rows, project_nuclear_rows
+
 
 def check_integers(**values):
     """Raise ValueError unless every value is an integer: a numbers.Integral (numpy's too) but not a bool."""
@@ -38,17 +42,50 @@ def check_integers(**values):
 
 @dataclass(frozen=True)
 class Sparse:
-    """Sparse structure: exactly s nonzero entries."""
+    """Sparse structure: exactly s nonzero entries; K is the l1 ball."""
 
     s: int
+    project = staticmethod(project_l1_rows)
+
+    def gauge(self, X: np.ndarray) -> np.ndarray:
+        """The l1 norm of each row of a (k, n) stack: the radius of K through it."""
+        return np.sum(np.abs(X), axis=1)
+
+    def draw(self, spec: "SignalSpec", rng: np.random.Generator) -> np.ndarray:
+        """Draw an s-sparse signal: uniform support, iid normal nonzeros, rescaled."""
+        support = rng.choice(spec.n, size=self.s, replace=False)
+        while True:
+            values = rng.standard_normal(self.s)
+            norm = np.linalg.norm(values)
+            if norm > 0:  # all-zero draw has probability zero
+                break
+        x0 = np.zeros(spec.n)
+        x0[support] = values * (spec.norm_target / norm)
+        return x0
 
 
 @dataclass(frozen=True)
 class LowRank:
-    """Low-rank structure: a d x d matrix of rank r, stored vectorized."""
+    """Low-rank structure: a d x d matrix of rank r, stored vectorized; K is the nuclear-norm ball."""
 
     d: int
     r: int
+    project = staticmethod(project_nuclear_rows)
+
+    def gauge(self, X: np.ndarray) -> np.ndarray:
+        """The nuclear norm of each row of a (k, d*d) stack, by one batched SVD: the radius of K through it."""
+        return np.linalg.norm(np.linalg.svd(X.reshape(-1, self.d, self.d), compute_uv=False), 1, axis=1)
+
+    def draw(self, spec: "SignalSpec", rng: np.random.Generator) -> np.ndarray:
+        """Draw X0 = U V^T with iid normal d x r factors, rescaled; row-major vectorized."""
+        while True:
+            U = rng.standard_normal((self.d, self.r))
+            V = rng.standard_normal((self.d, self.r))
+            X0 = U @ V.T
+            norm = np.linalg.norm(X0)
+            if norm > 0:
+                break
+        return (X0 * (spec.norm_target / norm)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -80,41 +117,9 @@ class SignalSpec:
 ENSEMBLES = ("gaussian", "rademacher")
 
 
-def gen_sparse_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw an s-sparse signal: uniform support, iid normal nonzeros, rescaled."""
-    if not isinstance(spec.structure, Sparse):
-        raise ValueError("spec.structure is not sparse")
-    s = spec.structure.s
-    support = rng.choice(spec.n, size=s, replace=False)
-    while True:
-        values = rng.standard_normal(s)
-        norm = np.linalg.norm(values)
-        if norm > 0:  # all-zero draw has probability zero
-            break
-    x0 = np.zeros(spec.n)
-    x0[support] = values * (spec.norm_target / norm)
-    return x0
-
-
-def gen_lowrank_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw X0 = U V^T with iid normal d x r factors, rescaled; row-major vectorized."""
-    if not isinstance(spec.structure, LowRank):
-        raise ValueError("spec.structure is not lowrank")
-    d, r = spec.structure.d, spec.structure.r
-    while True:
-        U = rng.standard_normal((d, r))
-        V = rng.standard_normal((d, r))
-        X0 = U @ V.T
-        norm = np.linalg.norm(X0)
-        if norm > 0:
-            break
-    return (X0 * (spec.norm_target / norm)).reshape(-1)
-
-
 def gen_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec.structure, Sparse):
-        return gen_sparse_signal(spec, rng)
-    return gen_lowrank_signal(spec, rng)
+    """Draw a signal of spec from rng by its structure's draw."""
+    return spec.structure.draw(spec, rng)
 
 
 # Rademacher entries drawn per pass over the raw words: every temporary stays below 128 KiB.

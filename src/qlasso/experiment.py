@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, gen_signal, sample_measurements
-from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure
 from .solver import MAX_ITERS, pgd_rows
 from .streams import substream
@@ -46,14 +45,9 @@ class ExperimentConfig:
         SignalSpec(self.n, self.structure, self.norm_target)  # validates n, structure and norm
         if list(self.m_grid) != sorted(set(self.m_grid)):
             raise ValueError("m_grid must be strictly increasing")
-        if self.quantizer not in ("uniform", "one_bit"):
-            raise ValueError(f"unknown quantizer {self.quantizer!r}")
-        # one-bit needs ln m > 0 for its dither range T = R sqrt(ln m)
-        m_min = 2 if self.quantizer == "one_bit" else 1
-        if not self.m_grid or self.m_grid[0] < m_min:
-            raise ValueError(f"m_grid must be nonempty with every m >= {m_min}, got {self.m_grid}")
-        if self.quantizer == "uniform" and not (self.delta and 0 < self.delta < math.inf):
-            raise ValueError("uniform quantizer needs a finite delta > 0")
+        if not self.m_grid or self.m_grid[0] < 1:
+            raise ValueError(f"m_grid must be nonempty with every m >= 1, got {self.m_grid}")
+        _channel(self, self.m_grid[0])  # validates the quantizer name, delta and the smallest m
         if self.quantizer == "one_bit" and self.delta is not None:
             raise ValueError("the one-bit quantizer has no delta; its dither range is R sqrt(ln m)")
         _check_estimators(self.estimators)
@@ -83,16 +77,19 @@ class RateFit:
 
 
 def onebit_dither_range(R: float, m: int) -> float:
-    """Dither range rule T = R * sqrt(ln m) (also used as mu)."""
+    """Dither range rule T = R * sqrt(ln m) (also the one-bit mu), positive only for m >= 2."""
+    if m < 2:
+        raise ValueError(f"the one-bit dither range R sqrt(ln m) needs m >= 2, got m={m}")
     return R * math.sqrt(math.log(m))
 
 
 def _channel(cfg: ExperimentConfig, m: int):
-    """(quantizer, mu) of the measurement channel at m."""
+    """The quantizer of the measurement channel at m; it carries every channel parameter, mu included."""
     if cfg.quantizer == "uniform":
-        return UniformQuantizer(cfg.delta), 1.0
-    T = onebit_dither_range(cfg.R, m)
-    return OneBitQuantizer(T), T
+        return UniformQuantizer(cfg.delta)
+    if cfg.quantizer == "one_bit":
+        return OneBitQuantizer(onebit_dither_range(cfg.R, m))
+    raise ValueError(f"unknown quantizer {cfg.quantizer!r}")
 
 
 def block_size(n: int) -> int:
@@ -120,10 +117,11 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
 
     Each trial's (x0, A, y) is drawn once from its (seed, m, trial, purpose)
     substreams and reduced at once to what every estimator needs: its Gram
-    statistics (G, b) = gram_stats(A, y, mu), with A^T A written by the draw,
-    and the radius of K, whose row projection the signal structure fixes. PBP
-    and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the block,
-    which finds each trial's step by backtracking, so no step is computed here.
+    statistics (G, b) = gram_stats(A, y, q.mu), with A^T A written by the draw
+    and mu read from the channel's quantizer q, and the radius K.gauge(x0) of
+    the structure K, whose K.project is the row projection: no branch on either.
+    PBP and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the
+    block, which finds each trial's step by backtracking, so no step is computed here.
 
     A is drawn in row panels into the panel of `workspace` (a _workspace(n)),
     so no buffer grows with m. The panels read the substreams as one
@@ -137,12 +135,11 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
-    k, n = len(trials), cfg.n
-    spec = SignalSpec(n, cfg.structure, cfg.norm_target)
-    q, mu = _channel(cfg, m)
+    k, n, K = len(trials), cfg.n, cfg.structure
+    spec = SignalSpec(n, K, cfg.norm_target)
+    q = _channel(cfg, m)
     x0s = np.empty((k, n))
     b = np.empty((k, n))
-    radii = np.empty(k)
     panel, G, scratch = workspace
     G = G[:k]
     for i, t in enumerate(trials):
@@ -157,25 +154,20 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
                 b[i] += A.T @ y
             else:
                 np.matmul(A.T, y, out=b[i])
-        G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, mu), bitwise where the panel sums are exact
-        b[i] *= mu / m
+        G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, q.mu), bitwise where the panel sums are exact
+        b[i] *= q.mu / m
         x0s[i] = x0
-        if isinstance(cfg.structure, Sparse):
-            radii[i] = np.sum(np.abs(x0))
-        else:
-            d_side = cfg.structure.d
-            radii[i] = np.linalg.norm(np.linalg.svd(x0.reshape(d_side, d_side), compute_uv=False), 1)
-    project = project_l1_rows if isinstance(cfg.structure, Sparse) else project_nuclear_rows
+    radii = K.gauge(x0s)
 
     out = {}
     one_shot = [e for e in estimators if e in ("pbp", "dm")]
     if one_shot:
-        err = np.linalg.norm(project(b, radii) - x0s, axis=1)
+        err = np.linalg.norm(K.project(b, radii) - x0s, axis=1)
         for est in one_shot:
             out[est] = (err, np.zeros(k, dtype=int), np.ones(k, dtype=bool))
     if "glasso" in estimators:
         # the limit is read at call time, so setting experiment.MAX_ITERS bounds every solve of a curve
-        X, iterations, converged = pgd_rows(G, b, radii, project, max_iters=MAX_ITERS)
+        X, iterations, converged = pgd_rows(G, b, radii, K.project, max_iters=MAX_ITERS)
         out["glasso"] = (np.linalg.norm(X - x0s, axis=1), iterations, converged)
     return out
 
@@ -192,9 +184,9 @@ def _check_estimators(names) -> Tuple[str, ...]:
 
 def run_trial(cfg: ExperimentConfig, m: int, trial_id: int, estimator: str) -> float:
     """One Monte Carlo trial: fresh (x0, A, dither), solve, return ||x_hat - x0||_2."""
+    check_integers(m=m, trial_id=trial_id)
     if m not in cfg.m_grid:
         raise ValueError(f"m={m} is not in the configured grid")
-    check_integers(trial_id=trial_id)
     if not 0 <= trial_id < cfg.trials:
         raise ValueError(f"trial_id={trial_id} is not in range({cfg.trials})")
     names = _check_estimators(estimator)

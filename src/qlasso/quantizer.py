@@ -9,11 +9,14 @@ continuous dither). Each quantizer fixes its dither law:
     measure-zero.
   * OneBitQuantizer(T): uniform on [-T, T], sampled as T * (2u - 1).
 
-measure runs the channel y = Q(<a, x0> + tau). With its dither, mu * Q(x + tau)
-is an unbiased reading of x in the uniform case (mu = 1); with mu = T the one-bit
-residual bias is the exact clipping term implemented by one_bit_mean_formula.
+measure runs the channel y = Q(<a, x0> + tau). Each quantizer also owns the
+scale mu of its reading mu * Q(x + tau) of x. With its dither that reading is
+unbiased for UniformQuantizer (mu = 1); for OneBitQuantizer (mu = T) its bias
+is the exact clipping term implemented by one_bit_mean_formula.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,30 +24,34 @@ import numpy as np
 
 @dataclass(frozen=True)
 class UniformQuantizer:
-    """Mid-riser quantizer of cell width delta; its dither is uniform on one cell."""
+    """Mid-riser quantizer of cell width delta; its dither is uniform on one cell, and its mu is 1."""
 
     delta: float
+    mu = 1.0
 
     def __post_init__(self):
-        if not (self.delta > 0):
-            raise ValueError(f"resolution delta must be positive, got {self.delta}")
+        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < math.inf):
+            raise ValueError(f"resolution delta must be finite and positive, got {self.delta}")
 
 
 @dataclass(frozen=True)
 class OneBitQuantizer:
-    """Sign quantizer; its dither is uniform on [-T, T]."""
+    """Sign quantizer; its dither is uniform on [-T, T], and its mu is T."""
 
     T: float
 
     def __post_init__(self):
-        if not (self.T > 0):
-            raise ValueError(f"dither range T must be positive, got {self.T}")
+        if not (0 < self.T < math.inf):
+            raise ValueError(f"dither range T must be finite and positive, got {self.T}")
+
+    @property
+    def mu(self) -> float:
+        return self.T
 
 
 def uniform_quantize(x, delta: float):
     """Mid-riser map Delta * (floor(x / Delta) + 1/2); floor rounds toward -inf."""
-    if not (delta > 0):
-        raise ValueError(f"resolution delta must be positive, got {delta}")
+    UniformQuantizer(delta)  # raises unless delta is finite and positive
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("uniform_quantize requires finite input")

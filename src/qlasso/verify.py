@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from .ensemble import SignalSpec, Sparse, float32_gram_is_exact, gen_sparse_signal, sample_measurements
+from .ensemble import LowRank, SignalSpec, Sparse, float32_gram_is_exact, gen_signal, sample_measurements
 from .experiment import onebit_eta2_formula, onebit_xi2_formula, onebit_xi_mean_literal, onebit_xi_mean_norm_scaled
-from .geometry import project_l1_rows, project_nuclear_rows
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure, one_bit_mean_formula
 from .solver import glasso_solve, gram_stats, pgd_rows
 from .streams import substream
@@ -36,11 +35,11 @@ def _mean_se(v):
 
 
 def _residual_gaps(seed, tag, size, cases):
-    """(MC mean - exact, standard error) of mu Q(x + tau) - x per case (q, mu, x, exact), measured
+    """(MC mean - exact, standard error) of q.mu Q(x + tau) - x per case (q, x, exact), measured
     with a ones column as A, so that <a, x0> is exactly x."""
     gaps = []
-    for i, (q, mu, x, exact) in enumerate(cases):
-        mean, se = _mean_se(mu * measure(np.ones((size, 1)), np.array([x]), q, substream(seed, tag, i)) - x)
+    for i, (q, x, exact) in enumerate(cases):
+        mean, se = _mean_se(q.mu * measure(np.ones((size, 1)), np.array([x]), q, substream(seed, tag, i)) - x)
         gaps.append((mean - exact, se))
     return gaps
 
@@ -48,7 +47,7 @@ def _residual_gaps(seed, tag, size, cases):
 def uniform_dither(seed: int, size: int):
     """E[Q(x + tau)] = x on a 7 x 3 grid of (x, Delta): within 5 se (+1e-12) and 5 Delta / sqrt(N)."""
     cases = [
-        (UniformQuantizer(delta), 1.0, x, 0.0)
+        (UniformQuantizer(delta), x, 0.0)
         for delta in (0.5, 1.0, 3.0)
         for x in (-3.3, -1.0, 0.0, 0.25, 0.37, 0.5, 7.9)
     ]
@@ -67,7 +66,7 @@ def one_bit_bias(seed: int, size: int):
     """E[T sign(x + tau)] - x for tau ~ Unif[-T, T], T = 4, is the exact clipping bias: within 5 se."""
     T = 4.0
     cases = [
-        (OneBitQuantizer(T), T, x, one_bit_mean_formula(x, T))
+        (OneBitQuantizer(T), x, one_bit_mean_formula(x, T))
         for x in (0.0, 0.5 * T, 2 * T, -2 * T, 3 * T, -3 * T)
     ]
     worst = max(_z(gap, se) for gap, se in _residual_gaps(seed, "verify-onebit", size, cases))
@@ -87,9 +86,9 @@ def one_bit_moments(seed: int, size: int):
     worst = 0.0
     details = []
     for i, (s, T) in enumerate(MOMENT_PAIRS):
-        rng = substream(seed, "verify-moments", i)
+        rng, q = substream(seed, "verify-moments", i), OneBitQuantizer(T)
         zeta = rng.standard_normal(size)
-        eta = T * measure(zeta[:, None], np.array([s]), OneBitQuantizer(T), rng) - s * zeta  # tau after zeta
+        eta = q.mu * measure(zeta[:, None], np.array([s]), q, rng) - s * zeta  # tau after zeta
         xi = eta * zeta
         xi_exact = onebit_xi_mean_norm_scaled(s, T)
         for v, exact in ((eta**2, onebit_eta2_formula(s, T)), (xi**2, onebit_xi2_formula(s, T)), (xi, xi_exact)):
@@ -115,21 +114,17 @@ def project_l1_bisection(V, radii) -> np.ndarray:
     return np.sign(V) * np.maximum(U - theta[:, None], 0.0)
 
 
-def _matrices(V):
-    d = math.isqrt(V.shape[1])
-    return V.reshape(-1, d, d)
-
-
 def _project_nuclear_bisection(V, radius):
-    U, s, Vt = np.linalg.svd(_matrices(V))
+    d = math.isqrt(V.shape[1])
+    U, s, Vt = np.linalg.svd(V.reshape(-1, d, d))
     return (U @ (project_l1_bisection(s, radius)[:, :, None] * Vt)).reshape(V.shape)
 
 
-# (name, projection, oracle, norm, dimension, radius) of each ball the projection check covers
+# (name, structure, oracle, dimension, radius) of each ball the projection check covers: the
+# structure's project and gauge are the projection and the norm of its ball
 _BALLS = (
-    ("l1", project_l1_rows, project_l1_bisection, lambda V: np.abs(V).sum(axis=1), 12, 2.0),
-    ("nuclear", project_nuclear_rows, _project_nuclear_bisection,
-     lambda V: np.linalg.svd(_matrices(V), compute_uv=False).sum(axis=1), 16, 1.5),
+    ("l1", Sparse(12), project_l1_bisection, 12, 2.0),
+    ("nuclear", LowRank(4, 4), _project_nuclear_bisection, 16, 1.5),
 )
 
 
@@ -140,19 +135,19 @@ def projections(seed: int, size: int):
     rng = substream(seed, "verify-proj")
     norm = np.linalg.norm
     ok, details = True, []
-    for name, project, oracle, ball_norm, n, radius in _BALLS:
+    for name, K, oracle, n, radius in _BALLS:
         pairs = max(1, size // 100)
         U, V = rng.standard_normal((2, pairs, n)) * rng.uniform(0.0, 3.0, (2, pairs, 1))
-        PU, PV = project(U, radius), project(V, radius)
-        excess = float(np.max(ball_norm(PU) - radius))
-        idempotence = float(np.max(norm(project(PU, radius) - PU, axis=1)))
+        PU, PV = K.project(U, radius), K.project(V, radius)
+        excess = float(np.max(K.gauge(PU) - radius))
+        idempotence = float(np.max(norm(K.project(PU, radius) - PU, axis=1)))
         expansive = int(np.sum(norm(PU - PV, axis=1) > norm(U - V, axis=1) + 1e-12))
         deviation = float(np.max(np.abs(PU - oracle(U, radius))))
         closer = 0
         for v in rng.standard_normal((20, n)) * 2:
             C = rng.standard_normal((max(1, size // 200), n))
-            C *= (radius * rng.random(len(C)) / ball_norm(C))[:, None]
-            closer += int(np.sum(norm(C - v, axis=1) < norm(project(v[None], radius)[0] - v) - 1e-9))
+            C *= (radius * rng.random(len(C)) / K.gauge(C))[:, None]
+            closer += int(np.sum(norm(C - v, axis=1) < norm(K.project(v[None], radius)[0] - v) - 1e-9))
         ok &= excess <= 1e-9 and idempotence <= 1e-12 and expansive == 0 and deviation <= 1e-10 and closer == 0
         details.append(f"{name}: norm excess {excess:.1e}, idempotence {idempotence:.1e}, expansive pairs "
                        f"{expansive}, oracle deviation {deviation:.1e}, closer candidates {closer}")
@@ -166,7 +161,7 @@ def solver_correctness(seed: int, size: int):
     worst_rel, monotone, ref_converged = 0.0, True, 0
     stats, X_ls = [], []
     for i in range(max(1, size // 50_000)):
-        x0 = gen_sparse_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
+        x0 = gen_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
         A = sample_measurements("gaussian", 300, 50, substream(seed, "verify-solver", i, "matrix"))
         y = measure(A, x0, UniformQuantizer(1.0), substream(seed, "verify-solver", i, "dither"))
         res = glasso_solve(A, y, 1.0, _whole_space, 1.0)
@@ -245,21 +240,22 @@ def stacked_solver(seed: int, size: int):
     converges too; the detail gives each ensemble's range of pgd_rows iterations."""
     n, count = 100, max(1, size // 10_000)
     spec, q = SignalSpec(n, Sparse(25), 8.0), UniformQuantizer(3.0)
+    K = spec.structure
     worst, ok, details = 0.0, True, []
     for kind in ("rademacher", "gaussian"):
         refs, stats, radii = [], [], []
         for i in range(count):
             m = (200, 2000)[i % 2]
-            x0 = gen_sparse_signal(spec, substream(seed, "verify-stacked", kind, i, "signal"))
+            x0 = gen_signal(spec, substream(seed, "verify-stacked", kind, i, "signal"))
             A = sample_measurements(kind, m, n, substream(seed, "verify-stacked", kind, i, "matrix"))
             y = measure(A, x0, q, substream(seed, "verify-stacked", kind, i, "dither"))
-            radii.append(float(np.abs(x0).sum()))
-            res = glasso_solve(A, y, 1.0, project_l1_rows, radii[-1])
+            radii.append(K.gauge(x0[None])[0])
+            res = glasso_solve(A, y, q.mu, K.project, radii[-1])
             ok &= res.converged
             refs.append(res.x_hat)
-            stats.append(gram_stats(A, y, 1.0))
+            stats.append(gram_stats(A, y, q.mu))
         G, b = (np.stack(s) for s in zip(*stats))
-        X, iterations, converged = pgd_rows(G, b, np.array(radii), project_l1_rows)
+        X, iterations, converged = pgd_rows(G, b, np.array(radii), K.project)
         refs = np.stack(refs)
         worst = max(worst, float(np.max(np.linalg.norm(X - refs, axis=1) / np.linalg.norm(refs, axis=1))))
         ok &= bool(converged.all())

@@ -19,7 +19,7 @@ from qlasso import (
     Sparse,
     UniformQuantizer,
     fit_rate,
-    gen_sparse_signal,
+    gen_signal,
     glasso_solve,
     gw_bound_lowrank,
     gw_bound_sparse,
@@ -179,7 +179,7 @@ def test_09_noiseless_limit():
         rng_sig = substream(SEED, "acc9", trial, "sig")
         rng_mat = substream(SEED, "acc9", trial, "mat")
         rng_dith = substream(SEED, "acc9", trial, "dith")
-        x0 = gen_sparse_signal(SignalSpec(100, Sparse(10), 8.0), rng_sig)
+        x0 = gen_signal(SignalSpec(100, Sparse(10), 8.0), rng_sig)
         A = sample_measurements("rademacher", 500, 100, rng_mat)
         y = measure(A, x0, UniformQuantizer(delta), rng_dith)
         res = glasso_solve(A, y, 1.0, project_l1_rows, float(np.abs(x0).sum()))

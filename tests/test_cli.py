@@ -109,9 +109,9 @@ def test_run_uniform_outputs(tmp_path, capsys):
     rc = main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 0
     for est in ("glasso", "pbp"):
-        csv = tmp_path / "out" / f"uniform_{est}.csv"
+        table = tmp_path / "out" / f"uniform_{est}.csv"
         svg = tmp_path / "out" / f"uniform_{est}.svg"
-        assert csv.exists() and svg.exists()
+        assert table.exists() and svg.exists()
         assert svg.read_text().startswith("<svg")
     rows = _curve_rows(tmp_path / "out" / "uniform_glasso.csv")
     assert [r["m"] for r in rows] == [100, 200, 400]

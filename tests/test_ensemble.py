@@ -6,8 +6,7 @@ from qlasso import (
     LowRank,
     SignalSpec,
     Sparse,
-    gen_lowrank_signal,
-    gen_sparse_signal,
+    gen_signal,
     sample_measurements,
     substream,
 )
@@ -16,19 +15,19 @@ from qlasso.ensemble import RADEMACHER_CHUNK, float32_gram_is_exact
 
 def test_sparse_signal_support_and_norm():
     spec = SignalSpec(100, Sparse(25), 8.0)
-    x0 = gen_sparse_signal(spec, substream(7, "sig"))
+    x0 = gen_signal(spec, substream(7, "sig"))
     assert np.count_nonzero(x0) == 25
     assert abs(np.linalg.norm(x0) - 8.0) <= 1e-9
 
 
 def test_sparse_fully_dense_unit():
-    x0 = gen_sparse_signal(SignalSpec(4, Sparse(4), 1.0), substream(3, "sig"))
+    x0 = gen_signal(SignalSpec(4, Sparse(4), 1.0), substream(3, "sig"))
     assert np.count_nonzero(x0) == 4
     assert abs(np.linalg.norm(x0) - 1.0) <= 1e-9
 
 
 def test_sparse_single_spike():
-    x0 = gen_sparse_signal(SignalSpec(10, Sparse(1), 3.0), substream(11, "sig"))
+    x0 = gen_signal(SignalSpec(10, Sparse(1), 3.0), substream(11, "sig"))
     nz = np.nonzero(x0)[0]
     assert nz.size == 1
     assert abs(abs(x0[nz[0]]) - 3.0) <= 1e-9
@@ -48,7 +47,7 @@ def test_invalid_sparse_specs():
 
 def test_lowrank_rank_and_norm():
     spec = SignalSpec(64, LowRank(8, 2), 8.0)
-    x0 = gen_lowrank_signal(spec, substream(5, "sig"))
+    x0 = gen_signal(spec, substream(5, "sig"))
     X = x0.reshape(8, 8)
     s = np.linalg.svd(X, compute_uv=False)
     assert abs(np.linalg.norm(X) - 8.0) <= 1e-9
@@ -57,10 +56,10 @@ def test_lowrank_rank_and_norm():
 
 
 def test_lowrank_rank_one_and_full():
-    x1 = gen_lowrank_signal(SignalSpec(100, LowRank(10, 1), 1.0), substream(9, "s"))
+    x1 = gen_signal(SignalSpec(100, LowRank(10, 1), 1.0), substream(9, "s"))
     s = np.linalg.svd(x1.reshape(10, 10), compute_uv=False)
     assert s[1] < 1e-10
-    x2 = gen_lowrank_signal(SignalSpec(25, LowRank(5, 5), 2.0), substream(9, "s2"))
+    x2 = gen_signal(SignalSpec(25, LowRank(5, 5), 2.0), substream(9, "s2"))
     assert abs(np.linalg.norm(x2) - 2.0) <= 1e-9
 
 
@@ -72,6 +71,16 @@ def test_lowrank_invalid():
     for d, r in ((8.0, 2), (8, 2.0), (8, True)):
         with pytest.raises(ValueError, match="counts must be integers"):
             SignalSpec(64, LowRank(d, r), 1.0)
+
+
+@pytest.mark.parametrize("rows", [1, 13])
+def test_gauges_are_bitwise_the_per_row_norms(rows):
+    # the engine computed each radius as one of these per-row expressions before the structures owned it
+    sparse, lowrank = SignalSpec(64, Sparse(10), 8.0), SignalSpec(64, LowRank(8, 2), 8.0)
+    for spec, norm in ((sparse, lambda x: np.sum(np.abs(x))),
+                       (lowrank, lambda x: np.linalg.norm(np.linalg.svd(x.reshape(8, 8), compute_uv=False), 1))):
+        X = np.stack([gen_signal(spec, substream(rows, "gauge", i)) for i in range(rows)])
+        assert spec.structure.gauge(X).tobytes() == np.array([norm(x) for x in X]).tobytes()
 
 
 def test_rademacher_entries():
@@ -201,8 +210,8 @@ def test_determinism_bitwise():
     a = sample_measurements("gaussian", 50, 10, substream(42, "A"))
     b = sample_measurements("gaussian", 50, 10, substream(42, "A"))
     assert np.array_equal(a, b)
-    x = gen_sparse_signal(SignalSpec(30, Sparse(5), 2.0), substream(42, "x"))
-    y = gen_sparse_signal(SignalSpec(30, Sparse(5), 2.0), substream(42, "x"))
+    x = gen_signal(SignalSpec(30, Sparse(5), 2.0), substream(42, "x"))
+    y = gen_signal(SignalSpec(30, Sparse(5), 2.0), substream(42, "x"))
     assert np.array_equal(x, y)
 
 

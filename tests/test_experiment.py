@@ -66,9 +66,9 @@ def test_config_validation():
         _cfg(m_grid=(200, 200))
     with pytest.raises(ValueError):
         _cfg(trials=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown quantizer"):
         _cfg(quantizer="ternary")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
         _cfg(delta=None)
     with pytest.raises(ValueError):
         _cfg(estimators=("glasso", "mle"))
@@ -90,7 +90,7 @@ def test_config_validation():
             _cfg(**counts)
     _cfg(n=np.int64(50), trials=np.int32(3), m_grid=(np.int64(200), 400), master_seed=np.uint8(7))
     _cfg(m_grid=(1, 200))  # the uniform channel is defined at m = 1
-    with pytest.raises(ValueError):  # the one-bit dither range R sqrt(ln m) is 0 at m = 1
+    with pytest.raises(ValueError, match="m >= 2"):  # the one-bit dither range R sqrt(ln m) is 0 at m = 1
         _cfg(quantizer="one_bit", delta=None, m_grid=(1, 200))
     with pytest.raises(ValueError):  # the one-bit channel has no cell width
         _cfg(quantizer="one_bit", delta=1.0)
@@ -125,6 +125,13 @@ def test_run_trial_rejects_a_trial_id_outside_the_config(trial_id):
     cfg = _cfg()
     with pytest.raises(ValueError):
         run_trial(cfg, 200, trial_id, "glasso")
+
+
+@pytest.mark.parametrize("m", [200.0, np.float64(200)], ids=["float", "numpy-float"])
+def test_run_trial_rejects_a_float_m(m):
+    # 200.0 is in the grid, and used to fail in the engine with a bare TypeError
+    with pytest.raises(ValueError, match="counts must be integers"):
+        run_trial(_cfg(), m, 0, "glasso")
 
 
 def test_run_trial_paired_across_estimators():
@@ -240,10 +247,10 @@ def _spy_engine(monkeypatch):
 
 def _whole_draw(cfg, m, t):
     """A trial's matrix and measurements drawn whole, with its mu."""
-    q, mu = qlasso.experiment._channel(cfg, m)
+    q = qlasso.experiment._channel(cfg, m)
     x0 = gen_signal(SignalSpec(cfg.n, cfg.structure, cfg.norm_target), substream(cfg.master_seed, m, t, "signal"))
     A = sample_measurements(cfg.ensemble, m, cfg.n, substream(cfg.master_seed, m, t, "matrix"))
-    return A, measure(A, x0, q, substream(cfg.master_seed, m, t, "dither")), mu
+    return A, measure(A, x0, q, substream(cfg.master_seed, m, t, "dither")), q.mu
 
 
 def _trials_of(cfg, panels, ys, stacks):

@@ -3,8 +3,9 @@ of the tests uses each name it imports, every module of the package and of the
 benchmark reads each private top-level name it defines, the package, the
 benchmark or the entry point reads each public top-level name of the package,
 some expression of the package or its tests reads each dataclass field of the
-package, every function the benchmark's tracer wraps exists in its module, and
-every name of qlasso.__all__ resolves."""
+package, every function the benchmark's tracer wraps exists in its module, every
+name of qlasso.__all__ resolves, and only ensemble.py branches on the type of a
+signal structure and only quantizer.py on the type of a quantizer."""
 
 import ast
 import importlib
@@ -173,3 +174,31 @@ def test_every_export_resolves():
     import qlasso
 
     assert [name for name in qlasso.__all__ if not hasattr(qlasso, name)] == []
+
+
+def type_dispatches(source: str, classes) -> list:
+    """The isinstance calls of `source` whose class argument names one of `classes`, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            found += [f"{name} (line {node.lineno})" for name in sorted(named & set(classes))]
+    return found
+
+
+def test_guard_finds_a_type_dispatch():
+    source = "if isinstance(k, Sparse):\n    pass\nok = isinstance(q, (int, quantizer.OneBitQuantizer))\n" \
+             "isinstance(x, float)\nSparse(3)\n"
+    assert type_dispatches(source, ("Sparse", "OneBitQuantizer")) == ["Sparse (line 1)", "OneBitQuantizer (line 3)"]
+
+
+# {classes: the one module that may branch on them}; every other module reads what the classes own
+# (a structure's project, gauge and draw, a quantizer's mu) instead of deciding it again
+DISPATCH_OWNERS = {("Sparse", "LowRank"): "ensemble.py", ("UniformQuantizer", "OneBitQuantizer"): "quantizer.py"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_type_dispatch_outside_its_module(path):
+    source = path.read_text()
+    assert [found for classes, owner in DISPATCH_OWNERS.items() if path.name != owner
+            for found in type_dispatches(source, classes)] == []

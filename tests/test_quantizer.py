@@ -31,6 +31,24 @@ def test_uniform_quantize_rejects_nonfinite():
         uniform_quantize(1.0, -1.0)
 
 
+@pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan, 0.0, None])
+def test_nonfinite_or_nonpositive_delta_is_rejected(delta):
+    # an infinite delta used to build a quantizer whose measure failed on "finite input",
+    # and uniform_quantize(1.0, inf) returned inf
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        UniformQuantizer(delta)
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        uniform_quantize(1.0, delta)
+
+
+def test_quantizers_own_their_mu():
+    assert UniformQuantizer(3.0).mu == 1.0
+    assert OneBitQuantizer(2.5).mu == 2.5
+    for T in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            OneBitQuantizer(T)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     x=st.floats(min_value=-1e6, max_value=1e6),

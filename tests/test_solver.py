@@ -8,9 +8,7 @@ from qlasso import (
     UniformQuantizer,
     dm_estimate,
     estimate_lipschitz,
-    gen_lowrank_signal,
     gen_signal,
-    gen_sparse_signal,
     glasso_solve,
     gram_stats,
     measure,
@@ -29,7 +27,7 @@ def _instance(seed, m=300, n=50, s=10, delta=1.0):
     rng_sig = substream(seed, "sig")
     rng_mat = substream(seed, "mat")
     rng_dith = substream(seed, "dith")
-    x0 = gen_sparse_signal(SignalSpec(n, Sparse(s), 3.0), rng_sig)
+    x0 = gen_signal(SignalSpec(n, Sparse(s), 3.0), rng_sig)
     A = sample_measurements("gaussian", m, n, rng_mat)
     y = measure(A, x0, UniformQuantizer(delta), rng_dith)
     return x0, A, y
@@ -170,7 +168,7 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
     instances, radii = [], []
     for seed in range(4):
         rng = substream(300 + seed, "lr")
-        x0 = gen_lowrank_signal(SignalSpec(d * d, LowRank(d, 1), 2.0), rng)
+        x0 = gen_signal(SignalSpec(d * d, LowRank(d, 1), 2.0), rng)
         A = sample_measurements("gaussian", 200, d * d, rng)
         y = measure(A, x0, UniformQuantizer(0.5), rng)
         instances.append((A, y))
@@ -375,7 +373,7 @@ def _step_problems(case, noise=0.1):
     X0, B = np.empty((k, n)), np.empty((k, n))
     for i in range(k):
         rng = substream(20, "step-problem", case, i)
-        X0[i] = gen_sparse_signal(SignalSpec(n, Sparse(5), 3.0), rng)
+        X0[i] = gen_signal(SignalSpec(n, Sparse(5), 3.0), rng)
         B[i] = G[i] @ X0[i]
         B[i] += noise * np.linalg.norm(B[i]) / np.sqrt(n) * rng.standard_normal(n)
     return G, B, 0.8 * np.abs(X0).sum(axis=1)
@@ -473,7 +471,7 @@ def test_backtracking_step_backtracks_per_matrix():
     G, b, radii = _step_problems("rademacher m=200 n=100")
     A, y, r = _bottom_eigenvector_problem(n=n)
     G_bottom, b_bottom = gram_stats(A, y, 1.0)
-    x0 = gen_sparse_signal(SignalSpec(n, Sparse(5), 3.0), substream(22, "identity-x0"))
+    x0 = gen_signal(SignalSpec(n, Sparse(5), 3.0), substream(22, "identity-x0"))
     G = np.concatenate([G[:3], G_bottom[None], 2.5 * np.eye(n)[None], G[3:5]])
     b = np.concatenate([b[:3], b_bottom[None], 2.5 * x0[None], b[3:5]])
     radii = np.concatenate([radii[:3], [r, 0.8 * np.abs(x0).sum()], radii[3:5]])
@@ -555,7 +553,7 @@ def test_noiseless_limit_single_trial():
     rng_sig = substream(14, "sig")
     rng_mat = substream(14, "mat")
     rng_dith = substream(14, "dith")
-    x0 = gen_sparse_signal(SignalSpec(100, Sparse(10), 3.0), rng_sig)
+    x0 = gen_signal(SignalSpec(100, Sparse(10), 3.0), rng_sig)
     A = sample_measurements("gaussian", 500, 100, rng_mat)
     delta = 1e-6
     y = measure(A, x0, UniformQuantizer(delta), rng_dith)
