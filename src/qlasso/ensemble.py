@@ -5,6 +5,7 @@ rank r, rescaled to a prescribed l2 (Frobenius) norm. Each structure owns its
 ball K: `project` onto it, `gauge(X)`, its norm of each row (the radius of K
 through the row), and `draw(spec, rng)`, so no caller branches on it.
 Measurement matrices stack iid isotropic rows: standard Gaussian or Rademacher entries.
+`numpy.random` loads at the first draw, not at import, so annotations name it only as strings.
 
 A Rademacher entry is 2 b - 1, b the top bit of the next 32-bit half of the
 generator's raw 64-bit words, low half first. These are the bits
@@ -51,7 +52,7 @@ class Sparse:
         """The l1 norm of each row of a (k, n) stack: the radius of K through it."""
         return np.sum(np.abs(X), axis=1)
 
-    def draw(self, spec: "SignalSpec", rng: np.random.Generator) -> np.ndarray:
+    def draw(self, spec: "SignalSpec", rng: "np.random.Generator") -> np.ndarray:
         """Draw an s-sparse signal: uniform support, iid normal nonzeros, rescaled."""
         support = rng.choice(spec.n, size=self.s, replace=False)
         while True:
@@ -76,7 +77,7 @@ class LowRank:
         """The nuclear norm of each row of a (k, d*d) stack, by one batched SVD: the radius of K through it."""
         return np.linalg.norm(np.linalg.svd(X.reshape(-1, self.d, self.d), compute_uv=False), 1, axis=1)
 
-    def draw(self, spec: "SignalSpec", rng: np.random.Generator) -> np.ndarray:
+    def draw(self, spec: "SignalSpec", rng: "np.random.Generator") -> np.ndarray:
         """Draw X0 = U V^T with iid normal d x r factors, rescaled; row-major vectorized."""
         while True:
             U = rng.standard_normal((self.d, self.r))
@@ -117,7 +118,7 @@ class SignalSpec:
 ENSEMBLES = ("gaussian", "rademacher")
 
 
-def gen_signal(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
+def gen_signal(spec: SignalSpec, rng: "np.random.Generator") -> np.ndarray:
     """Draw a signal of spec from rng by its structure's draw."""
     return spec.structure.draw(spec, rng)
 
@@ -132,7 +133,7 @@ def float32_gram_is_exact(m: int) -> bool:
     return m <= 2**24
 
 
-def _rademacher_stage(m: int, n: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def _rademacher_stage(m: int, n: int, rng: "np.random.Generator", out: np.ndarray) -> np.ndarray:
     """Draw the signs as float32 +-1 into the upper half of out's bytes; return that (m, n) stage."""
     stage = out.reshape(-1).view(np.float32)[m * n:]
     bits = stage.view(np.uint32)
@@ -159,7 +160,7 @@ def _widen(stage: np.ndarray, out: np.ndarray) -> None:
 
 
 def sample_measurements(
-    kind: str, m: int, n: int, rng: np.random.Generator, *,
+    kind: str, m: int, n: int, rng: "np.random.Generator", *,
     out: Optional[np.ndarray] = None, gram: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sample an m x n matrix A with iid rows of the named ensemble (one of ENSEMBLES).

@@ -68,7 +68,7 @@ def one_bit_quantize(x):
     return out if out.ndim else float(out)
 
 
-def sample_dither(q: UniformQuantizer | OneBitQuantizer, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_dither(q: UniformQuantizer | OneBitQuantizer, rng: "np.random.Generator", size: int) -> np.ndarray:
     """Draw `size` iid dithers from the law of quantizer q."""
     if isinstance(q, UniformQuantizer):
         return q.delta * (rng.random(size) - 0.5)
@@ -78,7 +78,7 @@ def sample_dither(q: UniformQuantizer | OneBitQuantizer, rng: np.random.Generato
 
 
 def measure(
-    A: np.ndarray, x0: np.ndarray, q: UniformQuantizer | OneBitQuantizer, rng: np.random.Generator
+    A: np.ndarray, x0: np.ndarray, q: UniformQuantizer | OneBitQuantizer, rng: "np.random.Generator"
 ) -> np.ndarray:
     """Quantized channel y_i = Q(a_i^T x0 + tau_i) with fresh iid dither from q's law."""
     A = np.asarray(A, dtype=float)

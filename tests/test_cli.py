@@ -155,18 +155,21 @@ def test_jobs_do_not_change_outputs(tmp_path):
     # more threads. The CLI pins itself to one thread and its forked workers
     # keep that, so --jobs 1 and --jobs 2 write the same bytes, run to run.
     # n=100 runs 15 trials as blocks of 13 and 2, so two workers share eight tasks;
-    # m=2700 draws each matrix in three row panels.
-    cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300, 2700], trials=15)
-    outs = []
-    for jobs in ("1", "2", "2"):
-        out = tmp_path / f"run{len(outs)}"
-        subprocess.run([sys.executable, "-m", "qlasso.cli", "run-uniform", "--config", cfg,
-                        "--out", str(out), "--jobs", jobs], env=_subprocess_env(), check=True, timeout=120,
-                       capture_output=True)
-        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert set(outs[0]) == {"uniform_glasso.csv", "uniform_glasso.svg", "uniform_pbp.csv",
-                            "uniform_pbp.svg", "uniform_rates.csv"}
-    assert outs[0] == outs[1] == outs[2]
+    # m=2700 draws each matrix in three row panels. The one-bit run draws Rademacher
+    # rows in workers that load numpy.random at their first draw, after the fork.
+    for command, tag, channel in (("run-uniform", "uniform", {}),
+                                  ("run-onebit", "onebit", dict(ensemble="rademacher", quantizer="one_bit"))):
+        cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300, 2700], trials=15, **channel)
+        outs = []
+        for jobs in ("1", "2", "2"):
+            out = tmp_path / f"{tag}{len(outs)}"
+            subprocess.run([sys.executable, "-m", "qlasso.cli", command, "--config", cfg,
+                            "--out", str(out), "--jobs", jobs], env=_subprocess_env(), check=True, timeout=120,
+                           capture_output=True)
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert set(outs[0]) == {f"{tag}_{name}" for name in ("glasso.csv", "glasso.svg", "pbp.csv", "pbp.svg",
+                                                             "rates.csv")}
+        assert outs[0] == outs[1] == outs[2]
 
 
 # A library caller's Gaussian curve at jobs=1 and jobs=2: the caller's calls of
@@ -363,6 +366,30 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), check=True, timeout=60,
                          capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "[] False False"
+
+
+# Whether numpy.random is loaded once every qlasso module is imported, then after a
+# run-onebit with --jobs 2 and after one with --jobs 1, in that order.
+_NUMPY_RANDOM_CODE = """if True:
+    import importlib, pkgutil, sys, qlasso, qlasso.cli
+    for module in pkgutil.iter_modules(qlasso.__path__):
+        importlib.import_module(f"qlasso.{{module.name}}")
+    loaded = ["numpy.random" in sys.modules]
+    for jobs in ("2", "1"):
+        assert qlasso.cli.main(["run-onebit", "--config", {cfg!r}, "--out", {out!r}, "--jobs", jobs]) == 0
+        loaded.append("numpy.random" in sys.modules)
+    print(*loaded)
+"""
+
+
+def test_jobs_caller_loads_no_numpy_random(tmp_path):
+    # No qlasso module loads numpy.random at import, so a --jobs 2 caller, which only forks
+    # and waits, never loads it; its workers do at their first draw, as a --jobs 1 run does
+    code = _NUMPY_RANDOM_CODE.format(cfg=_write_cfg(tmp_path, quantizer="one_bit", ensemble="rademacher"),
+                                     out=str(tmp_path / "o"))
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(**dict.fromkeys(BLAS_VARS, "1")),
+                         check=True, timeout=60, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "False False True"
 
 
 def test_import_loads_no_numpy_and_cli_pins_blas():
