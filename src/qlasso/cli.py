@@ -21,10 +21,15 @@ so the outputs follow from the seed whatever --jobs and the environment
 say: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy loads. Where numpy is already loaded (a
 library caller or a test importing this module), that could not take
-effect, and the environment is left as it is.
+effect, and the environment is left as it is. Likewise every CLI process
+hashes (substream keys, config and seed hashes) with Python's builtin SHA-256,
+which gives OpenSSL's digests, so it never maps OpenSSL's libcrypto (about
+3.4 MB resident): importing this module blocks _hashlib, unless it is already
+loaded or the build has no builtin SHA-256 (_sha2, or _sha256 before 3.12).
 """
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -32,6 +37,8 @@ import sys
 
 if "numpy" not in sys.modules:
     os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+if "_hashlib" not in sys.modules and any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+    sys.modules["_hashlib"] = None  # hashlib and hmac fall back to the builtin modules
 
 # numpy loads below this line, through the package modules too
 import numpy as np

@@ -208,7 +208,8 @@ def run_curve(
     fork (Linux) and is fastest with one BLAS thread a process: the CLI runs
     one; a library caller sets OPENBLAS_NUM_THREADS=1 (or OMP_, MKL_) before numpy loads.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+    check_integers(jobs=jobs)
+    if jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     names = _check_estimators(estimator)
     step, workspace = block_size(cfg.n), _workspace(cfg.n)  # a forked worker writes its own copy of it

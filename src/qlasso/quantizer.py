@@ -22,6 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless value is a finite positive real, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UniformQuantizer:
     """Mid-riser quantizer of cell width delta; its dither is uniform on one cell, and its mu is 1."""
@@ -30,8 +36,7 @@ class UniformQuantizer:
     mu = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < math.inf):
-            raise ValueError(f"resolution delta must be finite and positive, got {self.delta}")
+        _check_positive("resolution delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class OneBitQuantizer:
     T: float
 
     def __post_init__(self):
-        if not (0 < self.T < math.inf):
-            raise ValueError(f"dither range T must be finite and positive, got {self.T}")
+        _check_positive("dither range T", self.T)
 
     @property
     def mu(self) -> float:
@@ -93,6 +97,5 @@ def measure(
 
 def one_bit_mean_formula(x: float, T: float) -> float:
     """Exact one-bit dither bias E_tau[T * sign(x + tau) - x] for tau ~ Unif[-T, T]."""
-    if not (T > 0):
-        raise ValueError("T must be positive")
+    _check_positive("dither range T", T)
     return -x * (abs(x) > T) + T * (x > T) - T * (x < -T)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import qlasso.experiment
 import qlasso.verify
 from qlasso import ExperimentConfig, Sparse, fit_rate, run_curve
 from qlasso.cli import _COMMANDS, _SETTINGS, build_parser, main
+from test_streams import PINNED
 
 
 def _write_cfg(tmp_path, **kw):
@@ -368,28 +370,81 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     assert out.stdout.splitlines()[-1] == "[] False False"
 
 
-# Whether numpy.random is loaded once every qlasso module is imported, then after a
-# run-onebit with --jobs 2 and after one with --jobs 1, in that order.
-_NUMPY_RANDOM_CODE = """if True:
-    import importlib, pkgutil, sys, qlasso, qlasso.cli
+# The config and comment line that tests/test_output.py pins: its hash covers every default it leaves out.
+_PINNED_HASH_CONFIG = {"n": 30, "s": 5, "norm": 3.0, "R": 4.0, "trials": 1, "seed": 11}
+_PINNED_COMMENT_LINE = "# master_seed=11 config_hash=efd0062f67727e03"
+
+# After `code`, the lines it put in `report`, then whether OpenSSL's _hashlib is loaded (None, its entry
+# while blocked, is not), whether the substream words of test_streams.PINNED come out, and the comment
+# line of a run-uniform on the _PINNED_HASH_CONFIG written to `small`.
+_DIGESTS_CODE = """if True:
+    import sys
+    report = []
+    {code}
+    import qlasso.cli
+    from qlasso.streams import substream
+    openssl = sys.modules.get("_hashlib") is not None
+    words = {{k: tuple(int(v) for v in substream(*k).bit_generator.random_raw(2)) for k in {pinned!r}}}
+    assert qlasso.cli.main(["run-uniform", "--config", {small!r}, "--out", {out!r}]) == 0
+    with open({out!r} + "/uniform_glasso.csv") as fh:
+        line = fh.readline().rstrip()
+    print(*report, openssl, words == {pinned!r}, line, sep="\\n")
+"""
+
+
+def _digests(tmp_path, code):
+    """The lines _DIGESTS_CODE prints after `code`, run in a BLAS-pinned subprocess."""
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(_PINNED_HASH_CONFIG))
+    code = _DIGESTS_CODE.format(code=code, pinned=PINNED, small=str(small), out=str(tmp_path / "small"))
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(**dict.fromkeys(BLAS_VARS, "1")),
+                         check=True, timeout=60, capture_output=True, text=True)
+    return out.stdout.splitlines()
+
+
+# Whether numpy.random and OpenSSL's _hashlib are loaded once every qlasso module is imported,
+# then after a run-onebit with --jobs 2 and after one with --jobs 1, in that order.
+_NUMPY_RANDOM_CODE = """import importlib, pkgutil, qlasso
     for module in pkgutil.iter_modules(qlasso.__path__):
         importlib.import_module(f"qlasso.{{module.name}}")
-    loaded = ["numpy.random" in sys.modules]
+    loaded = lambda: ("numpy.random" in sys.modules, sys.modules.get("_hashlib") is not None)
+    states = [loaded()]
     for jobs in ("2", "1"):
         assert qlasso.cli.main(["run-onebit", "--config", {cfg!r}, "--out", {out!r}, "--jobs", jobs]) == 0
-        loaded.append("numpy.random" in sys.modules)
-    print(*loaded)
-"""
+        states.append(loaded())
+    report += [" ".join(str(random) for random, _ in states), " ".join(str(openssl) for _, openssl in states)]"""
 
 
 def test_jobs_caller_loads_no_numpy_random(tmp_path):
     # No qlasso module loads numpy.random at import, so a --jobs 2 caller, which only forks
-    # and waits, never loads it; its workers do at their first draw, as a --jobs 1 run does
+    # and waits, never loads it; its workers do at their first draw, as a --jobs 1 run does.
+    # No CLI process loads OpenSSL's _hashlib: it hashes with the builtin SHA-256, and the
+    # pinned substream words and config hash come out the same.
     code = _NUMPY_RANDOM_CODE.format(cfg=_write_cfg(tmp_path, quantizer="one_bit", ensemble="rademacher"),
                                      out=str(tmp_path / "o"))
+    assert _digests(tmp_path, code)[-5:] == ["False False True", "False False False", "False", "True",
+                                             _PINNED_COMMENT_LINE]
+
+
+@pytest.mark.parametrize("code", ["import hashlib", "sys.modules['_sha256'] = sys.modules['_sha2'] = None"],
+                         ids=["hashlib_loaded_first", "no_builtin_sha256"])
+def test_cli_keeps_openssl_where_it_cannot_opt_out(tmp_path, code):
+    # importing qlasso.cli leaves an OpenSSL _hashlib that hashlib loaded first, and keeps OpenSSL
+    # on a build with no builtin SHA-256; either way the digests are unchanged
+    code += "\n    import qlasso.cli, hashlib; report.append(hashlib.pbkdf2_hmac('sha256', b'qlasso', b'salt', 2).hex())"
+    assert _digests(tmp_path, code)[-4:] == [hashlib.pbkdf2_hmac("sha256", b"qlasso", b"salt", 2).hex(), "True",
+                                             "True", _PINNED_COMMENT_LINE]
+
+
+def test_library_never_blocks_openssl():
+    # only the CLI's own process gives up OpenSSL's _hashlib: `import qlasso` and a library
+    # run_curve load it as any program would
+    code = ("import sys, qlasso; print(sys.modules.get('_hashlib', 'absent')); "
+            "qlasso.run_curve(qlasso.ExperimentConfig(30, qlasso.Sparse(5), 3.0, 4.0, 'gaussian', 'uniform', 1.0, "
+            "(100,), 2, 11), 'glasso'); print(type(sys.modules['_hashlib']).__name__)")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(**dict.fromkeys(BLAS_VARS, "1")),
                          check=True, timeout=60, capture_output=True, text=True)
-    assert out.stdout.splitlines()[-1] == "False False True"
+    assert out.stdout.splitlines() == ["absent", "module"]
 
 
 def test_import_loads_no_numpy_and_cli_pins_blas():

@@ -154,17 +154,29 @@ def test_run_trial_paired_across_estimators():
 def test_run_curve_shapes_and_determinism():
     cfg = _cfg()
     c1 = run_curve(cfg, "glasso")
-    c2 = run_curve(cfg, "glasso")
+    c2 = run_curve(cfg, "glasso", jobs=np.int64(1))  # a numpy integer is a count like any other
     assert c1.m_grid == (200, 400)
     assert c1.errors.shape == (2, 3)
     np.testing.assert_array_equal(c1.errors, c2.errors)
     np.testing.assert_array_equal(c1.mean_err, c1.errors.mean(axis=1))
 
 
-@pytest.mark.parametrize("jobs", [0, -1, 2.0, True, "2", None])
-def test_run_curve_rejects_bad_jobs(jobs):
-    # jobs=0 and -1 used to run one process, and jobs=2.0 failed deep in the pool
-    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+_BELOW_ONE, _NOT_AN_INTEGER = "jobs must be an int >= 1", r"counts must be integers, got \{'jobs'"
+
+
+@pytest.mark.parametrize("jobs, error", [
+    pytest.param(0, _BELOW_ONE, id="0"),
+    pytest.param(-1, _BELOW_ONE, id="-1"),
+    pytest.param(np.int64(0), _BELOW_ONE, id="np.int64(0)"),
+    pytest.param(2.0, _NOT_AN_INTEGER, id="2.0"),
+    pytest.param(True, _NOT_AN_INTEGER, id="True"),
+    pytest.param("2", _NOT_AN_INTEGER, id="2"),
+    pytest.param(None, _NOT_AN_INTEGER, id="None"),
+])
+def test_run_curve_rejects_bad_jobs(jobs, error):
+    # jobs=0 and -1 used to run one process, and jobs=2.0 failed deep in the pool; jobs is checked
+    # as every count is (check_integers), then for >= 1
+    with pytest.raises(ValueError, match=error):
         run_curve(_cfg(), "glasso", jobs=jobs)
 
 

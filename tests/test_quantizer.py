@@ -31,10 +31,10 @@ def test_uniform_quantize_rejects_nonfinite():
         uniform_quantize(1.0, -1.0)
 
 
-@pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan, 0.0, None])
+@pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan, 0.0, None, True, "3"])
 def test_nonfinite_or_nonpositive_delta_is_rejected(delta):
     # an infinite delta used to build a quantizer whose measure failed on "finite input",
-    # and uniform_quantize(1.0, inf) returned inf
+    # and uniform_quantize(1.0, inf) returned inf; True built a quantizer of width 1
     with pytest.raises(ValueError, match="delta must be finite and positive"):
         UniformQuantizer(delta)
     with pytest.raises(ValueError, match="delta must be finite and positive"):
@@ -44,7 +44,7 @@ def test_nonfinite_or_nonpositive_delta_is_rejected(delta):
 def test_quantizers_own_their_mu():
     assert UniformQuantizer(3.0).mu == 1.0
     assert OneBitQuantizer(2.5).mu == 2.5
-    for T in (np.inf, np.nan, 0.0):
+    for T in (np.inf, np.nan, 0.0, True, "3"):  # True built a range of 1, "3" raised a bare TypeError
         with pytest.raises(ValueError, match="T must be finite and positive"):
             OneBitQuantizer(T)
 
@@ -164,5 +164,6 @@ def test_one_bit_mean_formula_values():
     assert one_bit_mean_formula(0.5 * T, T) == 0.0
     assert one_bit_mean_formula(2 * T, T) == -T
     assert one_bit_mean_formula(-3 * T, T) == 2 * T
-    with pytest.raises(ValueError):
-        one_bit_mean_formula(1.0, 0.0)
+    for bad in (0.0, np.inf, True):  # the quantizers' rule; inf gave nan and True a range of 1
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            one_bit_mean_formula(1.0, bad)
