@@ -38,9 +38,6 @@ _EXPORTS = {
         "UniformQuantizer",
         "measure",
         "one_bit_mean_formula",
-        "one_bit_quantize",
-        "sample_dither",
-        "uniform_quantize",
     ),
     "solver": (
         "SolverResult",

@@ -53,7 +53,7 @@ from .output import (
     write_error_curves_csv,
     write_svg_lineplot,
 )
-from .quantizer import uniform_quantize
+from .quantizer import UniformQuantizer
 
 
 class ConfigError(Exception):
@@ -300,18 +300,19 @@ def _cmd_widths(args):
 
 
 def _cmd_quantize_demo(args):
-    deltas = args.delta or [2.0]
-    if not all(0 < d < math.inf for d in deltas):
-        raise ConfigError(f"--delta must be finite and positive, got {deltas}")
+    try:
+        quantizers = [UniformQuantizer(d) for d in args.delta or [2.0]]
+    except ValueError as exc:
+        raise ConfigError(f"--delta: {exc}") from exc
     if not (args.step > 0):
         raise ConfigError(f"--step must be positive, got {args.step}")
     if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin <= args.xmax):
         raise ConfigError(f"need finite --xmin <= --xmax, got {args.xmin} and {args.xmax}")
     xs = np.arange(args.xmin, args.xmax + 1e-12, args.step)
-    header = "x," + ",".join(f"Q_delta_{d:g}" for d in deltas)
+    header = "x," + ",".join(f"Q_delta_{q.delta:g}" for q in quantizers)
     print(header)
     for x in xs:
-        vals = ",".join(f"{uniform_quantize(float(x), d):.6g}" for d in deltas)
+        vals = ",".join(f"{q.quantize(float(x)):.6g}" for q in quantizers)
         print(f"{x:.6g},{vals}")
     return 0
 

@@ -26,6 +26,7 @@ front to back: entry k of the output covers stage entries 2k - mn and
 reading it (the last two at most) is copied out first.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -39,6 +40,12 @@ def check_integers(**values):
     """Raise ValueError unless every value is an integer: a numbers.Integral (numpy's too) but not a bool."""
     if bad := {k: v for k, v in values.items() if isinstance(v, bool) or not isinstance(v, numbers.Integral)}:
         raise ValueError(f"counts must be integers, got {bad}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless value is a finite positive real: a numbers.Real but not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,7 @@ class SignalSpec:
         check_integers(n=self.n, **vars(self.structure))
         if self.n < 1:
             raise ValueError(f"ambient dimension must be positive, got n={self.n}")
-        if not (self.norm_target > 0 and np.isfinite(self.norm_target)):
-            raise ValueError(f"norm_target must be finite and positive, got {self.norm_target}")
+        check_positive("norm_target", self.norm_target)
         if isinstance(self.structure, Sparse):
             s = self.structure.s
             if not 1 <= s <= self.n:

@@ -13,7 +13,9 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ensemble import ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, gen_signal, sample_measurements
+from .ensemble import (
+    ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, check_positive, gen_signal, sample_measurements,
+)
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure
 from .solver import MAX_ITERS, pgd_rows
 from .streams import substream
@@ -38,11 +40,12 @@ class ExperimentConfig:
     def __post_init__(self):
         check_integers(trials=self.trials, master_seed=self.master_seed,
                        **{f"m_grid[{i}]": m for i, m in enumerate(self.m_grid)})
-        if not (math.isfinite(self.R) and self.norm_target <= self.R):
-            raise ValueError(f"R must be a finite bound on the signal norm {self.norm_target}, got {self.R}")
+        SignalSpec(self.n, self.structure, self.norm_target)  # validates n, structure and norm
+        check_positive("R", self.R)
+        if self.R < self.norm_target:
+            raise ValueError(f"R must be at least the signal norm {self.norm_target}, got {self.R}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        SignalSpec(self.n, self.structure, self.norm_target)  # validates n, structure and norm
         if list(self.m_grid) != sorted(set(self.m_grid)):
             raise ValueError("m_grid must be strictly increasing")
         if not self.m_grid or self.m_grid[0] < 1:

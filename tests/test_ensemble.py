@@ -40,7 +40,7 @@ def test_invalid_sparse_specs():
         SignalSpec(10, Sparse(5), -1.0)
     with pytest.raises(ValueError, match="counts must be integers"):
         SignalSpec(20, Sparse(2.5), 1.0)
-    for norm in (float("nan"), float("inf")):
+    for norm in (float("nan"), float("inf"), True, "3"):  # True built a norm of 1, "3" raised a bare TypeError
         with pytest.raises(ValueError, match="norm_target must be finite and positive"):
             SignalSpec(20, Sparse(3), norm)
 

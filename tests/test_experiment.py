@@ -101,6 +101,11 @@ def test_config_validation():
             _cfg(R=bad)
         with pytest.raises(ValueError):
             _cfg(delta=bad)
+    for bad in (True, "3"):  # True built a bound of 1, "3" raised a bare TypeError
+        with pytest.raises(ValueError, match="norm_target must be finite and positive"):
+            _cfg(norm_target=bad, R=3.0)
+        with pytest.raises(ValueError, match="R must be finite and positive"):
+            _cfg(R=bad)
 
 
 def test_onebit_dither_range_value():

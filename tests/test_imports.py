@@ -5,7 +5,7 @@ benchmark or the entry point reads each public top-level name of the package,
 some expression of the package or its tests reads each dataclass field of the
 package, every function the benchmark's tracer wraps exists in its module, every
 name of qlasso.__all__ resolves, and only ensemble.py branches on the type of a
-signal structure and only quantizer.py on the type of a quantizer."""
+signal structure and no module on the type of a quantizer."""
 
 import ast
 import importlib
@@ -192,9 +192,10 @@ def test_guard_finds_a_type_dispatch():
     assert type_dispatches(source, ("Sparse", "OneBitQuantizer")) == ["Sparse (line 1)", "OneBitQuantizer (line 3)"]
 
 
-# {classes: the one module that may branch on them}; every other module reads what the classes own
-# (a structure's project, gauge and draw, a quantizer's mu) instead of deciding it again
-DISPATCH_OWNERS = {("Sparse", "LowRank"): "ensemble.py", ("UniformQuantizer", "OneBitQuantizer"): "quantizer.py"}
+# {classes: the one module that may branch on them, or None for none}; every other module reads what
+# the classes own (a structure's project, gauge and draw, a quantizer's dither, quantize and mu)
+# instead of deciding it again
+DISPATCH_OWNERS = {("Sparse", "LowRank"): "ensemble.py", ("UniformQuantizer", "OneBitQuantizer"): None}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))

@@ -8,37 +8,35 @@ from qlasso import (
     UniformQuantizer,
     measure,
     one_bit_mean_formula,
-    one_bit_quantize,
-    sample_dither,
     sample_measurements,
     substream,
-    uniform_quantize,
 )
 
 
 def test_uniform_quantize_values():
-    assert uniform_quantize(0.0, 2.0) == 1.0
-    assert uniform_quantize(-0.5, 2.0) == -1.0
-    assert uniform_quantize(4.2, 3.0) == 4.5
+    assert UniformQuantizer(2.0).quantize(0.0) == 1.0
+    assert UniformQuantizer(2.0).quantize(-0.5) == -1.0
+    assert UniformQuantizer(3.0).quantize(4.2) == 4.5
+    assert type(UniformQuantizer(2.0).quantize(0.0)) is np.float64  # a scalar in, a numpy scalar out
 
 
 def test_uniform_quantize_rejects_nonfinite():
     with pytest.raises(ValueError):
-        uniform_quantize(np.nan, 1.0)
+        UniformQuantizer(1.0).quantize(np.nan)
     with pytest.raises(ValueError):
-        uniform_quantize(np.inf, 1.0)
+        UniformQuantizer(1.0).quantize(np.inf)
     with pytest.raises(ValueError):
-        uniform_quantize(1.0, -1.0)
+        UniformQuantizer(1.0).quantize(np.array([0.5, -np.inf]))
+    with pytest.raises(ValueError):
+        UniformQuantizer(-1.0)
 
 
 @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan, 0.0, None, True, "3"])
 def test_nonfinite_or_nonpositive_delta_is_rejected(delta):
-    # an infinite delta used to build a quantizer whose measure failed on "finite input",
-    # and uniform_quantize(1.0, inf) returned inf; True built a quantizer of width 1
+    # an infinite delta used to build a quantizer whose measure failed on "finite input";
+    # True built a quantizer of width 1
     with pytest.raises(ValueError, match="delta must be finite and positive"):
         UniformQuantizer(delta)
-    with pytest.raises(ValueError, match="delta must be finite and positive"):
-        uniform_quantize(1.0, delta)
 
 
 def test_quantizers_own_their_mu():
@@ -55,7 +53,7 @@ def test_quantizers_own_their_mu():
     delta=st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_midriser_residual_bound(x, delta):
-    q = uniform_quantize(x, delta)
+    q = UniformQuantizer(delta).quantize(x)
     assert abs(q - x) <= delta / 2 + 1e-9 * delta
 
 
@@ -71,7 +69,7 @@ def test_midriser_residual_bound(x, delta):
     c=st.integers(min_value=-7, max_value=7).map(lambda k: 2.0**k),
 )
 def test_scale_equivariance(x, delta, c):
-    assert uniform_quantize(c * x, c * delta) == c * uniform_quantize(x, delta)
+    assert UniformQuantizer(c * delta).quantize(c * x) == c * UniformQuantizer(delta).quantize(x)
 
 
 def test_cell_edges():
@@ -80,20 +78,24 @@ def test_cell_edges():
     for delta in (0.25, 1.0, 3.0):
         for k in (-3, -1, 0, 1, 4):
             for c in (0.125, 1.0, 8.0):
-                assert uniform_quantize(c * k * delta, c * delta) == c * (k + 0.5) * delta
+                assert UniformQuantizer(c * delta).quantize(c * k * delta) == c * (k + 0.5) * delta
 
 
 def test_one_bit_quantize():
-    assert one_bit_quantize(3.7) == 1.0
-    assert one_bit_quantize(-1e-12) == -1.0
-    assert one_bit_quantize(0.0) == 1.0  # tie-break convention
+    q = OneBitQuantizer(1.0)
+    assert q.quantize(3.7) == 1.0
+    assert q.quantize(-1e-12) == -1.0
+    assert q.quantize(0.0) == 1.0  # tie-break convention
+    assert type(q.quantize(0.0)) is np.float64
+    with pytest.raises(ValueError):
+        q.quantize(np.nan)
 
 
 def test_dither_supports():
     rng = substream(0, "d")
-    sym = sample_dither(OneBitQuantizer(5.0), rng, size=10000)
+    sym = OneBitQuantizer(5.0).dither(rng, 10000)
     assert np.all((sym >= -5.0) & (sym <= 5.0))
-    half = sample_dither(UniformQuantizer(2.0), rng, size=10000)
+    half = UniformQuantizer(2.0).dither(rng, 10000)
     assert np.all((half > -1.0) & (half <= 1.0))
 
 
@@ -102,7 +104,7 @@ def test_dither_draws_pinned():
     delta, T, n = 2.5, 4.0, 1000
 
     def draw(q):
-        return sample_dither(q, substream(8, "pin"), n)
+        return q.dither(substream(8, "pin"), n)
 
     u = substream(8, "pin").random((3, n))
     np.testing.assert_array_equal(draw(UniformQuantizer(delta)), delta * (u[0] - 0.5))
