@@ -16,14 +16,13 @@ raw stream, which numpy keeps stable (NEP 19), instead of to the algorithm of a
 Generator method, which it does not.
 
 Each sign is written straight as the bit pattern of float32 +-1 into a float32
-stage that occupies the upper half of the bytes of the float64 output. While
-the stage holds the draw, A^T A can be formed in single precision: every
-partial sum is an integer of magnitude at most m, which float32 represents
-exactly for m <= 2^24 (float32_gram_is_exact), so the float32 product equals
-the float64 one bitwise at half the cost. The stage is then widened in place,
-front to back: entry k of the output covers stage entries 2k - mn and
-2k - mn + 1, none past k, so only a chunk that the widening writes over while
-reading it (the last two at most) is copied out first.
+array: `out` itself when it is float32, as the curves' panels are, else a
+temporary that a float64 `out` receives by a cast. From the float32 signs A^T A
+is formed in single precision: every partial sum is an integer of magnitude at
+most m, which float32 represents exactly for m <= 2^24 (float32_gram_is_exact),
+so the float32 product equals the float64 one bitwise at half the cost.
+Products that must be float64 widen a float32 panel a few rows at a time
+(row_blocks), so no float64 copy of the panel is held whole.
 """
 
 import math
@@ -139,10 +138,9 @@ def float32_gram_is_exact(m: int) -> bool:
     return m <= 2**24
 
 
-def _rademacher_stage(m: int, n: int, rng: "np.random.Generator", out: np.ndarray) -> np.ndarray:
-    """Draw the signs as float32 +-1 into the upper half of out's bytes; return that (m, n) stage."""
-    stage = out.reshape(-1).view(np.float32)[m * n:]
-    bits = stage.view(np.uint32)
+def _draw_signs(rng: "np.random.Generator", out: np.ndarray) -> None:
+    """Write the signs into the C-contiguous float32 array out as float32 +-1."""
+    bits = out.reshape(-1).view(np.uint32)
     for start in range(0, bits.size, RADEMACHER_CHUNK):
         seg = bits[start:start + RADEMACHER_CHUNK]
         # two entries per word; when seg.size is odd the last word's high half is unused
@@ -150,19 +148,17 @@ def _rademacher_stage(m: int, n: int, rng: "np.random.Generator", out: np.ndarra
         # 0x3F800000 | (~h & 0x80000000): float32 1.0 where h's top bit is set, -1.0 where it is not
         np.bitwise_and(halves[:seg.size], 0x80000000, out=seg)
         seg ^= 0xBF800000
-    return stage.reshape(m, n)
 
 
-def _widen(stage: np.ndarray, out: np.ndarray) -> None:
-    """Widen the float32 stage in the upper half of out's bytes into out, front to back."""
-    src, dst = stage.reshape(-1), out.reshape(-1)
-    size = src.size
-    for start in range(0, size, RADEMACHER_CHUNK):
-        stop = min(start + RADEMACHER_CHUNK, size)
-        seg = src[start:stop]
-        if 2 * stop > size + start:  # dst[start:stop] overlaps seg (the last two chunks at most)
-            seg = seg.copy()
-        dst[start:stop] = seg
+def row_blocks(m: int, n: int):
+    """Slices of consecutive row blocks of an m x n array, in which a float32 panel is widened to
+    float64: multiples of 4 rows of at most RADEMACHER_CHUNK entries, a lone last row joining the
+    block before it. OpenBLAS's one-thread float64 matrix-vector kernel takes rows four at a time
+    and a lone row by another path, so a product formed block by block rounds each row as the
+    whole float64 product does."""
+    step = max(4, RADEMACHER_CHUNK // n // 4 * 4)
+    stops = [*range(step, m - 1, step), m]
+    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
 def sample_measurements(
@@ -179,9 +175,10 @@ def sample_measurements(
     Rademacher call but the last draws an even number of entries. With `out`, a
     C-contiguous float64 (m, n) array, the draw is written into it and `out` is
     returned, so a caller that reuses one workspace allocates nothing that
-    grows with m. With `gram`, a float64 (n, n) array, the draw also writes the
+    grows with m; for Rademacher entries `out` may be float32, which holds the
+    signs exactly. With `gram`, a float64 (n, n) array, the draw also writes the
     unnormalized A^T A into it, bitwise the float64 `A.T @ A`: from the float32
-    stage for Rademacher entries while float32_gram_is_exact(m), in float64
+    signs for Rademacher entries while float32_gram_is_exact(m), in float64
     otherwise.
     """
     if m < 1 or n < 1:
@@ -190,20 +187,24 @@ def sample_measurements(
         raise ValueError(f"unknown ensemble kind {kind!r}")
     if kind == "rademacher" and isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("Rademacher draws read 64-bit raw words; MT19937 returns 32-bit ones")
+    dtypes = (np.float64, np.float32) if kind == "rademacher" else (np.float64,)
     if out is None:
         out = np.empty((m, n))
-    elif out.shape != (m, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)}")
+    elif out.shape != (m, n) or out.dtype not in dtypes or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)} (or float32 for Rademacher)")
     if gram is not None and (gram.shape != (n, n) or gram.dtype != np.float64):
         raise ValueError(f"gram must be a float64 array of shape {(n, n)}")
     exact32 = kind == "rademacher" and gram is not None and float32_gram_is_exact(m)
     if kind == "gaussian":
         rng.standard_normal((m, n), out=out)
     else:
-        stage = _rademacher_stage(m, n, rng, out)
+        signs = out if out.dtype == np.float32 else np.empty((m, n), np.float32)
+        _draw_signs(rng, signs)
         if exact32:
-            gram[...] = stage.T @ stage
-        _widen(stage, out)
+            gram[...] = signs.T @ signs
+        if signs is not out:
+            out[...] = signs
     if gram is not None and not exact32:
-        np.matmul(out.T, out, out=gram)
+        wide = out.astype(np.float64, copy=False)
+        np.matmul(wide.T, wide, out=gram)
     return out

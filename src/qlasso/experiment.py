@@ -14,7 +14,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .ensemble import (
-    ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, check_positive, gen_signal, sample_measurements,
+    ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, check_positive, gen_signal, row_blocks,
+    sample_measurements,
 )
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure
 from .solver import MAX_ITERS, pgd_rows
@@ -63,6 +64,7 @@ class ErrorCurve:
     estimator: str
     m_grid: Tuple[int, ...]
     mean_err: np.ndarray
+    # the per-m standard deviation of the errors (ddof 0), not a standard error: mean_err's is std_err / sqrt(trials)
     std_err: np.ndarray
     trials: int
     master_seed: int
@@ -100,7 +102,7 @@ def block_size(n: int) -> int:
     return max(1, 2**20 // (8 * n * n))
 
 
-# float64 entries (1 MiB) of the row panels a trial's matrix is drawn in
+# entries of the row panels a trial's matrix is drawn in: 1 MiB of float64, 512 KiB of float32 +-1
 PANEL_ENTRIES = 2**17
 
 
@@ -110,9 +112,20 @@ def panel_rows(n: int) -> int:
     return max(2, PANEL_ENTRIES // n // 2 * 2)
 
 
-def _workspace(n: int):
-    """The (panel_rows(n), n) draw panel, (block_size(n), n, n) Gram stack and (n, n) scratch of a curve's blocks."""
-    return np.empty((panel_rows(n), n)), np.empty((block_size(n), n, n)), np.empty((n, n))
+def _workspace(n: int, ensemble: str):
+    """The (panel_rows(n), n) draw panel, (block_size(n), n, n) Gram stack and (n, n) scratch of a
+    curve's blocks; a +-1 panel is float32 and needs no scratch."""
+    signs = ensemble == "rademacher"
+    return (np.empty((panel_rows(n), n), np.float32 if signs else np.float64), np.empty((block_size(n), n, n)),
+            None if signs else np.empty((n, n)))
+
+
+def _cell_sum(S: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """S^T c of a float32 +-1 panel S and half-integer or +-1 cells c: its partial sums are multiples
+    of 1/2 up to rows max|c|, so float32 sums them exactly while 2 rows max|c| <= 2^24, else float64."""
+    if 2 * len(S) * np.abs(c).max() <= 2**24:
+        return c.astype(np.float32) @ S
+    return sum(np.matmul(c[rows], S[rows], dtype=np.float64) for rows in row_blocks(*S.shape))
 
 
 def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...], workspace) -> dict:
@@ -126,15 +139,18 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     PBP and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the
     block, which finds each trial's step by backtracking, so no step is computed here.
 
-    A is drawn in row panels into the panel of `workspace` (a _workspace(n)),
-    so no buffer grows with m. The panels read the substreams as one
+    A is drawn in row panels into the panel of `workspace` (a _workspace(n,
+    ensemble)), so no buffer grows with m. The panels read the substreams as one
     whole-matrix draw and one measure call would, so A is bitwise the
     whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies within an
     ulp of a cell edge: BLAS may round a panel's A x0 in the last bit unlike
-    the whole matrix's (OpenBLAS groups rows by four). Summed over panels in
-    float64, G and b are bitwise gram_stats for +-1 entries with y on a grid
-    that keeps the sums exact (one-bit y, a cell width of 3 or a power of
-    two), and equal to rounding for Gaussian entries.
+    the whole matrix's (OpenBLAS groups rows by four). Gaussian panels are
+    float64, and their summed G and b equal gram_stats to rounding. A +-1 panel
+    S stays float32: G sums its float32 Gram matrices and b is (mu / m) q.scale
+    S^T c, c = q.cell(y), with S^T c summed exactly (_cell_sum). So G and b are
+    exact whenever the cell sums fit in float32: bitwise gram_stats where A^T y
+    is an exact sum (one-bit y, a cell width of 3 or a power of two), and for
+    other widths b rounds Delta S^T c once, where A^T y sums m rounded terms.
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
@@ -142,9 +158,10 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     spec = SignalSpec(n, K, cfg.norm_target)
     q = _channel(cfg, m)
     x0s = np.empty((k, n))
-    b = np.empty((k, n))
+    b = np.zeros((k, n))
     panel, G, scratch = workspace
     G = G[:k]
+    signs = panel.dtype == np.float32  # +-1 panels, whose b is summed in cells until the last panel
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
         matrix_rng, dither_rng = (substream(cfg.master_seed, m, t, purpose) for purpose in ("matrix", "dither"))
@@ -152,12 +169,17 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
             A = panel[: m - start]
             sample_measurements(cfg.ensemble, len(A), n, matrix_rng, out=A, gram=scratch if start else G[i])
             y = measure(A, x0, q, dither_rng)
-            if start:
-                G[i] += scratch
-                b[i] += A.T @ y
+            if signs:
+                if start:
+                    G[i] += A.T @ A  # exact: a panel's rows are far below 2^24
+                b[i] += _cell_sum(A, q.cell(y))
             else:
-                np.matmul(A.T, y, out=b[i])
-        G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, q.mu), bitwise where the panel sums are exact
+                if start:
+                    G[i] += scratch
+                b[i] += A.T @ y
+        if signs:
+            b[i] *= q.scale
+        G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, q.mu), bitwise where the sums are exact
         b[i] *= q.mu / m
         x0s[i] = x0
     radii = K.gauge(x0s)
@@ -193,7 +215,8 @@ def run_trial(cfg: ExperimentConfig, m: int, trial_id: int, estimator: str) -> f
     if not 0 <= trial_id < cfg.trials:
         raise ValueError(f"trial_id={trial_id} is not in range({cfg.trials})")
     names = _check_estimators(estimator)
-    errors, _, _ = _solve_block(cfg, m, range(trial_id, trial_id + 1), names, _workspace(cfg.n))[estimator]
+    workspace = _workspace(cfg.n, cfg.ensemble)
+    errors, _, _ = _solve_block(cfg, m, range(trial_id, trial_id + 1), names, workspace)[estimator]
     return float(errors[0])
 
 
@@ -215,7 +238,7 @@ def run_curve(
     if jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     names = _check_estimators(estimator)
-    step, workspace = block_size(cfg.n), _workspace(cfg.n)  # a forked worker writes its own copy of it
+    step, workspace = block_size(cfg.n), _workspace(cfg.n, cfg.ensemble)  # a forked worker writes its own copy
     tasks = [(cfg, m, range(start, min(start + step, cfg.trials)), names, workspace)
              for m in cfg.m_grid for start in range(0, cfg.trials, step)]
     if (workers := min(jobs, len(tasks))) > 1:  # the workers solve every block; this process waits

@@ -3,7 +3,9 @@
 Every CSV table has a leading comment line recording the master seed and
 config hash, then a header row, with floats printed at 17 significant digits
 so re-parsing is lossless. Error curves use the columns
-`estimator,m,mean_err,std_err,trials,seed_hash`.
+`estimator,m,mean_err,std_err,trials,seed_hash`; `std_err` is the standard
+deviation of the per-trial errors (ddof 0), so the standard error of
+`mean_err` is `std_err / sqrt(trials)`.
 SVG plots are self-contained hand-rolled polylines on log-log axes with an
 optional dashed reference guide line.
 """

@@ -10,7 +10,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.ensemble import RADEMACHER_CHUNK, float32_gram_is_exact
+from qlasso.ensemble import RADEMACHER_CHUNK, float32_gram_is_exact, row_blocks
 
 
 def test_sparse_signal_support_and_norm():
@@ -158,15 +158,61 @@ def test_gaussian_draw_into_out():
     assert out.tobytes() == substream(3, "G").standard_normal((7, 13)).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
-@pytest.mark.parametrize(
-    "out",
-    [np.empty((5, 4)), np.empty((4, 5), dtype=np.float32), np.empty((5, 4)).T, np.empty((4, 10))[:, ::2]],
-    ids=["shape", "float32", "transposed", "strided"],
-)
+# Bad `out` arrays for a 4 x 5 draw. float32 holds +-1 exactly, so only Gaussian draws reject it.
+BAD_OUTS = {"shape": np.empty((5, 4)), "float32": np.empty((4, 5), dtype=np.float32),
+            "float16": np.empty((4, 5), dtype=np.float16), "transposed": np.empty((5, 4)).T,
+            "strided": np.empty((4, 10))[:, ::2]}
+
+
+@pytest.mark.parametrize("kind,out", [
+    pytest.param(kind, out, id=f"{name}-{kind}") for name, out in BAD_OUTS.items()
+    for kind in ("gaussian", "rademacher") if (name, kind) != ("float32", "rademacher")
+])
 def test_draw_rejects_bad_out(kind, out):
     with pytest.raises(ValueError):
         sample_measurements(kind, 4, 5, substream(3, "A"), out=out)
+
+
+@pytest.mark.parametrize("shape", DRAW_SHAPES)
+def test_rademacher_draw_into_float32(shape):
+    # the signs the float64 draw casts, with the same Gram matrix
+    m, n = shape
+    expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
+    out = np.full(shape, np.nan, dtype=np.float32)
+    gram = np.full((n, n), np.nan) if n < C - 1 else None
+    assert sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out, gram=gram) is out
+    assert out.astype(np.float64).tobytes() == expected.tobytes()
+    if gram is not None:
+        assert gram.tobytes() == (expected.T @ expected).tobytes()
+
+
+def test_float32_rademacher_gram_past_the_bound_is_float64(monkeypatch):
+    monkeypatch.setattr(qlasso.ensemble, "float32_gram_is_exact", lambda m: False)
+    out, gram = np.empty((7, 13), np.float32), np.full((13, 13), np.nan)
+    sample_measurements("rademacher", 7, 13, substream(3, "A"), out=out, gram=gram)
+    A = substream(3, "A").integers(0, 2, size=(7, 13)) * 2.0 - 1.0
+    assert out.astype(np.float64).tobytes() == A.tobytes() and gram.tobytes() == (A.T @ A).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 256])
+def test_row_blocks(n):
+    # multiples of 4 rows of at most 2^14 entries, a lone last row joining the block before it
+    step = max(4, C // n // 4 * 4)
+    for m in (1, 2, 5, step - 1, step, step + 1, step + 2, 2 * step + 1, 3 * step + 3):
+        blocks = row_blocks(m, n)
+        assert [rows.start for rows in blocks] == list(range(0, step * len(blocks), step))
+        assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]] and blocks[-1].stop == m
+        assert min(rows.stop - rows.start for rows in blocks) >= min(m, 2)
+
+
+@pytest.mark.parametrize("n", [7, 100])
+def test_blockwise_product_is_the_whole_product(n):
+    # sizes at which OpenBLAS forms the whole product on one thread, whatever its setting
+    x = substream(2, "x", n).standard_normal(n)
+    for m in (1, 2, 5, 161, 163, 321, 1311):
+        A = sample_measurements("rademacher", m, n, substream(2, "A", m, n))
+        blockwise = np.concatenate([A[rows] @ x for rows in row_blocks(m, n)])
+        assert blockwise.tobytes() == (A @ x).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import qlasso.experiment
 from qlasso import (
     ErrorCurve,
     ExperimentConfig,
+    OneBitQuantizer,
     SignalSpec,
     Sparse,
     UniformQuantizer,
@@ -310,9 +312,10 @@ def test_panel_draw_matches_the_whole_matrix(kind, quantizer, n, monkeypatch):
     run_curve(cfg, "glasso")
     base = panels[0][0].base
     assert base.shape == (128, n) and all(out.base is base for out, _ in panels)
+    assert base.dtype == (np.float32 if kind == "rademacher" else np.float64)
     for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
         A, y, mu = _whole_draw(cfg, m, t)
-        assert np.concatenate([panel for _, panel in drawn]).tobytes() == A.tobytes()
+        assert np.concatenate([panel for _, panel in drawn]).astype(np.float64).tobytes() == A.tobytes()
         assert np.concatenate(measured).tobytes() == y.tobytes()
         G_ref, b_ref = gram_stats(A, y, mu)
         if kind == "rademacher":
@@ -336,20 +339,87 @@ def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
     assert len(stacks) == 6 and [len(G) for G, _ in stacks] == [13, 2] * 3
     assert len(panels) == 15 * (1 + 1 + 3)
     base = panels[0][0].base
-    assert base.shape == (qlasso.experiment.panel_rows(cfg.n), cfg.n) == (1310, 100)
+    assert base.shape == (qlasso.experiment.panel_rows(cfg.n), cfg.n) == (1310, 100) and base.dtype == np.float32
     assert all(out.base is base for out, _ in panels)
     for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
         A, y, mu = _whole_draw(cfg, m, t)
-        assert np.concatenate([panel for _, panel in drawn]).tobytes() == A.tobytes()
+        assert np.concatenate([panel for _, panel in drawn]).astype(np.float64).tobytes() == A.tobytes()
         G_ref, b_ref = gram_stats(A, y, mu)
         assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
     monkeypatch.undo()
     for i, m in enumerate(cfg.m_grid):
         for t in range(cfg.trials):
             errors, iterations, _ = qlasso.experiment._solve_block(
-                cfg, m, range(t, t + 1), ("glasso",), qlasso.experiment._workspace(cfg.n))["glasso"]
+                cfg, m, range(t, t + 1), ("glasso",), qlasso.experiment._workspace(cfg.n, cfg.ensemble))["glasso"]
             assert curve.errors[i, t] == errors[0] == run_trial(cfg, m, t, "glasso")
             assert curve.iterations[i, t] == iterations[0]
+
+
+def _signed_stacks(monkeypatch, quantizer, delta, m_grid):
+    """Run a Rademacher curve at n=100 and return, per trial, its whole draw (A, y, mu) and the
+    (G, b) the engine handed to pgd_rows."""
+    one_bit = quantizer == "one_bit"
+    cfg = _cfg(n=100, structure=Sparse(10), ensemble="rademacher", quantizer=quantizer,
+               delta=None if one_bit else delta, m_grid=m_grid, trials=2)
+    panels, ys, stacks = _spy_engine(monkeypatch)
+    run_curve(cfg, "glasso")
+    return [(_whole_draw(cfg, m, t), Gb) for m, t, _, _, Gb in _trials_of(cfg, panels, ys, stacks)]
+
+
+ROWS = qlasso.experiment.panel_rows(100)
+
+
+@pytest.mark.parametrize("quantizer,delta", [("one_bit", None), ("uniform", 3.0), ("uniform", 0.5),
+                                             ("uniform", 0.125)])
+def test_signed_panels_give_the_exact_gram_stats(quantizer, delta, monkeypatch):
+    # Last panels of one row. A^T y is an exact sum on these grids, and so is
+    # the engine's float32 S^T c of the cells, so (G, b) is bitwise gram_stats.
+    for (A, y, mu), (G, b) in _signed_stacks(monkeypatch, quantizer, delta, (ROWS + 1, 2 * ROWS + 1)):
+        G_ref, b_ref = gram_stats(A, y, mu)
+        assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+
+def test_signed_panels_round_b_once(monkeypatch):
+    # At a cell width of 0.3, b is mu / m times the correctly rounded 0.3 S^T c, from the exact
+    # integer sums S^T (2c), rather than a sum of m rounded terms 0.3 c_i.
+    moved = 0
+    for (A, y, mu), (G, b) in _signed_stacks(monkeypatch, "uniform", 0.3, (ROWS + 1, 2 * ROWS + 1)):
+        twice_cells = (2 * UniformQuantizer(0.3).cell(y)).astype(np.int64)
+        sums = A.astype(np.int64).T @ twice_cells
+        exact = np.array([float(Fraction(0.3) * Fraction(int(s), 2)) for s in sums])
+        assert b.tobytes() == (exact * (mu / len(A))).tobytes()
+        b_ref = gram_stats(A, y, mu)[1]
+        np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=1e-15 * np.abs(b_ref).max())
+        moved += int(np.count_nonzero(b != b_ref))
+    assert moved > 0  # the sum of rounded terms differs in the last bits
+
+
+def test_signed_panels_past_float32_cell_sums(monkeypatch):
+    # At a cell width of 1e-6 the cells reach about 1e7, so 2 rows max|c| passes 2^24 and each
+    # panel's S^T c is summed in float64: b is gram_stats's to rounding, G still bitwise.
+    for (A, y, mu), (G, b) in _signed_stacks(monkeypatch, "uniform", 1e-6, (ROWS + 1,)):
+        assert 2 * ROWS * np.abs(UniformQuantizer(1e-6).cell(y)).max() > 2**24
+        G_ref, b_ref = gram_stats(A, y, mu)
+        assert G.tobytes() == G_ref.tobytes()
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
+    monkeypatch.undo()
+    curve = run_curve(_cfg(n=100, structure=Sparse(10), ensemble="rademacher", delta=1e-6, m_grid=(200, 400)),
+                      "glasso")
+    assert np.all(np.isfinite(curve.errors)) and curve.converged.all()
+
+
+@pytest.mark.parametrize("n", [7, 100])
+@pytest.mark.parametrize("q", [UniformQuantizer(0.3), UniformQuantizer(2.0), UniformQuantizer(2.0**-40),
+                               OneBitQuantizer(4.0)], ids=["uniform-0.3", "uniform-2", "uniform-fine", "one_bit"])
+def test_measure_on_float32_signs(q, n):
+    # float32 A is widened in blocks of 160 rows at n = 100 and 2340 at n = 7: m lies
+    # on both sides of a block edge, with lone last rows, and one row past a panel. The
+    # cells of width 2^-40 resolve A x0 to about 2^11 ulps, so A x0 must be float64.
+    x0 = gen_signal(SignalSpec(n, Sparse(min(n, 5)), 3.0), substream(5, "x0", n))
+    for m in (1, 2, 5, 161, 163, 2341, ROWS + 1):
+        A = sample_measurements("rademacher", m, n, substream(5, "A", m, n), out=np.empty((m, n), np.float32))
+        y = measure(A, x0, q, substream(5, "dither", m, n))
+        assert y.tobytes() == measure(A.astype(np.float64), x0, q, substream(5, "dither", m, n)).tobytes()
 
 
 def test_nonconverged_solves_are_counted(monkeypatch):

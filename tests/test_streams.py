@@ -1,6 +1,7 @@
 """Pinned substream outputs: any change to how (seed, *keys) becomes a stream fails here
 before it silently changes every draw, CSV and golden value."""
 
+import numpy as np
 import pytest
 
 from qlasso import substream
@@ -25,3 +26,18 @@ def test_substream_is_pinned(keys):
 def test_integer_keys_are_reduced_mod_2_64():
     words = substream(2**64 - 1, 5, "dither").bit_generator.random_raw(2)
     assert tuple(int(v) for v in words) == PINNED[(-1, 2**64 + 5, "dither")]
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1.0), True, False, None, b"dither"],
+                         ids=["float", "integral-float", "numpy-float", "True", "False", "None", "bytes"])
+def test_non_integer_keys_and_seeds_raise(bad):
+    # int(0.5) is 0 and int(True) is 1, so these used to alias an integer's stream
+    with pytest.raises(ValueError, match="strings or integers"):
+        substream(1, bad)
+    with pytest.raises(ValueError, match="strings or integers"):
+        substream(bad, "x")
+
+
+def test_numpy_integer_keys_and_seeds_are_integers():
+    words = substream(np.uint64(0), np.int32(200), np.int64(0), "dither").bit_generator.random_raw(2)
+    assert tuple(int(v) for v in words) == PINNED[(0, 200, 0, "dither")]
