@@ -17,10 +17,11 @@ Generator method, which it does not.
 
 Each sign is written straight as the bit pattern of float32 +-1 into a float32
 array: `out` itself when it is float32, as the curves' panels are, else a
-temporary that a float64 `out` receives by a cast. From the float32 signs A^T A
-is formed in single precision: every partial sum is an integer of magnitude at
-most m, which float32 represents exactly for m <= 2^24 (float32_gram_is_exact),
-so the float32 product equals the float64 one bitwise at half the cost.
+small block of rows at a time (row_blocks) that a float64 `out` receives by a
+cast. From the float32 signs A^T A is formed in single precision: every partial
+sum is an integer of magnitude at most m, which float32 represents exactly for
+m <= 2^24 (float32_gram_is_exact), so the float32 product equals the float64
+one bitwise at half the cost; blocks sum their exact products in float64.
 Products that must be float64 widen a float32 panel a few rows at a time
 (row_blocks), so no float64 copy of the panel is held whole.
 """
@@ -151,8 +152,8 @@ def _draw_signs(rng: "np.random.Generator", out: np.ndarray) -> None:
 
 
 def row_blocks(m: int, n: int):
-    """Slices of consecutive row blocks of an m x n array, in which a float32 panel is widened to
-    float64: multiples of 4 rows of at most RADEMACHER_CHUNK entries, a lone last row joining the
+    """Slices of consecutive row blocks of an m x n array, in which float32 signs are drawn for, or
+    widened to, float64: multiples of 4 rows of at most RADEMACHER_CHUNK entries, a lone last row joining the
     block before it. OpenBLAS's one-thread float64 matrix-vector kernel takes rows four at a time
     and a lone row by another path, so a product formed block by block rounds each row as the
     whole float64 product does."""
@@ -176,10 +177,12 @@ def sample_measurements(
     C-contiguous float64 (m, n) array, the draw is written into it and `out` is
     returned, so a caller that reuses one workspace allocates nothing that
     grows with m; for Rademacher entries `out` may be float32, which holds the
-    signs exactly. With `gram`, a float64 (n, n) array, the draw also writes the
-    unnormalized A^T A into it, bitwise the float64 `A.T @ A`: from the float32
-    signs for Rademacher entries while float32_gram_is_exact(m), in float64
-    otherwise.
+    signs exactly, and a float64 `out` is filled through float32 blocks of
+    row_blocks(m, n). With `gram`, a float64 (n, n) array, the draw also writes
+    the unnormalized A^T A into it, bitwise the float64 `A.T @ A`: in float64
+    for Gaussian entries; for Rademacher entries the float32 product of the
+    signs, whole for a float32 `out` while float32_gram_is_exact(m), else
+    summed over the blocks.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -194,17 +197,20 @@ def sample_measurements(
         raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)} (or float32 for Rademacher)")
     if gram is not None and (gram.shape != (n, n) or gram.dtype != np.float64):
         raise ValueError(f"gram must be a float64 array of shape {(n, n)}")
-    exact32 = kind == "rademacher" and gram is not None and float32_gram_is_exact(m)
     if kind == "gaussian":
         rng.standard_normal((m, n), out=out)
-    else:
-        signs = out if out.dtype == np.float32 else np.empty((m, n), np.float32)
+        if gram is not None:
+            np.matmul(out.T, out, out=gram)
+        return out
+    wide = out.dtype == np.float64  # receives the signs block by block through small float32 blocks
+    whole = not wide and (gram is None or float32_gram_is_exact(m))
+    if gram is not None:
+        gram[...] = 0.0
+    for rows in [slice(0, m)] if whole else row_blocks(m, n):
+        signs = np.empty((rows.stop - rows.start, n), np.float32) if wide else out[rows]
         _draw_signs(rng, signs)
-        if exact32:
-            gram[...] = signs.T @ signs
-        if signs is not out:
-            out[...] = signs
-    if gram is not None and not exact32:
-        wide = out.astype(np.float64, copy=False)
-        np.matmul(wide.T, wide, out=gram)
+        if wide:
+            out[rows] = signs
+        if gram is not None:
+            gram += signs.T @ signs  # exact: each product's sums are integers below 2^24
     return out

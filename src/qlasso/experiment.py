@@ -121,10 +121,8 @@ def _workspace(n: int, ensemble: str):
 
 
 def _cell_sum(S: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """S^T c of a float32 +-1 panel S and half-integer or +-1 cells c: its partial sums are multiples
-    of 1/2 up to rows max|c|, so float32 sums them exactly while 2 rows max|c| <= 2^24, else float64."""
-    if 2 * len(S) * np.abs(c).max() <= 2**24:
-        return c.astype(np.float32) @ S
+    """S^T c of a float32 +-1 panel S and half-integer or +-1 cells c, in float64 a few rows at a time
+    (row_blocks): its partial sums are multiples of 1/2 up to rows max|c|, exact while 2 rows max|c| <= 2^53."""
     return sum(np.matmul(c[rows], S[rows], dtype=np.float64) for rows in row_blocks(*S.shape))
 
 
@@ -147,10 +145,10 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     the whole matrix's (OpenBLAS groups rows by four). Gaussian panels are
     float64, and their summed G and b equal gram_stats to rounding. A +-1 panel
     S stays float32: G sums its float32 Gram matrices and b is (mu / m) q.scale
-    S^T c, c = q.cell(y), with S^T c summed exactly (_cell_sum). So G and b are
-    exact whenever the cell sums fit in float32: bitwise gram_stats where A^T y
-    is an exact sum (one-bit y, a cell width of 3 or a power of two), and for
-    other widths b rounds Delta S^T c once, where A^T y sums m rounded terms.
+    S^T c, c = q.cell(y), with S^T c summed in float64 (_cell_sum). So G and b
+    are exact whenever 2 m max|c| <= 2^53: bitwise gram_stats where A^T y is an
+    exact sum (one-bit y, a cell width of 3 or a power of two), and for other
+    widths b rounds Delta S^T c once, where A^T y sums m rounded terms.
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
@@ -173,10 +171,11 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
                 if start:
                     G[i] += A.T @ A  # exact: a panel's rows are far below 2^24
                 b[i] += _cell_sum(A, q.cell(y))
-            else:
-                if start:
-                    G[i] += scratch
+            elif start:
+                G[i] += scratch
                 b[i] += A.T @ y
+            else:
+                np.matmul(A.T, y, out=b[i])
         if signs:
             b[i] *= q.scale
         G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, q.mu), bitwise where the sums are exact

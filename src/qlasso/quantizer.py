@@ -3,7 +3,7 @@
 Each quantizer owns its dither law (`dither(rng, size)`), its map
 (`quantize(x)`) and the scale mu of its reading mu * Q(x + tau) of x, so
 `measure` runs any channel y = Q(<a, x0> + tau) without branching on it. The
-map is Q(x) = scale * cell(x), with cell(x) a half-integer or +-1 (float32
+map is Q(x) = scale * cell(x), with cell(x) a half-integer or +-1 (float64
 sums them exactly) and cell(Q(x)) = cell(x) for |x| / scale below 2^50, so
 y's cells are q.cell(y):
 

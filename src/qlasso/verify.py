@@ -222,7 +222,8 @@ def rademacher_draw(seed: int, size: int):
 
 def rademacher_gram(seed: int, size: int):
     """On N/200000 (at least one) Rademacher draws at m = 8000, n = 100, the A^T A that the draw
-    writes, formed in float32 since m <= 2^24, is bitwise the float64 A^T A of the drawn matrix."""
+    writes, summed from the float32 products of row blocks (exact: m <= 2^24), is bitwise the float64
+    A^T A of the drawn matrix."""
     m, n = 8000, 100
     gram = np.empty((n, n))
     draws, mismatched = max(1, size // 200_000), 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,7 @@ def test_float32_gram_bound():
 
 
 def test_rademacher_gram_past_the_bound_is_float64(monkeypatch):
-    # the float64 product stands in where float32 would not be exact
+    # a float64 out sums the exact float32 products of its row blocks, whatever the bound
     monkeypatch.setattr(qlasso.ensemble, "float32_gram_is_exact", lambda m: False)
     gram = np.full((13, 13), np.nan)
     A = sample_measurements("rademacher", 7, 13, substream(3, "A"), gram=gram)
@@ -186,12 +188,32 @@ def test_rademacher_draw_into_float32(shape):
         assert gram.tobytes() == (expected.T @ expected).tobytes()
 
 
-def test_float32_rademacher_gram_past_the_bound_is_float64(monkeypatch):
+@pytest.mark.parametrize("shape", [(7, 13), (2600, 13)])
+def test_float32_rademacher_gram_past_the_bound_sums_blocks(shape, monkeypatch):
+    # where float32 would not form the whole product exactly, the row blocks' exact products are summed
     monkeypatch.setattr(qlasso.ensemble, "float32_gram_is_exact", lambda m: False)
-    out, gram = np.empty((7, 13), np.float32), np.full((13, 13), np.nan)
-    sample_measurements("rademacher", 7, 13, substream(3, "A"), out=out, gram=gram)
-    A = substream(3, "A").integers(0, 2, size=(7, 13)) * 2.0 - 1.0
+    drawn = []
+    monkeypatch.setattr(qlasso.ensemble, "_draw_signs", lambda rng, out, draw=qlasso.ensemble._draw_signs: (
+        drawn.append(len(out)), draw(rng, out)))
+    m, n = shape
+    out, gram = np.empty(shape, np.float32), np.full((n, n), np.nan)
+    sample_measurements("rademacher", m, n, substream(3, "A"), out=out, gram=gram)
+    assert drawn == [rows.stop - rows.start for rows in row_blocks(m, n)] and len(drawn) == (1 if m < 1000 else 3)
+    A = substream(3, "A").integers(0, 2, size=shape) * 2.0 - 1.0
     assert out.astype(np.float64).tobytes() == A.tobytes() and gram.tobytes() == (A.T @ A).tobytes()
+
+
+def test_float64_rademacher_draw_holds_no_float32_copy():
+    # a float64 out receives the signs through float32 blocks of at most 2^14 entries (64 KiB)
+    m, n = 8000, 100
+    out, gram, rng = np.empty((m, n)), np.empty((n, n)), substream(3, "A")
+    tracemalloc.start()
+    try:
+        sample_measurements("rademacher", m, n, rng, out=out, gram=gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * C  # a block, its raw words and the float32 Gram matrix; a whole float32 copy is 3.2 MB
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 256])

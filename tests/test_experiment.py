@@ -373,36 +373,33 @@ ROWS = qlasso.experiment.panel_rows(100)
                                              ("uniform", 0.125)])
 def test_signed_panels_give_the_exact_gram_stats(quantizer, delta, monkeypatch):
     # Last panels of one row. A^T y is an exact sum on these grids, and so is
-    # the engine's float32 S^T c of the cells, so (G, b) is bitwise gram_stats.
+    # the engine's S^T c of the cells, so (G, b) is bitwise gram_stats.
     for (A, y, mu), (G, b) in _signed_stacks(monkeypatch, quantizer, delta, (ROWS + 1, 2 * ROWS + 1)):
         G_ref, b_ref = gram_stats(A, y, mu)
         assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
 
-def test_signed_panels_round_b_once(monkeypatch):
-    # At a cell width of 0.3, b is mu / m times the correctly rounded 0.3 S^T c, from the exact
-    # integer sums S^T (2c), rather than a sum of m rounded terms 0.3 c_i.
+@pytest.mark.parametrize("delta", [0.3, 1e-6])
+def test_signed_panels_round_b_once(delta, monkeypatch):
+    # At these cell widths b is mu / m times the correctly rounded delta S^T c, from the exact
+    # integer sums S^T (2c), rather than a sum of m rounded terms delta c_i. At 1e-6 the cells
+    # reach about 1e7, so 2 rows max|c| passes 2^24: float32 could not sum them exactly.
     moved = 0
-    for (A, y, mu), (G, b) in _signed_stacks(monkeypatch, "uniform", 0.3, (ROWS + 1, 2 * ROWS + 1)):
-        twice_cells = (2 * UniformQuantizer(0.3).cell(y)).astype(np.int64)
-        sums = A.astype(np.int64).T @ twice_cells
-        exact = np.array([float(Fraction(0.3) * Fraction(int(s), 2)) for s in sums])
+    for (A, y, mu), (G, b) in _signed_stacks(monkeypatch, "uniform", delta, (ROWS + 1, 2 * ROWS + 1)):
+        cells = UniformQuantizer(delta).cell(y)
+        assert (2 * ROWS * np.abs(cells).max() > 2**24) == (delta < 0.1)
+        sums = A.astype(np.int64).T @ (2 * cells).astype(np.int64)
+        exact = np.array([float(Fraction(delta) * Fraction(int(s), 2)) for s in sums])
         assert b.tobytes() == (exact * (mu / len(A))).tobytes()
-        b_ref = gram_stats(A, y, mu)[1]
+        G_ref, b_ref = gram_stats(A, y, mu)
+        assert G.tobytes() == G_ref.tobytes()
         np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=1e-15 * np.abs(b_ref).max())
         moved += int(np.count_nonzero(b != b_ref))
     assert moved > 0  # the sum of rounded terms differs in the last bits
 
 
-def test_signed_panels_past_float32_cell_sums(monkeypatch):
-    # At a cell width of 1e-6 the cells reach about 1e7, so 2 rows max|c| passes 2^24 and each
-    # panel's S^T c is summed in float64: b is gram_stats's to rounding, G still bitwise.
-    for (A, y, mu), (G, b) in _signed_stacks(monkeypatch, "uniform", 1e-6, (ROWS + 1,)):
-        assert 2 * ROWS * np.abs(UniformQuantizer(1e-6).cell(y)).max() > 2**24
-        G_ref, b_ref = gram_stats(A, y, mu)
-        assert G.tobytes() == G_ref.tobytes()
-        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
-    monkeypatch.undo()
+def test_signed_panels_past_float32_cell_sums():
+    # a curve runs on cells past the sums float32 holds exactly
     curve = run_curve(_cfg(n=100, structure=Sparse(10), ensemble="rademacher", delta=1e-6, m_grid=(200, 400)),
                       "glasso")
     assert np.all(np.isfinite(curve.errors)) and curve.converged.all()
