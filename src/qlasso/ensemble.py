@@ -3,7 +3,8 @@
 Signals are either exactly s-sparse vectors or vectorized d x d matrices of
 rank r, rescaled to a prescribed l2 (Frobenius) norm. Each structure owns its
 ball K: `project` onto it, `gauge(X)`, its norm of each row (the radius of K
-through the row), and `draw(spec, rng)`, so no caller branches on it.
+through the row), `draw(spec, rng)` and `check(n)`, which raises ValueError
+unless its fields fit the ambient dimension n, so no caller branches on it.
 Measurement matrices stack iid isotropic rows: standard Gaussian or Rademacher entries.
 `numpy.random` loads at the first draw, not at import, so annotations name it only as strings.
 
@@ -18,11 +19,7 @@ Generator method, which it does not.
 Each sign is written straight as the bit pattern of float32 +-1 into a float32
 array: `out` itself when it is float32, as the curves' panels are, else a
 small block of rows at a time (row_blocks) that a float64 `out` receives by a
-cast. From the float32 signs A^T A is formed in single precision: every partial
-sum is an integer of magnitude at most m, which float32 represents exactly for
-m <= 2^24 (float32_gram_is_exact), so the float32 product equals the float64
-one bitwise at half the cost; blocks sum their exact products in float64.
-Products that must be float64 widen a float32 panel a few rows at a time
+cast. Products that must be float64 widen a float32 panel a few rows at a time
 (row_blocks), so no float64 copy of the panel is held whole.
 """
 
@@ -55,6 +52,11 @@ class Sparse:
     s: int
     project = staticmethod(project_l1_rows)
 
+    def check(self, n: int) -> None:
+        """Raise ValueError unless the sparsity fits the ambient dimension n."""
+        if not 1 <= self.s <= n:
+            raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={self.s}, n={n}")
+
     def gauge(self, X: np.ndarray) -> np.ndarray:
         """The l1 norm of each row of a (k, n) stack: the radius of K through it."""
         return np.sum(np.abs(X), axis=1)
@@ -80,6 +82,13 @@ class LowRank:
     r: int
     project = staticmethod(project_nuclear_rows)
 
+    def check(self, n: int) -> None:
+        """Raise ValueError unless 1 <= r <= d and the ambient dimension n is d^2."""
+        if not 1 <= self.r <= self.d:
+            raise ValueError(f"rank must satisfy 1 <= r <= d, got r={self.r}, d={self.d}")
+        if n != self.d * self.d:
+            raise ValueError(f"low-rank spec needs n = d^2, got n={n}, d={self.d}")
+
     def gauge(self, X: np.ndarray) -> np.ndarray:
         """The nuclear norm of each row of a (k, d*d) stack, by one batched SVD: the radius of K through it."""
         return np.linalg.norm(np.linalg.svd(X.reshape(-1, self.d, self.d), compute_uv=False), 1, axis=1)
@@ -103,22 +112,13 @@ class SignalSpec:
     norm_target: float
 
     def __post_init__(self):
-        if not isinstance(self.structure, (Sparse, LowRank)):
+        if not callable(getattr(self.structure, "check", None)):  # a structure checks its own fields against n
             raise ValueError(f"unknown structure {self.structure!r}")
         check_integers(n=self.n, **vars(self.structure))
         if self.n < 1:
             raise ValueError(f"ambient dimension must be positive, got n={self.n}")
         check_positive("norm_target", self.norm_target)
-        if isinstance(self.structure, Sparse):
-            s = self.structure.s
-            if not 1 <= s <= self.n:
-                raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={s}, n={self.n}")
-        else:
-            d, r = self.structure.d, self.structure.r
-            if not 1 <= r <= d:
-                raise ValueError(f"rank must satisfy 1 <= r <= d, got r={r}, d={d}")
-            if self.n != d * d:
-                raise ValueError(f"low-rank spec needs n = d^2, got n={self.n}, d={d}")
+        self.structure.check(self.n)
 
 
 ENSEMBLES = ("gaussian", "rademacher")
@@ -131,12 +131,6 @@ def gen_signal(spec: SignalSpec, rng: "np.random.Generator") -> np.ndarray:
 
 # Rademacher entries drawn per pass over the raw words: every temporary stays below 128 KiB.
 RADEMACHER_CHUNK = 2**14
-
-
-def float32_gram_is_exact(m: int) -> bool:
-    """Whether float32 forms A^T A of an m-row +-1 matrix exactly: its partial sums are
-    integers of magnitude at most m, and float32 holds every integer up to 2^24."""
-    return m <= 2**24
 
 
 def _draw_signs(rng: "np.random.Generator", out: np.ndarray) -> None:
@@ -163,8 +157,7 @@ def row_blocks(m: int, n: int):
 
 
 def sample_measurements(
-    kind: str, m: int, n: int, rng: "np.random.Generator", *,
-    out: Optional[np.ndarray] = None, gram: Optional[np.ndarray] = None,
+    kind: str, m: int, n: int, rng: "np.random.Generator", *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Sample an m x n matrix A with iid rows of the named ensemble (one of ENSEMBLES).
 
@@ -177,12 +170,8 @@ def sample_measurements(
     C-contiguous float64 (m, n) array, the draw is written into it and `out` is
     returned, so a caller that reuses one workspace allocates nothing that
     grows with m; for Rademacher entries `out` may be float32, which holds the
-    signs exactly, and a float64 `out` is filled through float32 blocks of
-    row_blocks(m, n). With `gram`, a float64 (n, n) array, the draw also writes
-    the unnormalized A^T A into it, bitwise the float64 `A.T @ A`: in float64
-    for Gaussian entries; for Rademacher entries the float32 product of the
-    signs, whole for a float32 `out` while float32_gram_is_exact(m), else
-    summed over the blocks.
+    signs exactly and is drawn whole, and a float64 `out` is filled through
+    float32 blocks of row_blocks(m, n).
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -195,22 +184,13 @@ def sample_measurements(
         out = np.empty((m, n))
     elif out.shape != (m, n) or out.dtype not in dtypes or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)} (or float32 for Rademacher)")
-    if gram is not None and (gram.shape != (n, n) or gram.dtype != np.float64):
-        raise ValueError(f"gram must be a float64 array of shape {(n, n)}")
     if kind == "gaussian":
         rng.standard_normal((m, n), out=out)
-        if gram is not None:
-            np.matmul(out.T, out, out=gram)
-        return out
-    wide = out.dtype == np.float64  # receives the signs block by block through small float32 blocks
-    whole = not wide and (gram is None or float32_gram_is_exact(m))
-    if gram is not None:
-        gram[...] = 0.0
-    for rows in [slice(0, m)] if whole else row_blocks(m, n):
-        signs = np.empty((rows.stop - rows.start, n), np.float32) if wide else out[rows]
-        _draw_signs(rng, signs)
-        if wide:
+    elif out.dtype == np.float32:
+        _draw_signs(rng, out)
+    else:
+        for rows in row_blocks(m, n):
+            signs = np.empty((rows.stop - rows.start, n), np.float32)
+            _draw_signs(rng, signs)
             out[rows] = signs
-        if gram is not None:
-            gram += signs.T @ signs  # exact: each product's sums are integers below 2^24
     return out

@@ -114,10 +114,9 @@ def panel_rows(n: int) -> int:
 
 def _workspace(n: int, ensemble: str):
     """The (panel_rows(n), n) draw panel, (block_size(n), n, n) Gram stack and (n, n) scratch of a
-    curve's blocks; a +-1 panel is float32 and needs no scratch."""
-    signs = ensemble == "rademacher"
-    return (np.empty((panel_rows(n), n), np.float32 if signs else np.float64), np.empty((block_size(n), n, n)),
-            None if signs else np.empty((n, n)))
+    curve's blocks; panel and scratch are float32 for +-1 rows, float64 for Gaussian ones."""
+    dtype = np.float32 if ensemble == "rademacher" else np.float64
+    return np.empty((panel_rows(n), n), dtype), np.empty((block_size(n), n, n)), np.empty((n, n), dtype)
 
 
 def _cell_sum(S: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -131,9 +130,9 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
 
     Each trial's (x0, A, y) is drawn once from its (seed, m, trial, purpose)
     substreams and reduced at once to what every estimator needs: its Gram
-    statistics (G, b) = gram_stats(A, y, q.mu), with A^T A written by the draw
-    and mu read from the channel's quantizer q, and the radius K.gauge(x0) of
-    the structure K, whose K.project is the row projection: no branch on either.
+    statistics (G, b) = gram_stats(A, y, q.mu), with mu read from the channel's
+    quantizer q, and the radius K.gauge(x0) of the structure K, whose K.project
+    is the row projection: no branch on either.
     PBP and DM are both P_K(b); glasso runs stacked FISTA (pgd_rows) on the
     block, which finds each trial's step by backtracking, so no step is computed here.
 
@@ -142,11 +141,14 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     whole-matrix draw and one measure call would, so A is bitwise the
     whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies within an
     ulp of a cell edge: BLAS may round a panel's A x0 in the last bit unlike
-    the whole matrix's (OpenBLAS groups rows by four). Gaussian panels are
-    float64, and their summed G and b equal gram_stats to rounding. A +-1 panel
-    S stays float32: G sums its float32 Gram matrices and b is (mu / m) q.scale
-    S^T c, c = q.cell(y), with S^T c summed in float64 (_cell_sum). So G and b
-    are exact whenever 2 m max|c| <= 2^53: bitwise gram_stats where A^T y is an
+    the whole matrix's (OpenBLAS groups rows by four). G sums every panel's
+    A^T A, formed in the panel's dtype in the workspace's scratch, from zero.
+    Gaussian panels are float64: G and b sum the panels' float64 products in
+    order, equal to gram_stats to rounding. A +-1 panel S stays float32: its
+    float32 Gram matrix is exact, since each partial sum is an integer of
+    magnitude at most its rows, far below 2^24; b is (mu / m) q.scale S^T c,
+    c = q.cell(y), with S^T c summed in float64 (_cell_sum). So G and b are
+    exact whenever 2 m max|c| <= 2^53: bitwise gram_stats where A^T y is an
     exact sum (one-bit y, a cell width of 3 or a power of two), and for other
     widths b rounds Delta S^T c once, where A^T y sums m rounded terms.
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
@@ -159,23 +161,17 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     b = np.zeros((k, n))
     panel, G, scratch = workspace
     G = G[:k]
+    G[...] = 0.0
     signs = panel.dtype == np.float32  # +-1 panels, whose b is summed in cells until the last panel
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
         matrix_rng, dither_rng = (substream(cfg.master_seed, m, t, purpose) for purpose in ("matrix", "dither"))
         for start in range(0, m, len(panel)):
             A = panel[: m - start]
-            sample_measurements(cfg.ensemble, len(A), n, matrix_rng, out=A, gram=scratch if start else G[i])
+            sample_measurements(cfg.ensemble, len(A), n, matrix_rng, out=A)
             y = measure(A, x0, q, dither_rng)
-            if signs:
-                if start:
-                    G[i] += A.T @ A  # exact: a panel's rows are far below 2^24
-                b[i] += _cell_sum(A, q.cell(y))
-            elif start:
-                G[i] += scratch
-                b[i] += A.T @ y
-            else:
-                np.matmul(A.T, y, out=b[i])
+            G[i] += np.matmul(A.T, A, out=scratch)  # no n x n temporary per panel
+            b[i] += _cell_sum(A, q.cell(y)) if signs else A.T @ y
         if signs:
             b[i] *= q.scale
         G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, q.mu), bitwise where the sums are exact

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .ensemble import LowRank, SignalSpec, Sparse, float32_gram_is_exact, gen_signal, sample_measurements
+from .ensemble import LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
 from .experiment import onebit_eta2_formula, onebit_xi2_formula, onebit_xi_mean_literal, onebit_xi_mean_norm_scaled
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure, one_bit_mean_formula
 from .solver import glasso_solve, gram_stats, pgd_rows
@@ -221,16 +221,17 @@ def rademacher_draw(seed: int, size: int):
 
 
 def rademacher_gram(seed: int, size: int):
-    """On N/200000 (at least one) Rademacher draws at m = 8000, n = 100, the A^T A that the draw
-    writes, summed from the float32 products of row blocks (exact: m <= 2^24), is bitwise the float64
-    A^T A of the drawn matrix."""
+    """On N/200000 (at least one) Rademacher draws at m = 8000, n = 100, the float32 S^T S of the
+    signs drawn into a float32 S, the product the engine forms of each +-1 panel (exact: its partial
+    sums are integers of magnitude at most m <= 2^24), is bitwise the float64 A^T A of A = S."""
     m, n = 8000, 100
-    gram = np.empty((n, n))
+    S = np.empty((m, n), np.float32)
     draws, mismatched = max(1, size // 200_000), 0
     for i in range(draws):
-        A = sample_measurements("rademacher", m, n, substream(seed, "verify-rademacher-gram", i), gram=gram)
-        mismatched += int(np.count_nonzero(gram.view(np.uint64) != (A.T @ A).view(np.uint64)))
-    return ("Rademacher Gram in float32 is bitwise float64 A^T A", float32_gram_is_exact(m) and mismatched == 0,
+        sample_measurements("rademacher", m, n, substream(seed, "verify-rademacher-gram", i), out=S)
+        A = S.astype(np.float64)
+        mismatched += int(np.count_nonzero((S.T @ S).astype(np.float64).view(np.uint64) != (A.T @ A).view(np.uint64)))
+    return ("Rademacher Gram in float32 is bitwise float64 A^T A", mismatched == 0,
             f"{mismatched} of {draws * n * n} entries differ over {draws} draw(s) at m = {m}, n = {n}")
 
 

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import qlasso.ensemble
 from qlasso import (
     LowRank,
     SignalSpec,
@@ -12,7 +11,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.ensemble import RADEMACHER_CHUNK, float32_gram_is_exact, row_blocks
+from qlasso.ensemble import RADEMACHER_CHUNK, row_blocks
 
 
 def test_sparse_signal_support_and_norm():
@@ -117,40 +116,13 @@ def test_rademacher_draw_is_bitwise_integers(shape):
 
 @pytest.mark.parametrize("shape", GRAM_SHAPES)
 def test_rademacher_gram_is_bitwise_float64(shape):
+    # the float32 product of the signs drawn into a float32 array, which the engine forms of each
+    # +-1 panel, is the float64 A^T A: its partial sums are integers of magnitude at most m < 2^24
     m, n = shape
     expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
-    grams = np.full((2, n, n), np.nan)
-    drawn = sample_measurements("rademacher", m, n, substream(3, "A", m, n), gram=grams[0])
-    out = np.full(shape, np.nan)
-    returned = sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out, gram=grams[1])
-    assert returned is out
-    assert drawn.tobytes() == out.tobytes() == expected.tobytes()
-    assert grams[0].tobytes() == grams[1].tobytes() == (expected.T @ expected).tobytes()
-
-
-def test_float32_gram_bound():
-    assert float32_gram_is_exact(1) and float32_gram_is_exact(2**24)
-    assert not float32_gram_is_exact(2**24 + 1)
-    # the partial sums of m entries +-1 reach m, which float32 holds exactly up to 2^24
-    assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
-
-
-def test_rademacher_gram_past_the_bound_is_float64(monkeypatch):
-    # a float64 out sums the exact float32 products of its row blocks, whatever the bound
-    monkeypatch.setattr(qlasso.ensemble, "float32_gram_is_exact", lambda m: False)
-    gram = np.full((13, 13), np.nan)
-    A = sample_measurements("rademacher", 7, 13, substream(3, "A"), gram=gram)
-    assert A.tobytes() == (substream(3, "A").integers(0, 2, size=(7, 13)) * 2.0 - 1.0).tobytes()
-    assert gram.tobytes() == (A.T @ A).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(7, 13), (500, 100)])
-def test_gaussian_gram_is_bitwise_float64(shape):
-    m, n = shape
-    gram = np.full((n, n), np.nan)
-    A = sample_measurements("gaussian", m, n, substream(3, "G"), gram=gram)
-    assert A.tobytes() == substream(3, "G").standard_normal(shape).tobytes()
-    assert gram.tobytes() == (A.T @ A).tobytes()
+    signs = sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=np.empty(shape, np.float32))
+    assert signs.astype(np.float64).tobytes() == expected.tobytes()
+    assert (signs.T @ signs).astype(np.float64).tobytes() == (expected.T @ expected).tobytes()
 
 
 def test_gaussian_draw_into_out():
@@ -177,43 +149,25 @@ def test_draw_rejects_bad_out(kind, out):
 
 @pytest.mark.parametrize("shape", DRAW_SHAPES)
 def test_rademacher_draw_into_float32(shape):
-    # the signs the float64 draw casts, with the same Gram matrix
+    # the signs the float64 draw casts
     m, n = shape
     expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
     out = np.full(shape, np.nan, dtype=np.float32)
-    gram = np.full((n, n), np.nan) if n < C - 1 else None
-    assert sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out, gram=gram) is out
+    assert sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out) is out
     assert out.astype(np.float64).tobytes() == expected.tobytes()
-    if gram is not None:
-        assert gram.tobytes() == (expected.T @ expected).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(7, 13), (2600, 13)])
-def test_float32_rademacher_gram_past_the_bound_sums_blocks(shape, monkeypatch):
-    # where float32 would not form the whole product exactly, the row blocks' exact products are summed
-    monkeypatch.setattr(qlasso.ensemble, "float32_gram_is_exact", lambda m: False)
-    drawn = []
-    monkeypatch.setattr(qlasso.ensemble, "_draw_signs", lambda rng, out, draw=qlasso.ensemble._draw_signs: (
-        drawn.append(len(out)), draw(rng, out)))
-    m, n = shape
-    out, gram = np.empty(shape, np.float32), np.full((n, n), np.nan)
-    sample_measurements("rademacher", m, n, substream(3, "A"), out=out, gram=gram)
-    assert drawn == [rows.stop - rows.start for rows in row_blocks(m, n)] and len(drawn) == (1 if m < 1000 else 3)
-    A = substream(3, "A").integers(0, 2, size=shape) * 2.0 - 1.0
-    assert out.astype(np.float64).tobytes() == A.tobytes() and gram.tobytes() == (A.T @ A).tobytes()
 
 
 def test_float64_rademacher_draw_holds_no_float32_copy():
     # a float64 out receives the signs through float32 blocks of at most 2^14 entries (64 KiB)
     m, n = 8000, 100
-    out, gram, rng = np.empty((m, n)), np.empty((n, n)), substream(3, "A")
+    out, rng = np.empty((m, n)), substream(3, "A")
     tracemalloc.start()
     try:
-        sample_measurements("rademacher", m, n, rng, out=out, gram=gram)
+        sample_measurements("rademacher", m, n, rng, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * C  # a block, its raw words and the float32 Gram matrix; a whole float32 copy is 3.2 MB
+    assert peak < 16 * C  # a block and its raw words; a whole float32 copy is 3.2 MB
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 256])
@@ -235,15 +189,6 @@ def test_blockwise_product_is_the_whole_product(n):
         A = sample_measurements("rademacher", m, n, substream(2, "A", m, n))
         blockwise = np.concatenate([A[rows] @ x for rows in row_blocks(m, n)])
         assert blockwise.tobytes() == (A @ x).tobytes()
-
-
-@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
-@pytest.mark.parametrize(
-    "gram", [np.empty((4, 4)), np.empty((5, 5), dtype=np.float32), np.empty((5, 4))], ids=["shape", "float32", "wide"]
-)
-def test_draw_rejects_bad_gram(kind, gram):
-    with pytest.raises(ValueError):
-        sample_measurements(kind, 4, 5, substream(3, "A"), gram=gram)
 
 
 def test_rademacher_needs_64bit_raw_words():

@@ -244,8 +244,8 @@ def _spy_engine(monkeypatch):
     every (G, b) stack handed to pgd_rows, in call order."""
     panels, ys, stacks = [], [], []
 
-    def spy_draw(kind, m, n, rng, *, out=None, gram=None):
-        A = sample_measurements(kind, m, n, rng, out=out, gram=gram)
+    def spy_draw(kind, m, n, rng, *, out=None):
+        A = sample_measurements(kind, m, n, rng, out=out)
         panels.append((out, A.copy()))
         return A
 
@@ -325,6 +325,26 @@ def test_panel_draw_matches_the_whole_matrix(kind, quantizer, n, monkeypatch):
             np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
             if m <= 128:  # one panel: the whole-matrix products themselves
                 assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+
+@pytest.mark.parametrize("quantizer", ["uniform", "one_bit"])
+def test_gaussian_panels_sum_their_float64_products(quantizer, monkeypatch):
+    # Panels of 128 rows, three and four of them a trial at n = 100: each trial's (G, b) is
+    # bitwise the in-order sums of its panels' float64 A_p^T A_p and A_p^T y_p, divided by m
+    # and scaled by mu / m: summing from zero adds no rounding.
+    monkeypatch.setattr(qlasso.experiment, "PANEL_ENTRIES", 128 * 100)
+    one_bit = quantizer == "one_bit"
+    cfg = _cfg(n=100, quantizer=quantizer, delta=None if one_bit else 1.0, m_grid=(300, 385), trials=2)
+    panels, ys, stacks = _spy_engine(monkeypatch)
+    run_curve(cfg, "glasso")
+    for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
+        assert len(drawn) == (3 if m == 300 else 4)
+        G_sum, b_sum = np.zeros((cfg.n, cfg.n)), np.zeros(cfg.n)
+        for (_, A), y in zip(drawn, measured):
+            G_sum += A.T @ A
+            b_sum += A.T @ y
+        mu = qlasso.experiment._channel(cfg, m).mu
+        assert G.tobytes() == (G_sum / m).tobytes() and b.tobytes() == (b_sum * (mu / m)).tobytes()
 
 
 def test_block_draws_every_matrix_into_one_workspace(monkeypatch):

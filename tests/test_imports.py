@@ -4,8 +4,8 @@ benchmark reads each private top-level name it defines, the package, the
 benchmark or the entry point reads each public top-level name of the package,
 some expression of the package or its tests reads each dataclass field of the
 package, every function the benchmark's tracer wraps exists in its module, every
-name of qlasso.__all__ resolves, and only ensemble.py branches on the type of a
-signal structure and no module on the type of a quantizer."""
+name of qlasso.__all__ resolves, and no module branches on the type of a signal
+structure or of a quantizer."""
 
 import ast
 import importlib
@@ -193,9 +193,9 @@ def test_guard_finds_a_type_dispatch():
 
 
 # {classes: the one module that may branch on them, or None for none}; every other module reads what
-# the classes own (a structure's project, gauge and draw, a quantizer's dither, quantize and mu)
+# the classes own (a structure's project, gauge, draw and check, a quantizer's dither, quantize and mu)
 # instead of deciding it again
-DISPATCH_OWNERS = {("Sparse", "LowRank"): "ensemble.py", ("UniformQuantizer", "OneBitQuantizer"): None}
+DISPATCH_OWNERS = {("Sparse", "LowRank"): None, ("UniformQuantizer", "OneBitQuantizer"): None}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
