@@ -308,7 +308,8 @@ def _cmd_quantize_demo(args):
         raise ConfigError(f"--step must be positive, got {args.step}")
     if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin <= args.xmax):
         raise ConfigError(f"need finite --xmin <= --xmax, got {args.xmin} and {args.xmax}")
-    xs = np.arange(args.xmin, args.xmax + 1e-12, args.step)
+    # the grid points xmin + k step up to xmax; the 1e-9 steps of slack keep an xmax on the grid at any magnitude
+    xs = args.xmin + np.arange(math.floor((args.xmax - args.xmin) / args.step + 1e-9) + 1) * args.step
     header = "x," + ",".join(f"Q_delta_{q.delta:g}" for q in quantizers)
     print(header)
     for x in xs:

@@ -16,11 +16,11 @@ allocates none of the m x n temporaries of `integers`, and pins the draw to the
 raw stream, which numpy keeps stable (NEP 19), instead of to the algorithm of a
 Generator method, which it does not.
 
-Each sign is written straight as the bit pattern of float32 +-1 into a float32
-array: `out` itself when it is float32, as the curves' panels are, else a
-small block of rows at a time (row_blocks) that a float64 `out` receives by a
-cast. Products that must be float64 widen a float32 panel a few rows at a time
-(row_blocks), so no float64 copy of the panel is held whole.
+Each sign is written straight as the bit pattern of float32 +-1 into a
+float32 array, which holds it exactly: a Rademacher draw is float32 and a
+Gaussian one float64 (ENSEMBLES). Where a product of a +-1 draw must be
+float64, its consumer widens it: gram_stats casts A, and the trial engine forms
+each panel's A x0 and S^T c in float64 a few rows at a time.
 """
 
 import math
@@ -121,7 +121,7 @@ class SignalSpec:
         self.structure.check(self.n)
 
 
-ENSEMBLES = ("gaussian", "rademacher")
+ENSEMBLES = {"gaussian": np.float64, "rademacher": np.float32}  # each one's dtype: float32 holds +-1 exactly
 
 
 def gen_signal(spec: SignalSpec, rng: "np.random.Generator") -> np.ndarray:
@@ -145,33 +145,20 @@ def _draw_signs(rng: "np.random.Generator", out: np.ndarray) -> None:
         seg ^= 0xBF800000
 
 
-def row_blocks(m: int, n: int):
-    """Slices of consecutive row blocks of an m x n array, in which float32 signs are drawn for, or
-    widened to, float64: multiples of 4 rows of at most RADEMACHER_CHUNK entries, a lone last row joining the
-    block before it. OpenBLAS's one-thread float64 matrix-vector kernel takes rows four at a time
-    and a lone row by another path, so a product formed block by block rounds each row as the
-    whole float64 product does."""
-    step = max(4, RADEMACHER_CHUNK // n // 4 * 4)
-    stops = [*range(step, m - 1, step), m]
-    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
-
-
 def sample_measurements(
     kind: str, m: int, n: int, rng: "np.random.Generator", *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Sample an m x n matrix A with iid rows of the named ensemble (one of ENSEMBLES).
+    """Sample an m x n matrix A with iid rows of the named ensemble (one of ENSEMBLES), in its dtype.
 
-    Gaussian entries are `rng.standard_normal((m, n))`. Rademacher entries are
-    bitwise `rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0` on a fresh generator,
-    read from its raw words (see the module docstring); a half word buffered by
-    an earlier 32-bit draw is neither used nor left behind. Successive calls on
-    one generator draw the rows one call for all of them would, provided every
-    Rademacher call but the last draws an even number of entries. With `out`, a
-    C-contiguous float64 (m, n) array, the draw is written into it and `out` is
-    returned, so a caller that reuses one workspace allocates nothing that
-    grows with m; for Rademacher entries `out` may be float32, which holds the
-    signs exactly and is drawn whole, and a float64 `out` is filled through
-    float32 blocks of row_blocks(m, n).
+    Gaussian entries are float64 `rng.standard_normal((m, n))`. Rademacher
+    entries are float32, bitwise `rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0`
+    on a fresh generator, read from its raw words (see the module docstring); a
+    half word buffered by an earlier 32-bit draw is neither used nor left
+    behind. Successive calls on one generator draw the rows one call for all of
+    them would, provided every Rademacher call but the last draws an even
+    number of entries. With `out`, a C-contiguous (m, n) array of the
+    ensemble's dtype, the draw is written into it and `out` is returned, so a
+    caller that reuses one workspace allocates nothing that grows with m.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -179,18 +166,13 @@ def sample_measurements(
         raise ValueError(f"unknown ensemble kind {kind!r}")
     if kind == "rademacher" and isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("Rademacher draws read 64-bit raw words; MT19937 returns 32-bit ones")
-    dtypes = (np.float64, np.float32) if kind == "rademacher" else (np.float64,)
+    dtype = ENSEMBLES[kind]
     if out is None:
-        out = np.empty((m, n))
-    elif out.shape != (m, n) or out.dtype not in dtypes or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {(m, n)} (or float32 for Rademacher)")
+        out = np.empty((m, n), dtype)
+    elif out.shape != (m, n) or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype.__name__} array of shape {(m, n)} for {kind} entries")
     if kind == "gaussian":
         rng.standard_normal((m, n), out=out)
-    elif out.dtype == np.float32:
-        _draw_signs(rng, out)
     else:
-        for rows in row_blocks(m, n):
-            signs = np.empty((rows.stop - rows.start, n), np.float32)
-            _draw_signs(rng, signs)
-            out[rows] = signs
+        _draw_signs(rng, out)
     return out

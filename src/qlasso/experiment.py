@@ -14,8 +14,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .ensemble import (
-    ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, check_positive, gen_signal, row_blocks,
-    sample_measurements,
+    ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, check_positive, gen_signal, sample_measurements,
 )
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure
 from .solver import MAX_ITERS, pgd_rows
@@ -114,15 +113,18 @@ def panel_rows(n: int) -> int:
 
 def _workspace(n: int, ensemble: str):
     """The (panel_rows(n), n) draw panel, (block_size(n), n, n) Gram stack and (n, n) scratch of a
-    curve's blocks; panel and scratch are float32 for +-1 rows, float64 for Gaussian ones."""
-    dtype = np.float32 if ensemble == "rademacher" else np.float64
+    curve's blocks; panel and scratch take the ensemble's dtype, float32 for +-1 rows."""
+    dtype = ENSEMBLES[ensemble]
     return np.empty((panel_rows(n), n), dtype), np.empty((block_size(n), n, n)), np.empty((n, n), dtype)
 
 
-def _cell_sum(S: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """S^T c of a float32 +-1 panel S and half-integer or +-1 cells c, in float64 a few rows at a time
-    (row_blocks): its partial sums are multiples of 1/2 up to rows max|c|, exact while 2 rows max|c| <= 2^53."""
-    return sum(np.matmul(c[rows], S[rows], dtype=np.float64) for rows in row_blocks(*S.shape))
+def row_blocks(m: int, n: int):
+    """Slices of the row blocks of an m x n panel in which its float64 products are formed: multiples of 4
+    rows of at most 2^14 entries, a lone last row joining the block before it. OpenBLAS's one-thread float64
+    matrix-vector kernel takes rows four at a time, so block by block each row rounds as in the whole product."""
+    step = max(4, 2**14 // n // 4 * 4)
+    stops = [*range(step, m - 1, step), m]
+    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
 def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...], workspace) -> dict:
@@ -138,16 +140,18 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
 
     A is drawn in row panels into the panel of `workspace` (a _workspace(n,
     ensemble)), so no buffer grows with m. The panels read the substreams as one
-    whole-matrix draw and one measure call would, so A is bitwise the
+    whole-matrix draw and one measure(A x0) would, so A is bitwise the
     whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies within an
     ulp of a cell edge: BLAS may round a panel's A x0 in the last bit unlike
-    the whole matrix's (OpenBLAS groups rows by four). G sums every panel's
-    A^T A, formed in the panel's dtype in the workspace's scratch, from zero.
+    the whole matrix's (OpenBLAS groups rows by four). Each float64 product of
+    a panel with a vector, A x0 (which measure quantizes) and S^T c below, is
+    formed here over row_blocks, so a float32 panel is never widened whole. G
+    sums every panel's A^T A, formed in the panel's dtype in the scratch, from zero.
     Gaussian panels are float64: G and b sum the panels' float64 products in
     order, equal to gram_stats to rounding. A +-1 panel S stays float32: its
     float32 Gram matrix is exact, since each partial sum is an integer of
     magnitude at most its rows, far below 2^24; b is (mu / m) q.scale S^T c,
-    c = q.cell(y), with S^T c summed in float64 (_cell_sum). So G and b are
+    c = q.cell(y), with S^T c summed in float64 in halves. So G and b are
     exact whenever 2 m max|c| <= 2^53: bitwise gram_stats where A^T y is an
     exact sum (one-bit y, a cell width of 3 or a power of two), and for other
     widths b rounds Delta S^T c once, where A^T y sums m rounded terms.
@@ -169,9 +173,14 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
         for start in range(0, m, len(panel)):
             A = panel[: m - start]
             sample_measurements(cfg.ensemble, len(A), n, matrix_rng, out=A)
-            y = measure(A, x0, q, dither_rng)
+            blocks = row_blocks(*A.shape)
+            y = measure(np.concatenate([np.matmul(A[rows], x0, dtype=np.float64) for rows in blocks]), q, dither_rng)
             G[i] += np.matmul(A.T, A, out=scratch)  # no n x n temporary per panel
-            b[i] += _cell_sum(A, q.cell(y)) if signs else A.T @ y
+            if signs:
+                c = q.cell(y)
+                b[i] += sum(np.matmul(c[rows], A[rows], dtype=np.float64) for rows in blocks)
+            else:
+                b[i] += A.T @ y
         if signs:
             b[i] *= q.scale
         G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, q.mu), bitwise where the sums are exact

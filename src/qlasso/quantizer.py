@@ -2,8 +2,9 @@
 
 Each quantizer owns its dither law (`dither(rng, size)`), its map
 (`quantize(x)`) and the scale mu of its reading mu * Q(x + tau) of x, so
-`measure` runs any channel y = Q(<a, x0> + tau) without branching on it. The
-map is Q(x) = scale * cell(x), with cell(x) a half-integer or +-1 (float64
+`measure` runs any channel y = Q(<a, x0> + tau) without branching on it. It
+takes the measurements <a_i, x0> as one vector A x0, which its caller forms.
+The map is Q(x) = scale * cell(x), with cell(x) a half-integer or +-1 (float64
 sums them exactly) and cell(Q(x)) = cell(x) for |x| / scale below 2^50, so
 y's cells are q.cell(y):
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import check_positive, row_blocks
+from .ensemble import check_positive
 
 
 def _finite(x) -> np.ndarray:
@@ -86,19 +87,13 @@ class OneBitQuantizer(_Cells):
         return np.where(_finite(x) >= 0, 1.0, -1.0)[()]
 
 
-def measure(
-    A: np.ndarray, x0: np.ndarray, q: UniformQuantizer | OneBitQuantizer, rng: "np.random.Generator"
-) -> np.ndarray:
-    """Quantized channel y_i = q.quantize(a_i^T x0 + tau_i) with fresh iid dither tau from q.dither.
-    A float32 A (a +-1 panel) is widened a few rows at a time: A x0 is float64, with no float64 copy of A."""
-    A = np.asarray(A)
-    A = A if A.dtype == np.float32 else A.astype(float, copy=False)
-    x0 = np.asarray(x0, dtype=float)
-    if A.ndim != 2 or A.shape[1] != x0.shape[0]:
-        raise ValueError(f"dimension mismatch: A has shape {A.shape}, x0 has length {x0.shape[0]}")
-    Ax = A @ x0 if A.dtype == np.float64 else np.concatenate(
-        [np.matmul(A[rows], x0, dtype=np.float64) for rows in row_blocks(*A.shape)])
-    return q.quantize(Ax + q.dither(rng, A.shape[0]))
+def measure(Ax: np.ndarray, q: UniformQuantizer | OneBitQuantizer, rng: "np.random.Generator") -> np.ndarray:
+    """Quantized channel y_i = q.quantize((A x0)_i + tau_i) of the measurement vector Ax = A x0, with
+    fresh iid dither tau from q.dither; Ax must be 1-d."""
+    Ax = np.asarray(Ax, dtype=float)
+    if Ax.ndim != 1:
+        raise ValueError(f"measure takes the vector A x0, got an array of shape {Ax.shape}")
+    return q.quantize(Ax + q.dither(rng, len(Ax)))
 
 
 def one_bit_mean_formula(x: float, T: float) -> float:

@@ -49,7 +49,8 @@ class SolverResult:
 
 
 def gram_stats(A, y, mu: float):
-    """Gram statistics (G, b) = (A^T A / m, (mu / m) A^T y) of the problem (A, y, mu)."""
+    """Gram statistics (G, b) = (A^T A / m, (mu / m) A^T y) of the problem (A, y, mu), in float64."""
+    A = np.asarray(A, dtype=float)  # a float32 +-1 draw is widened exactly
     m = A.shape[0]
     return A.T @ A / m, (mu / m) * (A.T @ y)
 

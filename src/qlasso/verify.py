@@ -36,10 +36,10 @@ def _mean_se(v):
 
 def _residual_gaps(seed, tag, size, cases):
     """(MC mean - exact, standard error) of q.mu Q(x + tau) - x per case (q, x, exact), measured
-    with a ones column as A, so that <a, x0> is exactly x."""
+    on `size` measurements equal to x."""
     gaps = []
     for i, (q, x, exact) in enumerate(cases):
-        mean, se = _mean_se(q.mu * measure(np.ones((size, 1)), np.array([x]), q, substream(seed, tag, i)) - x)
+        mean, se = _mean_se(q.mu * measure(np.full(size, x), q, substream(seed, tag, i)) - x)
         gaps.append((mean - exact, se))
     return gaps
 
@@ -88,7 +88,7 @@ def one_bit_moments(seed: int, size: int):
     for i, (s, T) in enumerate(MOMENT_PAIRS):
         rng, q = substream(seed, "verify-moments", i), OneBitQuantizer(T)
         zeta = rng.standard_normal(size)
-        eta = q.mu * measure(zeta[:, None], np.array([s]), q, rng) - s * zeta  # tau after zeta
+        eta = q.mu * measure(s * zeta, q, rng) - s * zeta  # tau after zeta
         xi = eta * zeta
         xi_exact = onebit_xi_mean_norm_scaled(s, T)
         for v, exact in ((eta**2, onebit_eta2_formula(s, T)), (xi**2, onebit_xi2_formula(s, T)), (xi, xi_exact)):
@@ -163,7 +163,7 @@ def solver_correctness(seed: int, size: int):
     for i in range(max(1, size // 50_000)):
         x0 = gen_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
         A = sample_measurements("gaussian", 300, 50, substream(seed, "verify-solver", i, "matrix"))
-        y = measure(A, x0, UniformQuantizer(1.0), substream(seed, "verify-solver", i, "dither"))
+        y = measure(A @ x0, UniformQuantizer(1.0), substream(seed, "verify-solver", i, "dither"))
         res = glasso_solve(A, y, 1.0, _whole_space, 1.0)
         monotone &= bool(np.all(np.diff(res.objective_trace) <= 1e-12))
         ref_converged += res.converged
@@ -214,21 +214,20 @@ def rademacher_draw(seed: int, size: int):
     n = 100
     a = sample_measurements("rademacher", max(1, size // n), n, substream(seed, "verify-rademacher")).reshape(-1)
     off = int(np.count_nonzero(np.abs(a) != 1.0))
-    z_mean = _z(float(a.mean()), 1.0 / math.sqrt(a.size))
-    z_lag = _z(float(np.mean(a[:-1] * a[1:])), 1.0 / math.sqrt(a.size - 1))
+    z_mean = _z(float(a.mean(dtype=float)), 1.0 / math.sqrt(a.size))  # the float32 signs summed in float64
+    z_lag = _z(float(np.mean(a[:-1] * a[1:], dtype=float)), 1.0 / math.sqrt(a.size - 1))
     return ("Rademacher draw +-1, balanced, lag-1 uncorrelated", off == 0 and max(z_mean, z_lag) <= 5.0,
             f"{a.size} entries, {off} not +-1; |mean|/se = {z_mean:.2f}, |lag-1 mean|/se = {z_lag:.2f} (<= 5)")
 
 
 def rademacher_gram(seed: int, size: int):
-    """On N/200000 (at least one) Rademacher draws at m = 8000, n = 100, the float32 S^T S of the
-    signs drawn into a float32 S, the product the engine forms of each +-1 panel (exact: its partial
-    sums are integers of magnitude at most m <= 2^24), is bitwise the float64 A^T A of A = S."""
+    """On N/200000 (at least one) Rademacher draws S (float32) at m = 8000, n = 100, the float32
+    S^T S, the product the engine forms of each +-1 panel (exact: its partial sums are integers of
+    magnitude at most m <= 2^24), is bitwise the float64 A^T A of A = S."""
     m, n = 8000, 100
-    S = np.empty((m, n), np.float32)
     draws, mismatched = max(1, size // 200_000), 0
     for i in range(draws):
-        sample_measurements("rademacher", m, n, substream(seed, "verify-rademacher-gram", i), out=S)
+        S = sample_measurements("rademacher", m, n, substream(seed, "verify-rademacher-gram", i))
         A = S.astype(np.float64)
         mismatched += int(np.count_nonzero((S.T @ S).astype(np.float64).view(np.uint64) != (A.T @ A).view(np.uint64)))
     return ("Rademacher Gram in float32 is bitwise float64 A^T A", mismatched == 0,
@@ -250,7 +249,7 @@ def stacked_solver(seed: int, size: int):
             m = (200, 2000)[i % 2]
             x0 = gen_signal(spec, substream(seed, "verify-stacked", kind, i, "signal"))
             A = sample_measurements(kind, m, n, substream(seed, "verify-stacked", kind, i, "matrix"))
-            y = measure(A, x0, q, substream(seed, "verify-stacked", kind, i, "dither"))
+            y = measure(A @ x0, q, substream(seed, "verify-stacked", kind, i, "dither"))
             radii.append(K.gauge(x0[None])[0])
             res = glasso_solve(A, y, q.mu, K.project, radii[-1])
             ok &= res.converged

@@ -181,7 +181,7 @@ def test_09_noiseless_limit():
         rng_dith = substream(SEED, "acc9", trial, "dith")
         x0 = gen_signal(SignalSpec(100, Sparse(10), 8.0), rng_sig)
         A = sample_measurements("rademacher", 500, 100, rng_mat)
-        y = measure(A, x0, UniformQuantizer(delta), rng_dith)
+        y = measure(A @ x0, UniformQuantizer(delta), rng_dith)
         res = glasso_solve(A, y, 1.0, project_l1_rows, float(np.abs(x0).sum()))
         err = float(np.linalg.norm(res.x_hat - x0))
         worst = max(worst, err)

@@ -106,6 +106,14 @@ def test_quantize_demo(capsys):
     assert lines[3].startswith("1,1")
 
 
+def test_quantize_demo_ends_at_a_large_xmax(capsys):
+    # 1e-12 is below half an ulp of 1e5: the table still ends at --xmax, one row per step
+    assert main(["quantize-demo", "--delta", "2", "--xmin", "99999", "--xmax", "100000", "--step", "0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and lines[1] == "99999,99999"
+    assert lines[-2:] == ["99999.9,99999", "100000,100001"]
+
+
 def test_run_uniform_outputs(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     rc = main(["run-uniform", "--config", cfg, "--out", str(tmp_path / "out")])

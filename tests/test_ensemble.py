@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.ensemble import RADEMACHER_CHUNK, row_blocks
+from qlasso.ensemble import ENSEMBLES, RADEMACHER_CHUNK
 
 
 def test_sparse_signal_support_and_norm():
@@ -89,10 +87,9 @@ def test_rademacher_entries():
     assert np.all(np.isin(A, (-1.0, 1.0)))
 
 
-# Shapes around the edges of the chunked raw-word read and of the in-place
-# widening, which copies out the last chunks before writing over them: odd and
-# even m n, one word, one chunk exactly, a chunk plus or minus one entry, many
-# chunks, and the largest m of the one-bit benchmark grid.
+# Shapes around the edges of the chunked raw-word read: odd and even m n, one
+# word, one chunk exactly, a chunk plus or minus one entry, many chunks, and the
+# largest m of the one-bit benchmark grid.
 C = RADEMACHER_CHUNK
 DRAW_SHAPES = [(1, 1), (1, 3), (3, 5), (7, 13), (1, C), (1, C - 1), (1, C + 1), (2000, 100), (8000, 100),
                (C - 1, 1), (C + 1, 1)]
@@ -106,21 +103,17 @@ def test_rademacher_draw_is_bitwise_integers(shape):
     m, n = shape
     expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
     drawn = sample_measurements("rademacher", m, n, substream(3, "A", m, n))
-    out = np.full(shape, np.nan)
-    returned = sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out)
-    assert returned is out
-    assert drawn.dtype == np.float64
-    assert drawn.tobytes() == expected.tobytes()
-    assert out.tobytes() == expected.tobytes()
+    assert drawn.dtype == np.float32
+    assert drawn.astype(np.float64).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", GRAM_SHAPES)
 def test_rademacher_gram_is_bitwise_float64(shape):
-    # the float32 product of the signs drawn into a float32 array, which the engine forms of each
-    # +-1 panel, is the float64 A^T A: its partial sums are integers of magnitude at most m < 2^24
+    # the float32 product of the float32 draw, which the engine forms of each +-1 panel, is the
+    # float64 A^T A: its partial sums are integers of magnitude at most m < 2^24
     m, n = shape
     expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
-    signs = sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=np.empty(shape, np.float32))
+    signs = sample_measurements("rademacher", m, n, substream(3, "A", m, n))
     assert signs.astype(np.float64).tobytes() == expected.tobytes()
     assert (signs.T @ signs).astype(np.float64).tobytes() == (expected.T @ expected).tobytes()
 
@@ -132,15 +125,17 @@ def test_gaussian_draw_into_out():
     assert out.tobytes() == substream(3, "G").standard_normal((7, 13)).tobytes()
 
 
-# Bad `out` arrays for a 4 x 5 draw. float32 holds +-1 exactly, so only Gaussian draws reject it.
-BAD_OUTS = {"shape": np.empty((5, 4)), "float32": np.empty((4, 5), dtype=np.float32),
-            "float16": np.empty((4, 5), dtype=np.float16), "transposed": np.empty((5, 4)).T,
-            "strided": np.empty((4, 10))[:, ::2]}
+def _bad_outs(dtype):
+    """Bad `out` arrays for a 4 x 5 draw of entries of `dtype`, by name: each breaks one rule."""
+    other = np.float64 if dtype == np.float32 else np.float32
+    return {"shape": np.empty((5, 4), dtype), np.dtype(other).name: np.empty((4, 5), other),
+            "float16": np.empty((4, 5), np.float16), "transposed": np.empty((5, 4), dtype).T,
+            "strided": np.empty((4, 10), dtype)[:, ::2]}
 
 
 @pytest.mark.parametrize("kind,out", [
-    pytest.param(kind, out, id=f"{name}-{kind}") for name, out in BAD_OUTS.items()
-    for kind in ("gaussian", "rademacher") if (name, kind) != ("float32", "rademacher")
+    pytest.param(kind, out, id=f"{name}-{kind}") for kind, dtype in ENSEMBLES.items()
+    for name, out in _bad_outs(dtype).items()
 ])
 def test_draw_rejects_bad_out(kind, out):
     with pytest.raises(ValueError):
@@ -149,46 +144,11 @@ def test_draw_rejects_bad_out(kind, out):
 
 @pytest.mark.parametrize("shape", DRAW_SHAPES)
 def test_rademacher_draw_into_float32(shape):
-    # the signs the float64 draw casts
     m, n = shape
     expected = substream(3, "A", m, n).integers(0, 2, size=shape) * 2.0 - 1.0
     out = np.full(shape, np.nan, dtype=np.float32)
     assert sample_measurements("rademacher", m, n, substream(3, "A", m, n), out=out) is out
     assert out.astype(np.float64).tobytes() == expected.tobytes()
-
-
-def test_float64_rademacher_draw_holds_no_float32_copy():
-    # a float64 out receives the signs through float32 blocks of at most 2^14 entries (64 KiB)
-    m, n = 8000, 100
-    out, rng = np.empty((m, n)), substream(3, "A")
-    tracemalloc.start()
-    try:
-        sample_measurements("rademacher", m, n, rng, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * C  # a block and its raw words; a whole float32 copy is 3.2 MB
-
-
-@pytest.mark.parametrize("n", [1, 7, 100, 256])
-def test_row_blocks(n):
-    # multiples of 4 rows of at most 2^14 entries, a lone last row joining the block before it
-    step = max(4, C // n // 4 * 4)
-    for m in (1, 2, 5, step - 1, step, step + 1, step + 2, 2 * step + 1, 3 * step + 3):
-        blocks = row_blocks(m, n)
-        assert [rows.start for rows in blocks] == list(range(0, step * len(blocks), step))
-        assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]] and blocks[-1].stop == m
-        assert min(rows.stop - rows.start for rows in blocks) >= min(m, 2)
-
-
-@pytest.mark.parametrize("n", [7, 100])
-def test_blockwise_product_is_the_whole_product(n):
-    # sizes at which OpenBLAS forms the whole product on one thread, whatever its setting
-    x = substream(2, "x", n).standard_normal(n)
-    for m in (1, 2, 5, 161, 163, 321, 1311):
-        A = sample_measurements("rademacher", m, n, substream(2, "A", m, n))
-        blockwise = np.concatenate([A[rows] @ x for rows in row_blocks(m, n)])
-        assert blockwise.tobytes() == (A @ x).tobytes()
 
 
 def test_rademacher_needs_64bit_raw_words():

@@ -38,6 +38,7 @@ from qlasso.experiment import (
     onebit_xi_mean_literal,
     onebit_xi_mean_norm_scaled,
     qfunc,
+    row_blocks,
 )
 
 
@@ -150,7 +151,7 @@ def test_run_trial_paired_across_estimators():
     for t in range(3):
         x0 = gen_signal(spec, substream(7, m, t, "signal"))
         A = sample_measurements(cfg.ensemble, m, cfg.n, substream(7, m, t, "matrix"))
-        y = measure(A, x0, UniformQuantizer(cfg.delta), substream(7, m, t, "dither"))
+        y = measure(A @ x0, UniformQuantizer(cfg.delta), substream(7, m, t, "dither"))
         radius = float(np.abs(x0).sum())
         pbp = pbp_estimate(A, y, project_l1_rows, radius, 1.0)
         assert np.linalg.norm(pbp - x0) == run_trial(cfg, m, t, "pbp")
@@ -249,8 +250,8 @@ def _spy_engine(monkeypatch):
         panels.append((out, A.copy()))
         return A
 
-    def spy_measure(A, x0, q, rng):
-        y = measure(A, x0, q, rng)
+    def spy_measure(Ax, q, rng):
+        y = measure(Ax, q, rng)
         ys.append(y)
         return y
 
@@ -269,7 +270,7 @@ def _whole_draw(cfg, m, t):
     q = qlasso.experiment._channel(cfg, m)
     x0 = gen_signal(SignalSpec(cfg.n, cfg.structure, cfg.norm_target), substream(cfg.master_seed, m, t, "signal"))
     A = sample_measurements(cfg.ensemble, m, cfg.n, substream(cfg.master_seed, m, t, "matrix"))
-    return A, measure(A, x0, q, substream(cfg.master_seed, m, t, "dither")), q.mu
+    return A, measure(A @ x0, q, substream(cfg.master_seed, m, t, "dither")), q.mu
 
 
 def _trials_of(cfg, panels, ys, stacks):
@@ -289,6 +290,29 @@ def _trials_of(cfg, panels, ys, stacks):
 def test_panel_rows():
     assert qlasso.experiment.panel_rows(100) == 1310 and qlasso.experiment.panel_rows(256) == 512
     assert qlasso.experiment.panel_rows(7) == 18724 and qlasso.experiment.panel_rows(10**6) == 2
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 256])
+def test_row_blocks(n):
+    # multiples of 4 rows of at most 2^14 entries, a lone last row joining the block before it
+    step = max(4, 2**14 // n // 4 * 4)
+    for m in (1, 2, 5, step - 1, step, step + 1, step + 2, 2 * step + 1, 3 * step + 3):
+        blocks = row_blocks(m, n)
+        assert [rows.start for rows in blocks] == list(range(0, step * len(blocks), step))
+        assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]] and blocks[-1].stop == m
+        assert min(rows.stop - rows.start for rows in blocks) >= min(m, 2)
+
+
+@pytest.mark.parametrize("n", [7, 100])
+def test_blockwise_product_is_the_whole_product(n):
+    # A x of a float32 or float64 draw, formed in float64 block by block as the engine forms a panel's
+    # A x0, is the whole float64 product, at sizes at which OpenBLAS forms it on one thread, whatever its setting
+    x = substream(2, "x", n).standard_normal(n)
+    for m in (1, 2, 5, 161, 163, 321, 1311):
+        for kind in ("gaussian", "rademacher"):
+            A = sample_measurements(kind, m, n, substream(2, "A", m, n))
+            blockwise = np.concatenate([np.matmul(A[rows], x, dtype=np.float64) for rows in row_blocks(m, n)])
+            assert blockwise.tobytes() == (A.astype(np.float64) @ x).tobytes()
 
 
 PANEL_CASES = [(kind, quantizer, n) for kind in ("rademacher", "gaussian") for quantizer in ("uniform", "one_bit")
@@ -315,7 +339,7 @@ def test_panel_draw_matches_the_whole_matrix(kind, quantizer, n, monkeypatch):
     assert base.dtype == (np.float32 if kind == "rademacher" else np.float64)
     for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
         A, y, mu = _whole_draw(cfg, m, t)
-        assert np.concatenate([panel for _, panel in drawn]).astype(np.float64).tobytes() == A.tobytes()
+        assert np.concatenate([panel for _, panel in drawn]).tobytes() == A.tobytes()
         assert np.concatenate(measured).tobytes() == y.tobytes()
         G_ref, b_ref = gram_stats(A, y, mu)
         if kind == "rademacher":
@@ -363,7 +387,7 @@ def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
     assert all(out.base is base for out, _ in panels)
     for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
         A, y, mu = _whole_draw(cfg, m, t)
-        assert np.concatenate([panel for _, panel in drawn]).astype(np.float64).tobytes() == A.tobytes()
+        assert np.concatenate([panel for _, panel in drawn]).tobytes() == A.tobytes()
         G_ref, b_ref = gram_stats(A, y, mu)
         assert G.tobytes() == G_ref.tobytes() and b.tobytes() == b_ref.tobytes()
     monkeypatch.undo()
@@ -428,15 +452,21 @@ def test_signed_panels_past_float32_cell_sums():
 @pytest.mark.parametrize("n", [7, 100])
 @pytest.mark.parametrize("q", [UniformQuantizer(0.3), UniformQuantizer(2.0), UniformQuantizer(2.0**-40),
                                OneBitQuantizer(4.0)], ids=["uniform-0.3", "uniform-2", "uniform-fine", "one_bit"])
-def test_measure_on_float32_signs(q, n):
-    # float32 A is widened in blocks of 160 rows at n = 100 and 2340 at n = 7: m lies
-    # on both sides of a block edge, with lone last rows, and one row past a panel. The
-    # cells of width 2^-40 resolve A x0 to about 2^11 ulps, so A x0 must be float64.
-    x0 = gen_signal(SignalSpec(n, Sparse(min(n, 5)), 3.0), substream(5, "x0", n))
+def test_measure_on_float32_signs(q, n, monkeypatch):
+    # The engine's y from float32 +-1 panels is bitwise measure(A x0) of the whole draw widened
+    # to float64. It forms A x0 in blocks of 160 rows at n = 100 and 2340 at n = 7: m lies on
+    # both sides of a block edge, with lone last rows, and one row past a panel. The cells of
+    # width 2^-40 resolve A x0 to about 2^11 ulps, so A x0 must be float64.
+    monkeypatch.setattr(qlasso.experiment, "_channel", lambda cfg, m: q)
+    _, ys, _ = _spy_engine(monkeypatch)
     for m in (1, 2, 5, 161, 163, 2341, ROWS + 1):
-        A = sample_measurements("rademacher", m, n, substream(5, "A", m, n), out=np.empty((m, n), np.float32))
-        y = measure(A, x0, q, substream(5, "dither", m, n))
-        assert y.tobytes() == measure(A.astype(np.float64), x0, q, substream(5, "dither", m, n)).tobytes()
+        cfg = _cfg(n=n, structure=Sparse(min(n, 5)), ensemble="rademacher", m_grid=(m,), trials=1)
+        ys.clear()
+        qlasso.experiment._solve_block(cfg, m, range(1), ("pbp",), qlasso.experiment._workspace(n, cfg.ensemble))
+        x0 = gen_signal(SignalSpec(n, cfg.structure, cfg.norm_target), substream(cfg.master_seed, m, 0, "signal"))
+        A = sample_measurements("rademacher", m, n, substream(cfg.master_seed, m, 0, "matrix"))
+        y = measure(A.astype(np.float64) @ x0, q, substream(cfg.master_seed, m, 0, "dither"))
+        assert A.dtype == np.float32 and np.concatenate(ys).tobytes() == y.tobytes()
 
 
 def test_nonconverged_solves_are_counted(monkeypatch):

@@ -5,7 +5,8 @@ benchmark or the entry point reads each public top-level name of the package,
 some expression of the package or its tests reads each dataclass field of the
 package, every function the benchmark's tracer wraps exists in its module, every
 name of qlasso.__all__ resolves, and no module branches on the type of a signal
-structure or of a quantizer."""
+structure or of a quantizer, and the float32 +-1 panel stays behind the trial engine:
+row_blocks lives in experiment alone and the channel imports no draw."""
 
 import ast
 import importlib
@@ -203,3 +204,23 @@ def test_no_type_dispatch_outside_its_module(path):
     source = path.read_text()
     assert [found for classes, owner in DISPATCH_OWNERS.items() if path.name != owner
             for found in type_dispatches(source, classes)] == []
+
+
+def named(source: str) -> set:
+    """Every name `source` defines, imports, reads or reads as an attribute."""
+    return {getattr(node, attr) for node in ast.walk(ast.parse(source)) for attr in ("id", "name", "attr")
+            if isinstance(getattr(node, attr, None), str)}
+
+
+def test_guard_names_a_definition_an_import_and_a_read():
+    assert {"f", "g", "h", "k"} <= named("from m import f\ndef g():\n    pass\nh(m.k)\n")
+
+
+def test_float32_panels_stay_in_the_engine():
+    # a panel's float64 products (row_blocks) are formed in experiment alone, and the channel reads
+    # nothing of the draw: quantizer imports only the positivity rule from ensemble
+    assert [path.name for path in PACKAGE if "row_blocks" in named(path.read_text())] == ["experiment.py"]
+    tree = ast.parse((ROOT / "src" / "qlasso" / "quantizer.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if "ensemble" in f"{getattr(node, 'module', '')}.{alias.name}"]
+    assert imported == [("ensemble", "check_positive")]

@@ -114,7 +114,7 @@ def test_dither_draws_pinned():
 def test_measure_zero_signal_uniform():
     rng = substream(2, "m")
     A = sample_measurements("gaussian", 500, 10, rng)
-    y = measure(A, np.zeros(10), UniformQuantizer(2.0), rng)
+    y = measure(A @ np.zeros(10), UniformQuantizer(2.0), rng)
     assert np.all(np.isin(y, (-1.0, 1.0)))
     # outputs are odd multiples of delta/2
     ratio = y / 1.0
@@ -124,22 +124,23 @@ def test_measure_zero_signal_uniform():
 def test_measure_zero_signal_one_bit_mean():
     rng = substream(3, "m")
     A = sample_measurements("gaussian", 10**5, 5, rng)
-    y = measure(A, np.zeros(5), OneBitQuantizer(4.0), rng)
+    y = measure(A @ np.zeros(5), OneBitQuantizer(4.0), rng)
     assert abs(np.mean(y)) < 0.02
 
 
 def test_measure_scalar_enumeration():
     # n = 1, a = 1, x0 = 10, delta = 2: Q(10 + tau) with tau in (-1, 1] is 9 or 11
     rng = substream(4, "m")
-    y = measure(np.ones((200, 1)), np.array([10.0]), UniformQuantizer(2.0), rng)
+    y = measure(np.full(200, 10.0), UniformQuantizer(2.0), rng)
     assert set(np.unique(y)) <= {9.0, 11.0}
 
 
 def test_measure_pairing_errors():
+    # the channel takes the vector A x0: a matrix, a column or a scalar is refused
     rng = substream(5, "m")
-    A = sample_measurements("gaussian", 10, 4, rng)
-    with pytest.raises(ValueError):
-        measure(A, np.zeros(5), UniformQuantizer(2.0), rng)
+    for Ax in (sample_measurements("gaussian", 10, 4, rng), np.zeros((10, 1)), 0.0):
+        with pytest.raises(ValueError, match="measure takes the vector A x0"):
+            measure(Ax, UniformQuantizer(2.0), rng)
 
 
 def test_quantization_noise_bounds():
@@ -147,7 +148,7 @@ def test_quantization_noise_bounds():
     A = sample_measurements("gaussian", 2000, 20, rng)
     x0 = rng.standard_normal(20)
     delta = 1.5
-    y = measure(A, x0, UniformQuantizer(delta), rng)
+    y = measure(A @ x0, UniformQuantizer(delta), rng)
     e = 1.0 * y - A @ x0  # the estimator-facing discrepancy mu y - A x0, with mu = 1
     assert np.all(np.abs(e) <= delta)
 
@@ -156,7 +157,7 @@ def test_quantization_noise_one_bit_zero_signal():
     rng = substream(7, "m")
     A = sample_measurements("gaussian", 100, 3, rng)
     T = 4.0
-    y = measure(A, np.zeros(3), OneBitQuantizer(T), rng)
+    y = measure(A @ np.zeros(3), OneBitQuantizer(T), rng)
     e = T * y - A @ np.zeros(3)
     assert set(np.unique(e)) <= {-T, T}
 

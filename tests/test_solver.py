@@ -29,7 +29,7 @@ def _instance(seed, m=300, n=50, s=10, delta=1.0):
     rng_dith = substream(seed, "dith")
     x0 = gen_signal(SignalSpec(n, Sparse(s), 3.0), rng_sig)
     A = sample_measurements("gaussian", m, n, rng_mat)
-    y = measure(A, x0, UniformQuantizer(delta), rng_dith)
+    y = measure(A @ x0, UniformQuantizer(delta), rng_dith)
     return x0, A, y
 
 
@@ -170,7 +170,7 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
         rng = substream(300 + seed, "lr")
         x0 = gen_signal(SignalSpec(d * d, LowRank(d, 1), 2.0), rng)
         A = sample_measurements("gaussian", 200, d * d, rng)
-        y = measure(A, x0, UniformQuantizer(0.5), rng)
+        y = measure(A @ x0, UniformQuantizer(0.5), rng)
         instances.append((A, y))
         radii.append(float(np.linalg.svd(x0.reshape(d, d), compute_uv=False).sum()))
     G, b = _stack_problems(instances, 1.0)
@@ -194,7 +194,7 @@ def test_pgd_rows_reaches_the_minimizer_at_small_m():
     for t in range(12):
         x0 = gen_signal(spec, substream(seed, m, t, "signal"))
         A = sample_measurements("rademacher", m, n, substream(seed, m, t, "matrix"))
-        instances.append((A, measure(A, x0, UniformQuantizer(3.0), substream(seed, m, t, "dither"))))
+        instances.append((A, measure(A @ x0, UniformQuantizer(3.0), substream(seed, m, t, "dither"))))
         radii.append(float(np.abs(x0).sum()))
     G, b = _stack_problems(instances, 1.0)
     eta = 1 / (LIPSCHITZ_MARGIN * np.linalg.eigvalsh(G)[..., -1])
@@ -556,7 +556,7 @@ def test_noiseless_limit_single_trial():
     x0 = gen_signal(SignalSpec(100, Sparse(10), 3.0), rng_sig)
     A = sample_measurements("gaussian", 500, 100, rng_mat)
     delta = 1e-6
-    y = measure(A, x0, UniformQuantizer(delta), rng_dith)
+    y = measure(A @ x0, UniformQuantizer(delta), rng_dith)
     res = glasso_solve(A, y, 1.0, *_l1(x0))
     assert np.linalg.norm(res.x_hat - x0) < 1e-3
 
