@@ -19,8 +19,8 @@ Generator method, which it does not.
 Each sign is written straight as the bit pattern of float32 +-1 into a
 float32 array, which holds it exactly: a Rademacher draw is float32 and a
 Gaussian one float64 (ENSEMBLES). Where a product of a +-1 draw must be
-float64, its consumer widens it: gram_stats casts A, and the trial engine forms
-each panel's A x0 and S^T c in float64 a few rows at a time.
+float64, its consumer widens it: gram_stats casts A, and the trial engine
+widens each panel once into a float64 buffer of its workspace.
 """
 
 import math

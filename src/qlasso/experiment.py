@@ -101,7 +101,8 @@ def block_size(n: int) -> int:
     return max(1, 2**20 // (8 * n * n))
 
 
-# entries of the row panels a trial's matrix is drawn in: 1 MiB of float64, 512 KiB of float32 +-1
+# entries of the row panels a trial's matrix is drawn in: 1 MiB of float64, or 512 KiB of float32 +-1 with its
+# 1 MiB float64 widening
 PANEL_ENTRIES = 2**17
 
 
@@ -112,19 +113,13 @@ def panel_rows(n: int) -> int:
 
 
 def _workspace(n: int, ensemble: str):
-    """The (panel_rows(n), n) draw panel, (block_size(n), n, n) Gram stack and (n, n) scratch of a
-    curve's blocks; panel and scratch take the ensemble's dtype, float32 for +-1 rows."""
-    dtype = ENSEMBLES[ensemble]
-    return np.empty((panel_rows(n), n), dtype), np.empty((block_size(n), n, n)), np.empty((n, n), dtype)
-
-
-def row_blocks(m: int, n: int):
-    """Slices of the row blocks of an m x n panel in which its float64 products are formed: multiples of 4
-    rows of at most 2^14 entries, a lone last row joining the block before it. OpenBLAS's one-thread float64
-    matrix-vector kernel takes rows four at a time, so block by block each row rounds as in the whole product."""
-    step = max(4, 2**14 // n // 4 * 4)
-    stops = [*range(step, m - 1, step), m]
-    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
+    """The (panel_rows(n), n) draw panel, its float64 widening, the (block_size(n), n, n) Gram stack and
+    the (n, n) scratch of a curve's blocks. Panel and scratch take the ensemble's dtype, float32 for +-1
+    rows. A float64 panel is its own widening; a +-1 panel's is left unwritten, so that a forking caller
+    keeps none of it resident."""
+    panel = np.empty((panel_rows(n), n), ENSEMBLES[ensemble])
+    wide = panel if panel.dtype == np.float64 else np.empty(panel.shape)
+    return panel, wide, np.empty((block_size(n), n, n)), np.empty((n, n), panel.dtype)
 
 
 def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple[str, ...], workspace) -> dict:
@@ -143,18 +138,15 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     whole-matrix draw and one measure(A x0) would, so A is bitwise the
     whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies within an
     ulp of a cell edge: BLAS may round a panel's A x0 in the last bit unlike
-    the whole matrix's (OpenBLAS groups rows by four). Each float64 product of
-    a panel with a vector, A x0 (which measure quantizes) and S^T c below, is
-    formed here over row_blocks, so a float32 panel is never widened whole. G
-    sums every panel's A^T A, formed in the panel's dtype in the scratch, from zero.
-    Gaussian panels are float64: G and b sum the panels' float64 products in
-    order, equal to gram_stats to rounding. A +-1 panel S stays float32: its
-    float32 Gram matrix is exact, since each partial sum is an integer of
-    magnitude at most its rows, far below 2^24; b is (mu / m) q.scale S^T c,
-    c = q.cell(y), with S^T c summed in float64 in halves. So G and b are
-    exact whenever 2 m max|c| <= 2^53: bitwise gram_stats where A^T y is an
-    exact sum (one-bit y, a cell width of 3 or a power of two), and for other
-    widths b rounds Delta S^T c once, where A^T y sums m rounded terms.
+    the whole matrix's (OpenBLAS groups rows by four). Each panel S is widened
+    once into the workspace's float64 A (a Gaussian panel is its own), from
+    which A x0, which measure quantizes, and A^T y are formed. G sums every
+    panel's S^T S, formed in the panel's dtype in the scratch, and b every
+    panel's A^T y, in order from zero. A +-1 panel's float32 Gram matrix is
+    exact, since each partial sum is an integer of magnitude at most its rows,
+    far below 2^24. So (G, b) is gram_stats bitwise on one panel and to
+    rounding over several; on +-1 rows G is bitwise at every m, and so is b
+    where A^T y is an exact sum (one-bit y, a cell width of 3 or a power of two).
     Returns {estimator: (errors, iterations, converged)}, one entry per trial;
     the one-shot estimators report 0 iterations, converged.
     """
@@ -163,26 +155,20 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     q = _channel(cfg, m)
     x0s = np.empty((k, n))
     b = np.zeros((k, n))
-    panel, G, scratch = workspace
+    panel, wide, G, scratch = workspace
     G = G[:k]
     G[...] = 0.0
-    signs = panel.dtype == np.float32  # +-1 panels, whose b is summed in cells until the last panel
     for i, t in enumerate(trials):
         x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
         matrix_rng, dither_rng = (substream(cfg.master_seed, m, t, purpose) for purpose in ("matrix", "dither"))
         for start in range(0, m, len(panel)):
-            A = panel[: m - start]
-            sample_measurements(cfg.ensemble, len(A), n, matrix_rng, out=A)
-            blocks = row_blocks(*A.shape)
-            y = measure(np.concatenate([np.matmul(A[rows], x0, dtype=np.float64) for rows in blocks]), q, dither_rng)
-            G[i] += np.matmul(A.T, A, out=scratch)  # no n x n temporary per panel
-            if signs:
-                c = q.cell(y)
-                b[i] += sum(np.matmul(c[rows], A[rows], dtype=np.float64) for rows in blocks)
-            else:
-                b[i] += A.T @ y
-        if signs:
-            b[i] *= q.scale
+            S = panel[: m - start]
+            sample_measurements(cfg.ensemble, len(S), n, matrix_rng, out=S)
+            A = wide[: len(S)]
+            A[...] = S  # no copy where the panel is float64
+            y = measure(A @ x0, q, dither_rng)
+            G[i] += np.matmul(S.T, S, out=scratch)  # no n x n temporary per panel
+            b[i] += A.T @ y
         G[i] /= m  # (G[i], b[i]) = gram_stats(A, y, q.mu), bitwise where the sums are exact
         b[i] *= q.mu / m
         x0s[i] = x0

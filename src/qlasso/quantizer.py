@@ -3,16 +3,13 @@
 Each quantizer owns its dither law (`dither(rng, size)`), its map
 (`quantize(x)`) and the scale mu of its reading mu * Q(x + tau) of x, so
 `measure` runs any channel y = Q(<a, x0> + tau) without branching on it. It
-takes the measurements <a_i, x0> as one vector A x0, which its caller forms.
-The map is Q(x) = scale * cell(x), with cell(x) a half-integer or +-1 (float64
-sums them exactly) and cell(Q(x)) = cell(x) for |x| / scale below 2^50, so
-y's cells are q.cell(y):
+takes the measurements <a_i, x0> as one vector A x0, which its caller forms:
 
-  * UniformQuantizer(delta): the mid-riser map Q(x) = Delta * (floor(x / Delta) + 1/2),
-    scale = Delta; its dither is uniform on (-Delta/2, Delta/2], sampled as
+  * UniformQuantizer(delta): the mid-riser map Q(x) = Delta * (floor(x / Delta) + 1/2);
+    its dither is uniform on (-Delta/2, Delta/2], sampled as
     Delta * (u - 1/2) with u ~ Unif[0, 1) (the boundary discrepancy is measure-zero); mu = 1.
   * OneBitQuantizer(T): the sign map Q(x) = sign(x) with sign(0) := +1 (a
-    probability-zero event under any continuous dither), scale = 1; its dither
+    probability-zero event under any continuous dither); its dither
     is uniform on [-T, T], sampled as T * (2u - 1); mu = T.
 
 With its dither the reading is unbiased for UniformQuantizer; for
@@ -35,22 +32,12 @@ def _finite(x) -> np.ndarray:
     return x
 
 
-class _Cells:
-    def quantize(self, x):
-        """scale * cell(x); a scalar x gives a scalar."""
-        return self.scale * self.cell(x)
-
-
 @dataclass(frozen=True)
-class UniformQuantizer(_Cells):
+class UniformQuantizer:
     """Mid-riser quantizer of cell width delta; its dither is uniform on one cell, and its mu is 1."""
 
     delta: float
     mu = 1.0
-
-    @property
-    def scale(self) -> float:
-        return self.delta
 
     def __post_init__(self):
         check_positive("resolution delta", self.delta)
@@ -59,17 +46,16 @@ class UniformQuantizer(_Cells):
         """`size` iid draws uniform on (-delta/2, delta/2]."""
         return self.delta * (rng.random(size) - 0.5)
 
-    def cell(self, x):
-        """floor(x / Delta) + 1/2; floor rounds toward -inf."""
-        return np.floor(_finite(x) / self.delta) + 0.5
+    def quantize(self, x):
+        """Delta * (floor(x / Delta) + 1/2); floor rounds toward -inf, and a scalar x gives a scalar."""
+        return self.delta * (np.floor(_finite(x) / self.delta) + 0.5)
 
 
 @dataclass(frozen=True)
-class OneBitQuantizer(_Cells):
+class OneBitQuantizer:
     """Sign quantizer; its dither is uniform on [-T, T], and its mu is T."""
 
     T: float
-    scale = 1.0
 
     def __post_init__(self):
         check_positive("dither range T", self.T)
@@ -82,7 +68,7 @@ class OneBitQuantizer(_Cells):
         """`size` iid draws uniform on [-T, T]."""
         return self.T * (2.0 * rng.random(size) - 1.0)
 
-    def cell(self, x):
+    def quantize(self, x):
         """sign(x) with sign(0) = +1; a scalar x gives a scalar."""
         return np.where(_finite(x) >= 0, 1.0, -1.0)[()]
 

@@ -219,25 +219,28 @@ def test_forked_workers_round_as_an_unpinned_caller():
 
 
 def test_forking_caller_keeps_no_workspace_resident():
-    # A jobs=2 curve at n=256 allocates a 2.5 MiB workspace in the caller, but only the
-    # forked workers write it, each into its own copy: the caller's peak resident memory
-    # rises by far less than 1 MiB (it rises by 2.5 MiB if the caller writes it once). The
-    # peak is VmHWM, as ru_maxrss keeps that of the process that started this one.
+    # A jobs=2 curve at n=256 allocates a 2.5 MiB workspace in the caller (Gaussian rows; for
+    # +-1 rows a 512 KiB float32 panel and its 1 MiB float64 widening beside the 1 MiB Gram
+    # stack), but only the forked workers write it, each into its own copy: the caller's peak
+    # resident memory rises by far less than 1 MiB (it rises by 2.5 MiB if the caller writes
+    # it once). The peak is VmHWM, as ru_maxrss keeps that of the process that started this one.
     code = """if True:
+        import sys
         from qlasso import ExperimentConfig, Sparse, run_curve
         def peak_kib():
             with open("/proc/self/status") as status:
                 return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-        cfg = ExperimentConfig(n=256, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble="gaussian",
+        cfg = ExperimentConfig(n=256, structure=Sparse(10), norm_target=3.0, R=4.0, ensemble=sys.argv[1],
                                quantizer="uniform", delta=1.0, m_grid=(300, 400), trials=4, master_seed=5)
         before = peak_kib()
         run_curve(cfg, "glasso", jobs=2)
         print(peak_kib() - before)
     """
     env = _subprocess_env(**dict.fromkeys(BLAS_VARS, "1"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
-                         capture_output=True, text=True)
-    assert int(out.stdout) < 1024  # KiB
+    for ensemble in ("gaussian", "rademacher"):
+        out = subprocess.run([sys.executable, "-c", code, ensemble], env=env, check=True, timeout=60,
+                             capture_output=True, text=True)
+        assert int(out.stdout) < 1024, ensemble  # KiB
 
 
 # Two threads of one library caller each run three curves at n=100 at once: the

@@ -6,7 +6,7 @@ some expression of the package or its tests reads each dataclass field of the
 package, every function the benchmark's tracer wraps exists in its module, every
 name of qlasso.__all__ resolves, and no module branches on the type of a signal
 structure or of a quantizer, and the float32 +-1 panel stays behind the trial engine:
-row_blocks lives in experiment alone and the channel imports no draw."""
+only ensemble and experiment name the ensembles' dtypes, and the channel imports no draw."""
 
 import ast
 import importlib
@@ -217,9 +217,9 @@ def test_guard_names_a_definition_an_import_and_a_read():
 
 
 def test_float32_panels_stay_in_the_engine():
-    # a panel's float64 products (row_blocks) are formed in experiment alone, and the channel reads
-    # nothing of the draw: quantizer imports only the positivity rule from ensemble
-    assert [path.name for path in PACKAGE if "row_blocks" in named(path.read_text())] == ["experiment.py"]
+    # the ensembles' dtypes (ENSEMBLES) are named by the draw and the engine alone, and the channel
+    # reads nothing of the draw: quantizer imports only the positivity rule from ensemble
+    assert [path.name for path in PACKAGE if "ENSEMBLES" in named(path.read_text())] == ["ensemble.py", "experiment.py"]
     tree = ast.parse((ROOT / "src" / "qlasso" / "quantizer.py").read_text())
     imported = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names if "ensemble" in f"{getattr(node, 'module', '')}.{alias.name}"]
