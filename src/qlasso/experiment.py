@@ -96,28 +96,31 @@ def _channel(cfg: ExperimentConfig, m: int):
     raise ValueError(f"unknown quantizer {cfg.quantizer!r}")
 
 
+# bytes of a block's Gram stack, and of a trial's row panel with its float64 widening
+BUFFER_BYTES = 2**20
+
+
 def block_size(n: int) -> int:
-    """Trials per block: the block's stack of n x n Gram matrices fits in 1 MiB."""
-    return max(1, 2**20 // (8 * n * n))
+    """Trials per block: the block's stack of n x n Gram matrices fits in BUFFER_BYTES."""
+    return max(1, BUFFER_BYTES // (8 * n * n))
 
 
-# entries of the row panels a trial's matrix is drawn in: 1 MiB of float64, or 512 KiB of float32 +-1 with its
-# 1 MiB float64 widening
-PANEL_ENTRIES = 2**17
-
-
-def panel_rows(n: int) -> int:
-    """Rows of the panels a trial's m x n matrix is drawn in, whatever m: PANEL_ENTRIES // n,
-    rounded down to an even number (Rademacher draws read two signs a raw word), at least 2."""
-    return max(2, PANEL_ENTRIES // n // 2 * 2)
+def panel_rows(n: int, ensemble: str) -> int:
+    """Rows of the panels a trial's m x n matrix is drawn in, whatever m: the most, in multiples of four,
+    whose draw and its float64 widening fit in BUFFER_BYTES (a float64 draw is its own widening), at
+    least 4. Every panel then starts on a 4-row boundary, as OpenBLAS groups the rows of A x0, and holds
+    an even number of +-1 entries, two signs a raw word."""
+    draw = np.dtype(ENSEMBLES[ensemble]).itemsize
+    row_bytes = n * (draw if draw == 8 else draw + 8)
+    return max(4, BUFFER_BYTES // row_bytes // 4 * 4)
 
 
 def _workspace(n: int, ensemble: str):
-    """The (panel_rows(n), n) draw panel, its float64 widening, the (block_size(n), n, n) Gram stack and
-    the (n, n) scratch of a curve's blocks. Panel and scratch take the ensemble's dtype, float32 for +-1
-    rows. A float64 panel is its own widening; a +-1 panel's is left unwritten, so that a forking caller
-    keeps none of it resident."""
-    panel = np.empty((panel_rows(n), n), ENSEMBLES[ensemble])
+    """The (panel_rows(n, ensemble), n) draw panel, its float64 widening, the (block_size(n), n, n) Gram
+    stack and the (n, n) scratch of a curve's blocks. Panel and scratch take the ensemble's dtype, float32
+    for +-1 rows. A float64 panel is its own widening; a +-1 panel's is left unwritten, so that a forking
+    caller keeps none of it resident."""
+    panel = np.empty((panel_rows(n, ensemble), n), ENSEMBLES[ensemble])
     wide = panel if panel.dtype == np.float64 else np.empty(panel.shape)
     return panel, wide, np.empty((block_size(n), n, n)), np.empty((n, n), panel.dtype)
 
@@ -136,10 +139,10 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     A is drawn in row panels into the panel of `workspace` (a _workspace(n,
     ensemble)), so no buffer grows with m. The panels read the substreams as one
     whole-matrix draw and one measure(A x0) would, so A is bitwise the
-    whole-matrix draw. So is y, unless a row's a_i^T x0 + tau lies within an
-    ulp of a cell edge: BLAS may round a panel's A x0 in the last bit unlike
-    the whole matrix's (OpenBLAS groups rows by four). Each panel S is widened
-    once into the workspace's float64 A (a Gaussian panel is its own), from
+    whole-matrix draw. So is y: every panel starts on a 4-row boundary, and
+    OpenBLAS, which groups the rows of A x0 by four, then rounds each row of
+    a panel's A x0 as in the whole matrix's. Each panel S is widened once
+    into the workspace's float64 A (a Gaussian panel is its own), from
     which A x0, which measure quantizes, and A^T y are formed. G sums every
     panel's S^T S, formed in the panel's dtype in the scratch, and b every
     panel's A^T y, in order from zero. A +-1 panel's float32 Gram matrix is

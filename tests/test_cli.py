@@ -165,8 +165,8 @@ def test_jobs_do_not_change_outputs(tmp_path):
     # more threads. The CLI pins itself to one thread and its forked workers
     # keep that, so --jobs 1 and --jobs 2 write the same bytes, run to run.
     # n=100 runs 15 trials as blocks of 13 and 2, so two workers share eight tasks;
-    # m=2700 draws each matrix in three row panels. The one-bit run draws Rademacher
-    # rows in workers that load numpy.random at their first draw, after the fork.
+    # m=2700 draws each matrix in three Gaussian or four +-1 row panels. The one-bit run draws
+    # Rademacher rows in workers that load numpy.random at their first draw, after the fork.
     for command, tag, channel in (("run-uniform", "uniform", {}),
                                   ("run-onebit", "onebit", dict(ensemble="rademacher", quantizer="one_bit"))):
         cfg = _write_cfg(tmp_path, n=100, s=10, m_grid=[150, 200, 300, 2700], trials=15, **channel)
@@ -219,10 +219,10 @@ def test_forked_workers_round_as_an_unpinned_caller():
 
 
 def test_forking_caller_keeps_no_workspace_resident():
-    # A jobs=2 curve at n=256 allocates a 2.5 MiB workspace in the caller (Gaussian rows; for
-    # +-1 rows a 512 KiB float32 panel and its 1 MiB float64 widening beside the 1 MiB Gram
-    # stack), but only the forked workers write it, each into its own copy: the caller's peak
-    # resident memory rises by far less than 1 MiB (it rises by 2.5 MiB if the caller writes
+    # A jobs=2 curve at n=256 allocates a 2.5 MiB workspace in the caller (Gaussian rows; 2.25
+    # MiB for +-1 rows, a 340 KiB float32 panel and its 680 KiB float64 widening beside the 1 MiB
+    # Gram stack), but only the forked workers write it, each into its own copy: the caller's peak
+    # resident memory rises by far less than 1 MiB (it rises by the workspace if the caller writes
     # it once). The peak is VmHWM, as ru_maxrss keeps that of the process that started this one.
     code = """if True:
         import sys

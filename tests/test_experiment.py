@@ -275,7 +275,7 @@ def _whole_draw(cfg, m, t):
 def _trials_of(cfg, panels, ys, stacks):
     """(m, trial, its drawn panels, their measurements, its (G, b) rows), in call order."""
     rows = [row for G, b in stacks for row in zip(G, b)]
-    height = qlasso.experiment.panel_rows(cfg.n)
+    height = qlasso.experiment.panel_rows(cfg.n, cfg.ensemble)
     trials, j = [], 0
     for m in cfg.m_grid:
         count = -(-m // height)
@@ -287,8 +287,14 @@ def _trials_of(cfg, panels, ys, stacks):
 
 
 def test_panel_rows():
-    assert qlasso.experiment.panel_rows(100) == 1310 and qlasso.experiment.panel_rows(256) == 512
-    assert qlasso.experiment.panel_rows(7) == 18724 and qlasso.experiment.panel_rows(10**6) == 2
+    # the most rows, in multiples of four, whose draw and float64 widening fit in the 1 MiB of a
+    # Gram stack (a float64 draw is its own widening), at least four
+    for kind in ("rademacher", "gaussian"):
+        for n in (7, 40, 100, 256, 10**6):
+            rows, row_bytes = qlasso.experiment.panel_rows(n, kind), n * (8 if kind == "gaussian" else 4 + 8)
+            assert rows % 4 == 0 and (rows * row_bytes <= 2**20 or rows == 4) and (rows + 4) * row_bytes > 2**20
+    assert qlasso.experiment.panel_rows(100, "rademacher") == 872
+    assert qlasso.experiment.panel_rows(256, "gaussian") == 512
 
 
 PANEL_CASES = [(kind, quantizer, n) for kind in ("rademacher", "gaussian") for quantizer in ("uniform", "one_bit")
@@ -299,12 +305,11 @@ PANEL_CASES = [(kind, quantizer, n) for kind in ("rademacher", "gaussian") for q
 def test_panel_draw_matches_the_whole_matrix(kind, quantizer, n, monkeypatch):
     # Panels of 128 rows: m below, equal to and just above one panel, last panels of
     # odd height (129, 131, 301, 385) and several panels. Each trial's panels are its
-    # whole-matrix draw and their measurements those of one measure call, bitwise (no
-    # row's A x0 + tau lies within an ulp of a cell edge here). Its Gram statistics are
-    # gram_stats of the whole draw: bitwise for +-1 entries, whose panel sums are
-    # integers (one-bit y is +-1, y of the cell width 2 an odd integer), and to
-    # rounding for Gaussian entries.
-    monkeypatch.setattr(qlasso.experiment, "PANEL_ENTRIES", 128 * n)
+    # whole-matrix draw and their measurements those of one measure call, bitwise. Its
+    # Gram statistics are gram_stats of the whole draw: bitwise for +-1 entries, whose
+    # panel sums are integers (one-bit y is +-1, y of the cell width 2 an odd integer),
+    # and to rounding for Gaussian entries.
+    monkeypatch.setattr(qlasso.experiment, "panel_rows", lambda n, ensemble: 128)
     one_bit = quantizer == "one_bit"
     cfg = _cfg(n=n, structure=Sparse(n), norm_target=3.0, R=3.0, ensemble=kind, quantizer=quantizer,
                delta=None if one_bit else 2.0, m_grid=(2 if one_bit else 1, 100, 128, 129, 131, 301, 385), trials=2)
@@ -332,7 +337,7 @@ def test_gaussian_panels_sum_their_float64_products(quantizer, monkeypatch):
     # Panels of 128 rows, three and four of them a trial at n = 100: each trial's (G, b) is
     # bitwise the in-order sums of its panels' float64 A_p^T A_p and A_p^T y_p, divided by m
     # and scaled by mu / m: summing from zero adds no rounding.
-    monkeypatch.setattr(qlasso.experiment, "PANEL_ENTRIES", 128 * 100)
+    monkeypatch.setattr(qlasso.experiment, "panel_rows", lambda n, ensemble: 128)
     one_bit = quantizer == "one_bit"
     cfg = _cfg(n=100, quantizer=quantizer, delta=None if one_bit else 1.0, m_grid=(300, 385), trials=2)
     panels, ys, stacks = _spy_engine(monkeypatch)
@@ -349,7 +354,7 @@ def test_gaussian_panels_sum_their_float64_products(quantizer, monkeypatch):
 
 def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
     # 15 trials at n=100 run as blocks of 13 and 2 at each m; m=2700 draws panels of
-    # 1310, 1310 and 80 rows. One (1310, 100) array takes every panel of every trial,
+    # 872, 872, 872 and 84 rows. One (872, 100) array takes every panel of every trial,
     # block and m. Each trial's Gram statistics are bitwise those of gram_stats on its
     # whole float64 draw, and its error and iteration count those it gets alone in a
     # block of one.
@@ -357,9 +362,10 @@ def test_block_draws_every_matrix_into_one_workspace(monkeypatch):
     panels, ys, stacks = _spy_engine(monkeypatch)
     curve = run_curve(cfg, "glasso")
     assert len(stacks) == 6 and [len(G) for G, _ in stacks] == [13, 2] * 3
-    assert len(panels) == 15 * (1 + 1 + 3)
+    assert len(panels) == 15 * (1 + 1 + 4)
     base = panels[0][0].base
-    assert base.shape == (qlasso.experiment.panel_rows(cfg.n), cfg.n) == (1310, 100) and base.dtype == np.float32
+    assert base.shape == (qlasso.experiment.panel_rows(cfg.n, cfg.ensemble), cfg.n) == (872, 100)
+    assert base.dtype == np.float32
     assert all(out.base is base for out, _ in panels)
     for m, t, drawn, measured, (G, b) in _trials_of(cfg, panels, ys, stacks):
         A, y, mu = _whole_draw(cfg, m, t)
@@ -386,7 +392,7 @@ def _panel_stacks(monkeypatch, kind, quantizer, delta, m_grid):
     return [(_whole_draw(cfg, m, t), Gb) for m, t, _, _, Gb in _trials_of(cfg, panels, ys, stacks)]
 
 
-ROWS = qlasso.experiment.panel_rows(100)
+ROWS = qlasso.experiment.panel_rows(100, "rademacher")
 
 
 @pytest.mark.parametrize("quantizer,delta", [("one_bit", None), ("uniform", 3.0), ("uniform", 0.5),
@@ -405,11 +411,12 @@ def test_panels_sum_their_float64_b(delta, kind, monkeypatch):
     # At these cell widths A^T y is not an exact sum: b sums the panels' float64 A^T y for
     # +-1 rows as for Gaussian ones. On one panel (G, b) is bitwise gram_stats; over three, b
     # is gram_stats to rounding, and the exact float32 Gram matrix keeps +-1 rows' G bitwise.
-    for (A, y, mu), (G, b) in _panel_stacks(monkeypatch, kind, "uniform", delta, (ROWS // 2, ROWS, 2 * ROWS + 1)):
+    rows = qlasso.experiment.panel_rows(100, kind)
+    for (A, y, mu), (G, b) in _panel_stacks(monkeypatch, kind, "uniform", delta, (rows // 2, rows, 2 * rows + 1)):
         G_ref, b_ref = gram_stats(A, y, mu)
-        if len(A) <= ROWS or kind == "rademacher":
+        if len(A) <= rows or kind == "rademacher":
             assert G.tobytes() == G_ref.tobytes()
-        if len(A) <= ROWS:
+        if len(A) <= rows:
             assert b.tobytes() == b_ref.tobytes()
         np.testing.assert_allclose(G, G_ref, rtol=0, atol=1e-12 * np.abs(G_ref).max())
         np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=1e-15 * np.abs(b_ref).max())
@@ -441,9 +448,44 @@ def test_measure_on_float32_signs(q, n, monkeypatch):
         assert A.dtype == np.float32 and np.concatenate(ys).tobytes() == y.tobytes()
 
 
+# Each panel's A x0, as _solve_block hands it to measure, against the whole float64 product: the
+# count of rows that differ, per trial, at n=100 and m=3000 (three or four panels a trial).
+_PANEL_PRODUCTS_CODE = """if True:
+    import sys
+    import numpy as np
+    import qlasso.experiment as engine
+    from qlasso import ExperimentConfig, SignalSpec, Sparse, gen_signal, sample_measurements, substream
+    kind, m = sys.argv[1], 3000
+    cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=3.0, ensemble=kind, quantizer="uniform",
+                           delta=1.0, m_grid=(m,), trials=5, master_seed=7)
+    products, measure = [], engine.measure
+    engine.measure = lambda Ax, q, rng: products.append(Ax.copy()) or measure(Ax, q, rng)
+    engine._solve_block(cfg, m, range(5), ("pbp",), engine._workspace(cfg.n, kind))
+    count = len(products) // 5
+    for t in range(5):
+        x0 = gen_signal(SignalSpec(cfg.n, cfg.structure, cfg.norm_target), substream(7, m, t, "signal"))
+        A = sample_measurements(kind, m, cfg.n, substream(7, m, t, "matrix")).astype(np.float64)
+        print(count, int(np.sum(np.concatenate(products[t * count:(t + 1) * count]) != A @ x0)))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+def test_panel_products_are_the_whole_product(kind, threads):
+    # Every panel starts on a 4-row boundary, as OpenBLAS groups the rows of A x0, so each
+    # row's a_i^T x0 is rounded as in the whole matrix's product and y is the whole-matrix
+    # channel, whatever the cell edges. A height that is not a multiple of four breaks this
+    # here: 1310-row panels differ in 8 (+-1) and 9 (Gaussian) of the 15000 rows.
+    env = dict(os.environ, PYTHONPATH=str(Path(qlasso.experiment.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    out = subprocess.run([sys.executable, "-c", _PANEL_PRODUCTS_CODE, kind], env=env, check=True, timeout=60,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines() == [f"{4 if kind == 'rademacher' else 3} 0"] * 5
+
+
 def test_signed_block_allocates_no_panel_per_panel():
-    # One block of 13 trials at m = 8000 on +-1 rows, seven panels a trial, allocates far less
-    # than one float64 panel (1 MiB at n = 100): each panel is widened into the workspace.
+    # One block of 13 trials at m = 8000 on +-1 rows, ten panels a trial, allocates far less
+    # than one float64 panel (681 KiB at n = 100): each panel is widened into the workspace.
     cfg = _cfg(n=100, structure=Sparse(10), ensemble="rademacher", m_grid=(8000,), trials=13)
     task = (cfg, 8000, range(13), ("glasso",), qlasso.experiment._workspace(cfg.n, cfg.ensemble))
     qlasso.experiment._solve_block(*task)  # a warm-up block
