@@ -1,18 +1,17 @@
 """Command-line front end: experiment runs, sweeps, verification, and tables.
 
-The table _COMMANDS holds the subcommands and the quantizer each one runs;
-compare reads it from the config (default uniform) and verify ignores it.
-Configuration is a flat JSON file whose keys, defaults and JSON types are the
-table _SETTINGS; flags override config keys, which override defaults.
-QLASSO_SEED is a fallback master seed. m_grid is a list of integers.
-delta-sweep runs at one m and sweeps a list "delta" (six widths by default),
-so a scalar delta or an m_grid of more than one value in its config is a
-configuration error. Exit codes: 0 success, 1 verification failure, 2
-configuration error (before any trial runs: among others, a value of the
-wrong JSON type, a config "quantizer" contradicting the subcommand, an
+Configuration is a flat JSON file whose keys and defaults are the table
+_SETTINGS; the table _COMMANDS gives each subcommand its handler and its own
+defaults. _resolve alone decides the settings, default < the subcommand's own
+< config < QLASSO_SEED (a fallback master seed) < flags, and types each value
+by its default: a float default takes any number (3 counts as 3.0), an int
+default an integral one (100.0 counts as 100), a list default a list of values
+typed alike. So only delta-sweep, which runs at one m, takes a list "delta",
+and verify checks every key. Exit codes: 0 success, 1 verification failure, 2
+configuration error (before any trial runs: among others, a value not typed
+like its default, a config "quantizer" contradicting the subcommand, an
 estimator list with an unknown name, a repeat or, where no default fills it,
-no name, a non-finite norm, R or delta, or an n, s, trials, seed or m_grid
-entry that is not an integer), 3 runtime failure.
+no name, or a non-finite norm, R or delta), 3 runtime failure.
 
 --jobs N > 1 runs every block in N workers forked from this process, which
 waits for them; --jobs 1 runs them here and starts no worker. Every CLI
@@ -64,23 +63,21 @@ class VerificationFailure(Exception):
     pass
 
 
-# Config key: (default, allowed JSON types). The counts have none: _integer
-# checks them where a subcommand reads them. A subcommand with a channel puts it
-# in place of the default quantizer, and a null m_grid takes the quantizer's
-# default grid.
+# Config key: default. A null m_grid takes the subcommand's own grid, else the
+# quantizer's default grid.
 _SETTINGS = {
-    "n": (100, None),
-    "s": (25, None),
-    "norm": (8.0, (int, float)),
-    "R": (10.0, (int, float)),
-    "ensemble": ("rademacher", str),
-    "quantizer": ("uniform", str),
-    "delta": (3.0, (int, float, list)),
-    "m_grid": (None, (list, type(None))),
-    "trials": (200, None),
-    "seed": (0, None),
-    "estimators": (["glasso"], list),
-    "out_dir": (".", str),
+    "n": 100,
+    "s": 25,
+    "norm": 8.0,
+    "R": 10.0,
+    "ensemble": "rademacher",
+    "quantizer": "uniform",
+    "delta": 3.0,
+    "m_grid": None,
+    "trials": 200,
+    "seed": 0,
+    "estimators": ["glasso"],
+    "out_dir": ".",
 }
 
 _DEFAULT_M_GRID = {
@@ -107,26 +104,44 @@ def _load_config(path):
     return raw
 
 
+_KINDS = {float: "a number", int: "an integer", str: "a string", list: "a list"}
+
+
+def _typed(key, value, default):
+    """`value` typed by `default`: a float takes any number, an int an integral one, a list entries typed alike."""
+    if isinstance(default, list):
+        if isinstance(value, list):
+            return [_typed(f"{key} entry", v, default[0]) for v in value]
+    elif isinstance(default, str):
+        if isinstance(value, str):
+            return value
+    # a bool is no number here
+    elif type(value) in (int, float) and (isinstance(default, float) or type(value) is int or value.is_integer()):
+        return type(default)(value)
+    raise ConfigError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
+
+
 def _resolve(args):
-    """Merge flag > config > env (seed only) > default into a settings dict; return it and the config's dict."""
+    """The settings: default < the subcommand's own < config < QLASSO_SEED < flags, each typed by its default."""
     from_file = _load_config(args.config)
-    channel = _COMMANDS[args.command][1]
-    cfg = {key: default for key, (default, _) in _SETTINGS.items()}
-    if channel != "any":
-        cfg["quantizer"] = channel
-    cfg.update(from_file)
-    for key, (_, types) in _SETTINGS.items():
-        if types and (not isinstance(cfg[key], types) or isinstance(cfg[key], bool)):
-            raise ConfigError(f"{key} has the wrong JSON type: {cfg[key]!r}")
-    if cfg["quantizer"] not in _DEFAULT_M_GRID:
-        raise ConfigError(f"unknown quantizer {cfg['quantizer']!r}")
-    # checked before compare and delta-sweep put their defaults in place of a short list
+    own = _COMMANDS[args.command][1]
+    cfg = {**_SETTINGS, **own, **from_file}
+    # the quantizer is typed and checked first: a null m_grid looks up its grid
+    quantizer = _typed("quantizer", cfg["quantizer"], _SETTINGS["quantizer"])
+    if quantizer not in _DEFAULT_M_GRID:
+        raise ConfigError(f"unknown quantizer {quantizer!r}")
+    if quantizer != own.get("quantizer", quantizer):
+        raise ConfigError(f"{args.command} runs the {own['quantizer']} quantizer, but the config sets {quantizer!r}")
+    defaults = {**_SETTINGS, "m_grid": _DEFAULT_M_GRID[quantizer], **own}
+    if cfg["m_grid"] is None:
+        cfg["m_grid"] = defaults["m_grid"]
+    cfg = {key: _typed(key, value, defaults[key]) for key, value in cfg.items()}
+    # checked before compare and delta-sweep put their own in place of a short list
     if any(e not in ESTIMATORS for e in cfg["estimators"]):
         raise ConfigError(f"estimators must name some of {list(ESTIMATORS)}, got {cfg['estimators']!r}")
-    if channel != "any" and cfg["quantizer"] != channel:
-        raise ConfigError(f"{args.command} runs the {channel} quantizer, but the config sets {cfg['quantizer']!r}")
-    if cfg["m_grid"] is None:
-        cfg["m_grid"] = _DEFAULT_M_GRID[cfg["quantizer"]]
+    if "estimators" in own and len(cfg["estimators"]) < 2:
+        cfg["estimators"] = own["estimators"]
+    # the environment and the flags give values that are typed already
     env_seed = os.environ.get("QLASSO_SEED")
     if env_seed is not None and "seed" not in from_file:
         try:
@@ -137,32 +152,16 @@ def _resolve(args):
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
-    return cfg, from_file
-
-
-def _integer(key, value):
-    """`value` as an int; a bool, a string or a fractional number is a configuration error."""
-    if type(value) not in (int, float) or not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return cfg
 
 
 def _experiment_config(cfg):
-    if cfg["quantizer"] == "uniform" and isinstance(cfg["delta"], list):
-        raise ConfigError("this subcommand needs a scalar 'delta'; use delta-sweep for lists")
     try:
         return ExperimentConfig(
-            n=_integer("n", cfg["n"]),
-            structure=Sparse(_integer("s", cfg["s"])),
-            norm_target=float(cfg["norm"]),
-            R=float(cfg["R"]),
-            ensemble=cfg["ensemble"],
-            quantizer=cfg["quantizer"],
-            delta=None if cfg["quantizer"] == "one_bit" else float(cfg["delta"]),
-            m_grid=tuple(_integer("m_grid entry", m) for m in cfg["m_grid"]),
-            trials=_integer("trials", cfg["trials"]),
-            master_seed=_integer("seed", cfg["seed"]),
-            estimators=tuple(cfg["estimators"]),
+            n=cfg["n"], structure=Sparse(cfg["s"]), norm_target=cfg["norm"], R=cfg["R"],
+            ensemble=cfg["ensemble"], quantizer=cfg["quantizer"],
+            delta=cfg["delta"] if cfg["quantizer"] != "one_bit" else None, m_grid=tuple(cfg["m_grid"]),
+            trials=cfg["trials"], master_seed=cfg["seed"], estimators=tuple(cfg["estimators"]),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -189,7 +188,7 @@ def _run_curves(ecfg, jobs, label=""):
 
 
 def _cmd_run(args):
-    cfg, _ = _resolve(args)
+    cfg = _resolve(args)
     ecfg = _experiment_config(cfg)
     if len(ecfg.m_grid) < 3:
         raise ConfigError(f"{args.command} fits rates and needs at least 3 m values, got {len(ecfg.m_grid)}")
@@ -219,9 +218,7 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    cfg, _ = _resolve(args)
-    if len(cfg["estimators"]) < 2:
-        cfg["estimators"] = ["glasso", "pbp", "dm"]
+    cfg = _resolve(args)
     ecfg = _experiment_config(cfg)
     if "glasso" not in ecfg.estimators:
         raise ConfigError(f"compare scores the estimators against glasso, got {list(ecfg.estimators)}")
@@ -243,18 +240,13 @@ def _cmd_compare(args):
 
 
 def _cmd_sweep(args):
-    cfg, from_file = _resolve(args)
-    deltas = from_file.get("delta", [4.0, 2.0, 1.0, 0.5, 0.25, 0.125])
-    if not isinstance(deltas, list) or not deltas or not all(type(d) in (int, float) and d > 0 for d in deltas):
-        raise ConfigError(f"delta-sweep needs a nonempty list of positive 'delta' values, got {deltas!r}")
-    if len(from_file.get("m_grid") or []) > 1:
-        raise ConfigError(f"delta-sweep runs at one m, got m_grid {from_file['m_grid']}")
-    # the config hash covers the grid and the deltas that the sweep runs
-    cfg["m_grid"], cfg["delta"] = cfg["m_grid"][:1], deltas
-    if len(cfg["estimators"]) < 2:
-        cfg["estimators"] = ["glasso", "pbp"]
+    cfg = _resolve(args)
+    if not cfg["delta"]:
+        raise ConfigError("delta-sweep needs a nonempty list of 'delta' values")
+    if len(cfg["m_grid"]) > 1:
+        raise ConfigError(f"delta-sweep runs at one m, got m_grid {cfg['m_grid']}")
     # every per-delta config is checked before any trial runs
-    ecfgs = [_experiment_config(dict(cfg, delta=d)) for d in deltas]
+    ecfgs = [_experiment_config(dict(cfg, delta=d)) for d in cfg["delta"]]
     out, chash = _output_dir(cfg)
     by_delta = [_run_curves(ecfg, args.jobs, f" (delta={ecfg.delta:g})") for ecfg in ecfgs]
     rows = [
@@ -299,6 +291,9 @@ def _cmd_widths(args):
     return 0
 
 
+_DEMO_ROWS = 10**6  # the most rows quantize-demo prints
+
+
 def _cmd_quantize_demo(args):
     try:
         quantizers = [UniformQuantizer(d) for d in args.delta or [2.0]]
@@ -308,8 +303,11 @@ def _cmd_quantize_demo(args):
         raise ConfigError(f"--step must be positive, got {args.step}")
     if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin <= args.xmax):
         raise ConfigError(f"need finite --xmin <= --xmax, got {args.xmin} and {args.xmax}")
-    # the grid points xmin + k step up to xmax; the 1e-9 steps of slack keep an xmax on the grid at any magnitude
-    xs = args.xmin + np.arange(math.floor((args.xmax - args.xmin) / args.step + 1e-9) + 1) * args.step
+    # the grid points xmin + k step up to xmax, counted first; 1e-9 steps of slack keep xmax on it at any magnitude
+    steps = (args.xmax - args.xmin) / args.step + 1e-9
+    if not steps < _DEMO_ROWS:
+        raise ConfigError(f"--step {args.step} gives {steps + 1:.3g} rows from --xmin to --xmax, over {_DEMO_ROWS}")
+    xs = args.xmin + np.arange(math.floor(steps) + 1) * args.step
     header = "x," + ",".join(f"Q_delta_{q.delta:g}" for q in quantizers)
     print(header)
     for x in xs:
@@ -321,13 +319,12 @@ def _cmd_quantize_demo(args):
 def _cmd_verify(args):
     from . import verify  # imported here so that other subcommands do not load the checks
 
-    cfg, _ = _resolve(args)
-    seed = _integer("seed", cfg["seed"])
+    cfg = _resolve(args)
     out, _ = _output_dir(cfg)
     lines = []
     all_ok = True
     for check in verify.CHECKS:
-        name, ok, detail = check(seed, verify.QUICK_SIZE)
+        name, ok, detail = check(cfg["seed"], verify.QUICK_SIZE)
         all_ok &= ok
         line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
         lines.append(line)
@@ -341,15 +338,16 @@ def _cmd_verify(args):
     return 0
 
 
-# Subcommand: (handler, channel). The channel is the quantizer the subcommand
-# runs, "any" where the config names it (compare; verify ignores it), or None
-# where the subcommand reads no config.
+# Subcommand: (handler, its own settings). They override _SETTINGS, a config may
+# repeat but not contradict an own quantizer, and own estimators replace a config
+# list of fewer than two names. None: the subcommand reads no config.
 _COMMANDS = {
-    "run-uniform": (_cmd_run, "uniform"),
-    "run-onebit": (_cmd_run, "one_bit"),
-    "compare": (_cmd_compare, "any"),
-    "delta-sweep": (_cmd_sweep, "uniform"),
-    "verify": (_cmd_verify, "any"),
+    "run-uniform": (_cmd_run, {"quantizer": "uniform"}),
+    "run-onebit": (_cmd_run, {"quantizer": "one_bit"}),
+    "compare": (_cmd_compare, {"estimators": ["glasso", "pbp", "dm"]}),
+    "delta-sweep": (_cmd_sweep, {"quantizer": "uniform", "delta": [4.0, 2.0, 1.0, 0.5, 0.25, 0.125],
+                                 "m_grid": [200], "estimators": ["glasso", "pbp"]}),
+    "verify": (_cmd_verify, {}),
     "widths": (_cmd_widths, None),
     "quantize-demo": (_cmd_quantize_demo, None),
 }
@@ -362,8 +360,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {name: sub.add_parser(name) for name in _COMMANDS}
-    for name, (_, channel) in _COMMANDS.items():
-        if channel is None:
+    for name, (_, own) in _COMMANDS.items():
+        if own is None:
             continue
         p = parsers[name]
         p.add_argument("--config", help="JSON config file")

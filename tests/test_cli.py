@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qlasso
+import qlasso.cli
 import qlasso.experiment
 import qlasso.verify
 from qlasso import ExperimentConfig, Sparse, fit_rate, run_curve
@@ -112,6 +113,14 @@ def test_quantize_demo_ends_at_a_large_xmax(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12 and lines[1] == "99999,99999"
     assert lines[-2:] == ["99999.9,99999", "100000,100001"]
+
+
+@pytest.mark.parametrize("xmin,xmax,step", [("-1e308", "1e308", "1"), ("0", "1e6", "1")])
+def test_quantize_demo_rejects_a_grid_too_long_to_print(xmin, xmax, step, capsys):
+    # rows are counted before any grid is built: an infinite count, or one above the cap, exits 2
+    assert main(["quantize-demo", f"--xmin={xmin}", f"--xmax={xmax}", f"--step={step}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("configuration error: ")
 
 
 def test_run_uniform_outputs(tmp_path, capsys):
@@ -521,6 +530,54 @@ def test_delta_sweep_hashes_the_deltas_it_runs(tmp_path):
     assert comment_lines[0] == comment_lines[1] != comment_lines[2]
 
 
+# The config hash of each subcommand's defaults, as its default run without a config writes it
+_DEFAULT_HASHES = {
+    "run-uniform": "54fca7f4a4a42b6d",
+    "run-onebit": "b9f581e3ff6587f9",
+    "compare": "0f087cca6d457ec5",
+    "delta-sweep": "11beea86b351195f",
+}
+
+
+def _hash_of(monkeypatch, *argv):
+    """The config hash that `main(argv)` writes, taken before any trial runs: run_curve raises."""
+    hashes = []
+
+    def no_trials(*args, **kwargs):
+        raise RuntimeError("no trial runs here")
+
+    def spy(cfg):
+        hashes.append(qlasso.output.config_hash(cfg))
+        return hashes[-1]
+
+    monkeypatch.setattr(qlasso.cli, "config_hash", spy)
+    monkeypatch.setattr(qlasso.cli, "run_curve", no_trials)
+    monkeypatch.delenv("QLASSO_SEED", raising=False)
+    assert main(list(argv)) == 3
+    return hashes[-1]
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULT_HASHES))
+def test_default_config_hashes_are_pinned(command, tmp_path, monkeypatch):
+    assert _hash_of(monkeypatch, command, "--out", str(tmp_path)) == _DEFAULT_HASHES[command]
+
+
+@pytest.mark.parametrize("command,spellings", [
+    ("run-uniform", ({"delta": 3}, {"delta": 3.0})),
+    ("run-uniform", ({"n": 40}, {"n": 40.0})),
+    ("run-uniform", ({"seed": 1}, {"seed": 1.0})),
+    ("delta-sweep", ({"delta": [1, 2]}, {"delta": [1.0, 2.0]})),
+])
+def test_one_hash_per_spelling(command, spellings, tmp_path, monkeypatch):
+    # a number is typed by its setting's default, so the hash does not depend on how the config spells it
+    hashes = set()
+    for k, settings in enumerate(spellings):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(json.dumps(settings))
+        hashes.add(_hash_of(monkeypatch, command, "--config", str(cfg), "--out", str(tmp_path / "out")))
+    assert len(hashes) == 1
+
+
 def test_one_name_estimator_list_takes_the_defaults(tmp_path):
     cfg = _write_cfg(tmp_path, m_grid=[100], trials=1, estimators=["pbp"])
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
@@ -624,6 +681,12 @@ def test_unknown_config_field(tmp_path):
     # delta-sweep sweeps a list of deltas at one m
     ("delta-sweep", dict(delta=1.5, m_grid=[150])),
     ("delta-sweep", dict(delta=[1.5], m_grid=[150, 300])),
+    # every setting is typed by its default: only delta-sweep takes a list delta, and verify checks all
+    ("run-onebit", dict(quantizer="one_bit", delta=[1.0, 2.0])),
+    ("compare", dict(quantizer="one_bit", delta=[1.0])),
+    ("verify", dict(n=30.5)),
+    # the quantizer is typed before a null m_grid looks up its grid
+    ("compare", dict(quantizer={}, m_grid=None)),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)
