@@ -37,7 +37,6 @@ _EXPORTS = {
         "OneBitQuantizer",
         "UniformQuantizer",
         "measure",
-        "one_bit_mean_formula",
     ),
     "solver": (
         "SolverResult",

@@ -59,10 +59,6 @@ class ConfigError(Exception):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 # Config key: default. A null m_grid takes the subcommand's own grid, else the
 # quantizer's default grid.
 _SETTINGS = {
@@ -117,7 +113,10 @@ def _typed(key, value, default):
             return value
     # a bool is no number here
     elif type(value) in (int, float) and (isinstance(default, float) or type(value) is int or value.is_integer()):
-        return type(default)(value)
+        try:
+            return type(default)(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"{key} is beyond the float range") from None
     raise ConfigError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
 
 
@@ -334,7 +333,8 @@ def _cmd_verify(args):
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {path}")
     if not all_ok:
-        raise VerificationFailure("one or more verification checks failed")
+        print("verification failed: one or more verification checks failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -389,9 +389,6 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return _COMMANDS[args.command][0](args)
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
-"""Monte Carlo harness: error curves over m, rate fitting, and the closed forms
-of the Gaussian one-bit moments (qlasso.verify checks them by sampling).
+"""Monte Carlo harness: the experiment config, the engine that computes error
+curves over m, rate fitting, and the one-bit dither-range rule.
 
 Trial substreams are keyed by (master_seed, m, trial_id) plus a purpose tag,
 never by estimator or by the quantizer resolution, so different estimators
@@ -277,43 +277,3 @@ def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
     coef = float(np.dot(errs, basis) / np.dot(basis, basis))
     rms = float(np.sqrt(np.mean((errs - coef * basis) ** 2)))
     return RateFit(model=model, coefficient=coef, loglog_slope=slope, residual_rms=rms)
-
-
-# --- Gaussian one-bit moment formulas -------------------------------------
-
-def qfunc(x: float) -> float:
-    """Standard normal tail probability Q(x)."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def _tail_ratio(norm_x0: float, T: float) -> float:
-    """T / s with s = ||x0||, infinite where s = 0."""
-    return T / norm_x0 if norm_x0 > 0 else math.inf
-
-
-def onebit_xi_mean_literal(norm_x0: float, T: float) -> float:
-    """First-moment formula as printed, s(mu/T - 1) - 2(mu/T) Q(T/s) with s = ||x0||, at mu = T: -2 Q(T/s).
-
-    The second term lacks a factor of s relative to the derivation; it is
-    reported verbatim next to the Monte Carlo truth rather than corrected.
-    """
-    return -2.0 * qfunc(_tail_ratio(norm_x0, T))
-
-
-def onebit_xi_mean_norm_scaled(norm_x0: float, T: float) -> float:
-    """Dimensionally consistent variant with the ||x0|| factor restored: -2 s Q(T/s)."""
-    return -2.0 * norm_x0 * qfunc(_tail_ratio(norm_x0, T))
-
-
-def onebit_xi2_formula(norm_x0: float, T: float) -> float:
-    """Closed form for E[xi^2] in the Gaussian scalar model at mu = T:
-    T^2 - 3 s^2 + 12 s^2 Q(T/s) + 2 sqrt(2/pi) T s exp(-(T/s)^2 / 2)."""
-    s, t = norm_x0, _tail_ratio(norm_x0, T)
-    expterm = math.exp(-(t * t) / 2.0) if math.isfinite(t) else 0.0
-    return T * T - 3.0 * s * s + 12.0 * s * s * qfunc(t) + 2.0 * T * math.sqrt(2.0 / math.pi) * s * expterm
-
-
-def onebit_eta2_formula(norm_x0: float, T: float) -> float:
-    """Closed form for E[eta^2] at mu = T: T^2 + s^2 - 2 s^2 (1 - 2Q(T/s))."""
-    s = norm_x0
-    return T * T + s * s - 2.0 * s * s * (1.0 - 2.0 * qfunc(_tail_ratio(s, T)))

@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .ensemble import LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
-from .experiment import onebit_eta2_formula, onebit_xi2_formula, onebit_xi_mean_literal, onebit_xi_mean_norm_scaled
-from .quantizer import OneBitQuantizer, UniformQuantizer, measure, one_bit_mean_formula
+from .quantizer import OneBitQuantizer, UniformQuantizer, measure, qfunc
 from .solver import glasso_solve, gram_stats, pgd_rows
 from .streams import substream
 
@@ -64,13 +63,16 @@ def uniform_dither(seed: int, size: int):
 
 def one_bit_bias(seed: int, size: int):
     """E[T sign(x + tau)] - x for tau ~ Unif[-T, T], T = 4, is the exact clipping bias: within 5 se."""
-    T = 4.0
-    cases = [
-        (OneBitQuantizer(T), x, one_bit_mean_formula(x, T))
-        for x in (0.0, 0.5 * T, 2 * T, -2 * T, 3 * T, -3 * T)
-    ]
+    q = OneBitQuantizer(4.0)
+    cases = [(q, x, q.bias(x)) for x in (0.0, 0.5 * q.T, 2 * q.T, -2 * q.T, 3 * q.T, -3 * q.T)]
     worst = max(_z(gap, se) for gap, se in _residual_gaps(seed, "verify-onebit", size, cases))
     return ("one-bit bias identity", worst <= 5.0, f"worst |mc - exact|/se = {worst:.2f} (<= 5)")
+
+
+def onebit_xi_mean_literal(s: float, T: float) -> float:
+    """First-moment formula as printed, s(mu/T - 1) - 2(mu/T) Q(T/s) with s = ||x0||, at mu = T: -2 Q(T/s).
+    Its second term lacks the factor s of OneBitQuantizer.moments; it is reported, not corrected."""
+    return -2.0 * qfunc(T / s if s > 0 else math.inf)
 
 
 # (||x0||, T) pairs of the Gaussian one-bit moment check, with mu = T.
@@ -90,12 +92,12 @@ def one_bit_moments(seed: int, size: int):
         zeta = rng.standard_normal(size)
         eta = q.mu * measure(s * zeta, q, rng) - s * zeta  # tau after zeta
         xi = eta * zeta
-        xi_exact = onebit_xi_mean_norm_scaled(s, T)
-        for v, exact in ((eta**2, onebit_eta2_formula(s, T)), (xi**2, onebit_xi2_formula(s, T)), (xi, xi_exact)):
+        exact = q.moments(s)
+        for v, e in zip((eta**2, xi**2, xi), exact):
             mean, se = _mean_se(v)
-            worst = max(worst, _z(mean - exact, se))  # the last v is xi, so mean is then E[xi]
+            worst = max(worst, _z(mean - e, se))  # the last v is xi, so mean is then E[xi]
         details.append(f"s={s:g} T={T:g}: E[xi] mc={mean:+.4f} literal={onebit_xi_mean_literal(s, T):+.4f} "
-                       f"norm-scaled={xi_exact:+.4f}")
+                       f"norm-scaled={exact[2]:+.4f}")
     return ("one-bit moment closed forms", worst <= 5.0,
             f"worst |mc - formula|/se = {worst:.2f} (<= 5); " + "; ".join(details))
 

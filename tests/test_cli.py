@@ -687,6 +687,8 @@ def test_unknown_config_field(tmp_path):
     ("verify", dict(n=30.5)),
     # the quantizer is typed before a null m_grid looks up its grid
     ("compare", dict(quantizer={}, m_grid=None)),
+    # an integer beyond the float range
+    ("run-uniform", dict(norm=10**400)),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)
@@ -747,7 +749,7 @@ def test_verify_passes(tmp_path, capsys):
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a wrong closed form must make the one-bit bias check, and only it, fail
-    monkeypatch.setattr(qlasso.verify, "one_bit_mean_formula", lambda x, T: 0.0)
+    monkeypatch.setattr(qlasso.OneBitQuantizer, "bias", lambda self, x: 0.0)
     rc = main(["verify", "--out", str(tmp_path / "v"), "--seed", "0"])
     assert rc == 1
     report = (tmp_path / "v" / "verify.txt").read_text().splitlines()

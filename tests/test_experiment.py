@@ -32,13 +32,9 @@ from qlasso import (
     sample_measurements,
     substream,
 )
-from qlasso.experiment import (
-    ESTIMATORS,
-    onebit_eta2_formula,
-    onebit_xi_mean_literal,
-    onebit_xi_mean_norm_scaled,
-    qfunc,
-)
+from qlasso.experiment import ESTIMATORS
+from qlasso.quantizer import qfunc
+from qlasso.verify import onebit_xi_mean_literal
 
 
 def _cfg(**kw):
@@ -580,9 +576,9 @@ def test_qfunc_values():
 
 def test_eta2_formula_limits():
     # s = 0: eta = T * sign(tau), so E[eta^2] = T^2
-    assert onebit_eta2_formula(0.0, 4.0) == pytest.approx(16.0, rel=1e-12)
+    assert OneBitQuantizer(4.0).moments(0.0)[0] == pytest.approx(16.0, rel=1e-12)
     # T >> s: 1 - 2Q(T/s) -> 1, value -> T^2 - s^2
-    val = onebit_eta2_formula(0.1, 50.0)
+    val = OneBitQuantizer(50.0).moments(0.1)[0]
     assert val == pytest.approx(50.0**2 - 0.1**2, rel=1e-6)
 
 
@@ -590,6 +586,6 @@ def test_xi_literal_vs_norm_scaled():
     # the two variants differ exactly by (||x0|| - 1) times the tail term
     s, T = 2.0, 5.0
     lit = onebit_xi_mean_literal(s, T)
-    scaled = onebit_xi_mean_norm_scaled(s, T)
+    scaled = OneBitQuantizer(T).moments(s)[2]
     gap = 2.0 * (s - 1.0) * qfunc(T / s)
     assert scaled - lit == pytest.approx(-gap, rel=1e-12)

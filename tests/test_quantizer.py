@@ -7,10 +7,10 @@ from qlasso import (
     OneBitQuantizer,
     UniformQuantizer,
     measure,
-    one_bit_mean_formula,
     sample_measurements,
     substream,
 )
+from qlasso.verify import MOMENT_PAIRS
 
 
 def test_uniform_quantize_values():
@@ -164,9 +164,43 @@ def test_quantization_noise_one_bit_zero_signal():
 
 def test_one_bit_mean_formula_values():
     T = 4.0
-    assert one_bit_mean_formula(0.5 * T, T) == 0.0
-    assert one_bit_mean_formula(2 * T, T) == -T
-    assert one_bit_mean_formula(-3 * T, T) == 2 * T
+    assert OneBitQuantizer(T).bias(0.5 * T) == 0.0
+    assert OneBitQuantizer(T).bias(2 * T) == -T
+    assert OneBitQuantizer(T).bias(-3 * T) == 2 * T
     for bad in (0.0, np.inf, True):  # the quantizers' rule; inf gave nan and True a range of 1
         with pytest.raises(ValueError, match="T must be finite and positive"):
-            one_bit_mean_formula(1.0, bad)
+            OneBitQuantizer(bad)
+
+
+# (s, T, E[eta^2], E[xi^2], E[xi]) as float.hex, at every (||x0||, T) of verify.MOMENT_PAIRS and at
+# (0, 4) and (0.1, 50), from the closed forms before they moved onto the quantizer
+PINNED_MOMENTS = (
+    (0.5, 2.0, "0x1.e00109ad7954bp+1", "0x1.a014a7a14ebecp+1", "-0x1.09ad7954afffep-15"),
+    (1.0, 1.5, "0x1.84691b62591fcp+0", "0x1.a8576c71c99b0p-1", "-0x1.11a46d89647f0p-3"),
+    (1.0, 2.0, "0x1.8ba5e7c164ec3p+1", "0x1.b4763f63fe748p+0", "-0x1.74bcf82c9d863p-5"),
+    (1.0, 3.0, "0x1.002c3bc3f30b7p+3", "0x1.8470bcd3aaaacp+2", "-0x1.61de1f985b5dcp-9"),
+    (1.0, 6.0, "0x1.1800000087987p+5", "0x1.08000015292a2p+5", "-0x1.0f30ef0092d57p-29"),
+    (2.0, 6.0, "0x1.002c3bc3f30b7p+5", "0x1.8470bcd3aaaacp+4", "-0x1.61de1f985b5dcp-8"),
+    (4.0, 6.0, "0x1.84691b62591fcp+4", "0x1.a8576c71c99b0p+3", "-0x1.11a46d89647f0p-1"),
+    (4.0, 8.0, "0x1.8ba5e7c164ec3p+5", "0x1.b4763f63fe748p+4", "-0x1.74bcf82c9d863p-3"),
+    (4.0, 12.0, "0x1.002c3bc3f30b7p+7", "0x1.8470bcd3aaaacp+6", "-0x1.61de1f985b5dcp-7"),
+    (4.0, 24.0, "0x1.1800000087987p+9", "0x1.08000015292a2p+9", "-0x1.0f30ef0092d57p-27"),
+    (8.0, 12.0, "0x1.84691b62591fcp+6", "0x1.a8576c71c99b0p+5", "-0x1.11a46d89647f0p+0"),
+    (8.0, 24.0, "0x1.002c3bc3f30b7p+9", "0x1.8470bcd3aaaacp+8", "-0x1.61de1f985b5dcp-6"),
+    (8.0, 26.0, "0x1.3212e86fd7d03p+9", "0x1.e6219e65f6e95p+8", "-0x1.2e86fd7d03409p-7"),
+    (8.0, 48.0, "0x1.1800000087987p+11", "0x1.08000015292a2p+11", "-0x1.0f30ef0092d57p-26"),
+    (0.0, 4.0, "0x1.0000000000000p+4", "0x1.0000000000000p+4", "-0x0.0p+0"),
+    (0.1, 50.0, "0x1.387fae147ae15p+11", "0x1.387f0a3d70a3dp+11", "-0x0.0p+0"),
+)
+# (x, bias) as float.hex at the six points of verify.one_bit_bias, T = 4
+PINNED_BIAS = ((0.0, "0x0.0p+0"), (2.0, "0x0.0p+0"), (8.0, "-0x1.0000000000000p+2"), (-8.0, "0x1.0000000000000p+2"),
+               (12.0, "-0x1.0000000000000p+3"), (-12.0, "0x1.0000000000000p+3"))
+
+
+def test_one_bit_closed_forms_are_pinned():
+    # bitwise, signed zeros included: a rewrite of a closed form may not move its last bit
+    for s, T, *moments in PINNED_MOMENTS:
+        assert [v.hex() for v in OneBitQuantizer(T).moments(s)] == moments, (s, T)
+    for x, bias in PINNED_BIAS:
+        assert OneBitQuantizer(4.0).bias(x).hex() == bias, x
+    assert set(MOMENT_PAIRS) <= {(s, T) for s, T, *_ in PINNED_MOMENTS}
