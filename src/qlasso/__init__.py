@@ -26,8 +26,6 @@ _EXPORTS = {
         "run_trial",
     ),
     "geometry": (
-        "gw_bound_lowrank",
-        "gw_bound_sparse",
         "project_l1_ball",
         "project_l1_rows",
         "project_nuclear_ball",

@@ -42,9 +42,8 @@ if "_hashlib" not in sys.modules and any(importlib.util.find_spec(m) for m in ("
 # numpy loads below this line, through the package modules too
 import numpy as np
 
-from .ensemble import Sparse
+from .ensemble import LowRank, Sparse
 from .experiment import ESTIMATORS, ExperimentConfig, fit_rate, run_curve
-from .geometry import gw_bound_lowrank, gw_bound_sparse
 from .output import (
     config_hash,
     inv_sqrt_guide,
@@ -267,21 +266,22 @@ def _cmd_sweep(args):
     return 0
 
 
-def _width_row(flag, text, bound):
-    """Table row `a,b,width` for a `--sparse N:S` or `--lowrank D:R` argument."""
+def _width_row(flag, text, structure):
+    """Table row `a,b,width` for a `--sparse N:S` or `--lowrank D:R` argument; structure(a, b) is (K, n)."""
     parts = text.split(":")
     try:
         if len(parts) != 2:
             raise ValueError("expected two integers separated by ':'")
         a, b = int(parts[0]), int(parts[1])
-        return f"{a},{b},{bound(a, b):.3f}"
+        K, n = structure(a, b)
+        return f"{a},{b},{K.width_bound(n):.3f}"
     except ValueError as exc:
         raise ConfigError(f"{flag} {text}: {exc}") from exc
 
 
 def _cmd_widths(args):
-    rows = [_width_row("--sparse", text, gw_bound_sparse) for text in args.sparse or []]
-    rows += [_width_row("--lowrank", text, gw_bound_lowrank) for text in args.lowrank or []]
+    rows = [_width_row("--sparse", text, lambda n, s: (Sparse(s), n)) for text in args.sparse or []]
+    rows += [_width_row("--lowrank", text, lambda d, r: (LowRank(d, r), d * d)) for text in args.lowrank or []]
     if not rows:
         raise ConfigError("widths needs at least one --sparse n:s or --lowrank d:r")
     print("n_or_d,s_or_r,width")
@@ -309,9 +309,8 @@ def _cmd_quantize_demo(args):
     xs = args.xmin + np.arange(math.floor(steps) + 1) * args.step
     header = "x," + ",".join(f"Q_delta_{q.delta:g}" for q in quantizers)
     print(header)
-    for x in xs:
-        vals = ",".join(f"{q.quantize(float(x)):.6g}" for q in quantizers)
-        print(f"{x:.6g},{vals}")
+    for x, *vals in zip(xs, *(q.quantize(xs) for q in quantizers)):
+        print(f"{x:.6g}," + ",".join(f"{v:.6g}" for v in vals))
     return 0
 
 

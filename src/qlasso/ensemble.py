@@ -3,8 +3,9 @@
 Signals are either exactly s-sparse vectors or vectorized d x d matrices of
 rank r, rescaled to a prescribed l2 (Frobenius) norm. Each structure owns its
 ball K: `project` onto it, `gauge(X)`, its norm of each row (the radius of K
-through the row), `draw(spec, rng)` and `check(n)`, which raises ValueError
-unless its fields fit the ambient dimension n, so no caller branches on it.
+through the row), `draw(spec, rng)`, `check(n)`, which raises ValueError
+unless its fields fit the ambient dimension n, and `width_bound(n)`, a bound
+on the Gaussian width of K's tangent cone in R^n, so no caller branches on it.
 Measurement matrices stack iid isotropic rows: standard Gaussian or Rademacher entries.
 `numpy.random` loads at the first draw, not at import, so annotations name it only as strings.
 
@@ -57,6 +58,11 @@ class Sparse:
         if not 1 <= self.s <= n:
             raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={self.s}, n={n}")
 
+    def width_bound(self, n: int) -> float:
+        """Width bound sqrt(2 s ln(n/s) + 1.5 s) for the l1-ball tangent cone in R^n."""
+        self.check(n)
+        return math.sqrt(2.0 * self.s * math.log(n / self.s) + 1.5 * self.s)
+
     def gauge(self, X: np.ndarray) -> np.ndarray:
         """The l1 norm of each row of a (k, n) stack: the radius of K through it."""
         return np.sum(np.abs(X), axis=1)
@@ -88,6 +94,11 @@ class LowRank:
             raise ValueError(f"rank must satisfy 1 <= r <= d, got r={self.r}, d={self.d}")
         if n != self.d * self.d:
             raise ValueError(f"low-rank spec needs n = d^2, got n={n}, d={self.d}")
+
+    def width_bound(self, n: int) -> float:
+        """Width bound sqrt(6 d r) for the nuclear-ball tangent cone in R^n, n = d^2."""
+        self.check(n)
+        return math.sqrt(6.0 * self.d * self.r)
 
     def gauge(self, X: np.ndarray) -> np.ndarray:
         """The nuclear norm of each row of a (k, d*d) stack, by one batched SVD: the radius of K through it."""

@@ -38,9 +38,12 @@ class ExperimentConfig:
     estimators: Tuple[str, ...] = ("glasso",)
 
     def __post_init__(self):
-        check_integers(trials=self.trials, master_seed=self.master_seed,
-                       **{f"m_grid[{i}]": m for i, m in enumerate(self.m_grid)})
+        counts = {"trials": self.trials, **{f"m_grid[{i}]": m for i, m in enumerate(self.m_grid)}}
+        check_integers(master_seed=self.master_seed, **counts)
         SignalSpec(self.n, self.structure, self.norm_target)  # validates n, structure and norm
+        # numpy sizes and indexes arrays by intp; the seed is exempt, since substream reduces it mod 2^64
+        if huge := {k: v for k, v in {"n": self.n, **counts}.items() if v > np.iinfo(np.intp).max}:
+            raise ValueError(f"counts must be at most {np.iinfo(np.intp).max}, got {huge}")
         check_positive("R", self.R)
         if self.R < self.norm_target:
             raise ValueError(f"R must be at least the signal norm {self.norm_target}, got {self.R}")

@@ -1,4 +1,4 @@
-"""Exact Euclidean projections onto norm balls, and tangent-cone width bounds.
+"""Exact Euclidean projections onto norm balls.
 
 A constraint set K is its row projection project(V, radii), which maps a
 (k, n) stack of points and one radius per row (or one for all) to their
@@ -73,17 +73,3 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 def project_nuclear_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Projection onto the nuclear-norm ball, on row-major vectorized matrices."""
     return project_nuclear_rows(np.asarray(v, dtype=float)[None], radius)[0]
-
-
-def gw_bound_sparse(n: int, s: int) -> float:
-    """Width bound sqrt(2 s ln(n/s) + 1.5 s) for the l1-ball tangent cone."""
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return math.sqrt(2.0 * s * math.log(n / s) + 1.5 * s)
-
-
-def gw_bound_lowrank(d: int, r: int) -> float:
-    """Width bound sqrt(6 d r) for the nuclear-ball tangent cone (d = matrix side)."""
-    if not 1 <= r <= d:
-        raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
-    return math.sqrt(6.0 * d * r)

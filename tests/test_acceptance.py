@@ -15,14 +15,13 @@ import numpy as np
 from qlasso import (
     ErrorCurve,
     ExperimentConfig,
+    LowRank,
     SignalSpec,
     Sparse,
     UniformQuantizer,
     fit_rate,
     gen_signal,
     glasso_solve,
-    gw_bound_lowrank,
-    gw_bound_sparse,
     measure,
     project_l1_rows,
     run_curve,
@@ -80,7 +79,7 @@ def test_03_uniform_error_rate_slope():
     for s in (25, 50, 100):
         cfg = _uniform_cfg(s, trials=200)
         curve = run_curve(cfg, "glasso")
-        thresh = 4.0 * gw_bound_sparse(100, s) ** 2
+        thresh = 4.0 * Sparse(s).width_bound(100) ** 2
         keep = [i for i, m in enumerate(curve.m_grid) if m >= thresh]
         sub = ErrorCurve(
             "glasso",
@@ -198,8 +197,8 @@ def test_10_one_bit_moment_formulas():
 
 
 def test_11_width_table():
-    v1 = gw_bound_sparse(100, 25)
-    v2 = gw_bound_lowrank(100, 5)
+    v1 = Sparse(25).width_bound(100)
+    v2 = LowRank(100, 5).width_bound(100 * 100)
     ok = abs(v1 - 10.335) <= 0.001 and abs(v2 - 54.772) <= 0.001
     _report(
         "tangent-cone width bounds at reference points",

@@ -16,7 +16,7 @@ import qlasso
 import qlasso.cli
 import qlasso.experiment
 import qlasso.verify
-from qlasso import ExperimentConfig, Sparse, fit_rate, run_curve
+from qlasso import ExperimentConfig, Sparse, UniformQuantizer, fit_rate, run_curve
 from qlasso.cli import _COMMANDS, _SETTINGS, build_parser, main
 from test_streams import PINNED
 
@@ -90,6 +90,7 @@ def test_widths_requires_arguments(capsys):
     ["run-uniform", "--jobs", "0"],
     ["compare", "--jobs", "-2"],
     ["quantize-demo", "--delta", "inf"],
+    ["widths", "--lowrank", "5:6"],
 ])
 def test_bad_arguments_exit_2_before_any_output(argv, capsys):
     assert main(argv) == 2
@@ -113,6 +114,17 @@ def test_quantize_demo_ends_at_a_large_xmax(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12 and lines[1] == "99999,99999"
     assert lines[-2:] == ["99999.9,99999", "100000,100001"]
+
+
+def test_quantize_demo_maps_each_cell_as_the_quantizer_does(capsys):
+    # negative x, fractional steps and x on the cell edges of both widths
+    argv = ["quantize-demo", "--xmin", "-3", "--xmax", "3", "--step", "0.25", "--delta", "0.5", "--delta", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    xs = -3 + np.arange(25) * 0.25
+    qs = [UniformQuantizer(0.5), UniformQuantizer(2.0)]
+    assert lines == ["x,Q_delta_0.5,Q_delta_2"] + [
+        f"{x:.6g}," + ",".join(f"{q.quantize(float(x)):.6g}" for q in qs) for x in xs]
 
 
 @pytest.mark.parametrize("xmin,xmax,step", [("-1e308", "1e308", "1"), ("0", "1e6", "1")])
@@ -689,6 +701,10 @@ def test_unknown_config_field(tmp_path):
     ("compare", dict(quantizer={}, m_grid=None)),
     # an integer beyond the float range
     ("run-uniform", dict(norm=10**400)),
+    # counts beyond numpy's index range
+    ("run-uniform", dict(n=10**30)),
+    ("run-uniform", dict(m_grid=[100, 200, 10**30])),
+    ("run-uniform", dict(trials=10**30)),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)

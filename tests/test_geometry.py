@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from qlasso import (
-    gw_bound_lowrank,
-    gw_bound_sparse,
+    LowRank,
+    Sparse,
     project_l1_ball,
     project_l1_rows,
     project_nuclear_ball,
@@ -111,26 +112,44 @@ def test_nuclear_projection_invalid_length():
 
 
 def test_width_bound_values():
-    assert abs(gw_bound_sparse(100, 25) - math.sqrt(106.815)) <= 5e-4
-    assert abs(gw_bound_sparse(100, 25) - 10.335) <= 1e-3
-    assert abs(gw_bound_sparse(100, 1) - math.sqrt(2 * math.log(100) + 1.5)) <= 1e-12
-    assert abs(gw_bound_lowrank(100, 5) - math.sqrt(3000.0)) <= 1e-12
-    assert abs(gw_bound_lowrank(100, 5) - 54.772) <= 1e-3
-    assert abs(gw_bound_lowrank(1, 1) - math.sqrt(6.0)) <= 1e-12
-    assert abs(gw_bound_lowrank(10, 10) - math.sqrt(600.0)) <= 1e-12
+    assert abs(Sparse(25).width_bound(100) - math.sqrt(106.815)) <= 5e-4
+    assert abs(Sparse(25).width_bound(100) - 10.335) <= 1e-3
+    assert abs(Sparse(1).width_bound(100) - math.sqrt(2 * math.log(100) + 1.5)) <= 1e-12
+    assert abs(LowRank(100, 5).width_bound(100 * 100) - math.sqrt(3000.0)) <= 1e-12
+    assert abs(LowRank(100, 5).width_bound(100 * 100) - 54.772) <= 1e-3
+    assert abs(LowRank(1, 1).width_bound(1) - math.sqrt(6.0)) <= 1e-12
+    assert abs(LowRank(10, 10).width_bound(100) - math.sqrt(600.0)) <= 1e-12
+
+
+def test_width_bounds_are_pinned_bitwise():
+    # float.hex of sqrt(2 s ln(n/s) + 1.5 s) and sqrt(6 d r) at reference points, and the SHA-256 of the
+    # hex strings, one a line, on the sweeps n = 1000 with s = 1..367 and d = 1..20 with r = 1..d
+    assert {(n, s): Sparse(s).width_bound(n).hex() for n, s in [(100, 25), (100, 1)]} == {
+        (100, 25): "0x1.4ab94edc5f0acp+3", (100, 1): "0x1.a2e6b524f3c51p+1"}
+    assert {(d, r): LowRank(d, r).width_bound(d * d).hex() for d, r in [(100, 5), (1, 1), (10, 10)]} == {
+        (100, 5): "0x1.b62d946c44ef3p+5", (1, 1): "0x1.3988e1409212ep+1", (10, 10): "0x1.87eb1990b697ap+4"}
+    sparse = "\n".join(Sparse(s).width_bound(1000).hex() for s in range(1, 368))
+    lowrank = "\n".join(LowRank(d, r).width_bound(d * d).hex() for d in range(1, 21) for r in range(1, d + 1))
+    assert hashlib.sha256(sparse.encode()).hexdigest() == \
+        "c4ff1c8f9122ca43f02fc012be251d2e49d225e58a74af7fe70a30c68084341c"
+    assert hashlib.sha256(lowrank.encode()).hexdigest() == \
+        "d04b795b5440e7f2573c566be152c49bc0926a77958305f70fcea91d84ed3d92"
 
 
 def test_width_bound_monotone_in_s():
     # increasing in s while s <= n/e
     n = 1000
-    vals = [gw_bound_sparse(n, s) for s in range(1, int(n / math.e))]
+    vals = [Sparse(s).width_bound(n) for s in range(1, int(n / math.e))]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_width_bound_invalid():
-    with pytest.raises(ValueError):
-        gw_bound_sparse(10, 0)
-    with pytest.raises(ValueError):
-        gw_bound_sparse(10, 11)
-    with pytest.raises(ValueError):
-        gw_bound_lowrank(5, 6)
+    # an out-of-range structure raises the ValueError of its own check
+    with pytest.raises(ValueError, match="sparsity must satisfy"):
+        Sparse(0).width_bound(10)
+    with pytest.raises(ValueError, match="sparsity must satisfy"):
+        Sparse(11).width_bound(10)
+    with pytest.raises(ValueError, match="rank must satisfy"):
+        LowRank(5, 6).width_bound(25)
+    with pytest.raises(ValueError, match="n = d\\^2"):
+        LowRank(5, 5).width_bound(24)

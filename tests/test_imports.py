@@ -4,11 +4,13 @@ benchmark reads each private top-level name it defines, the package, the
 benchmark or the entry point reads each public top-level name of the package,
 some expression of the package or its tests reads each dataclass field of the
 package, every function the benchmark's tracer wraps exists in its module, every
-name of qlasso.__all__ resolves, and no module branches on the type of a signal
-structure or of a quantizer, and the float32 +-1 panel stays behind the trial engine:
+name of qlasso.__all__ resolves, no module branches on the type of a signal
+structure or of a quantizer, every structure has check, gauge, draw, project and
+width_bound, and the float32 +-1 panel stays behind the trial engine:
 only ensemble and experiment name the ensembles' dtypes, and the channel imports no draw."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -194,7 +196,7 @@ def test_guard_finds_a_type_dispatch():
 
 
 # {classes: the one module that may branch on them, or None for none}; every other module reads what
-# the classes own (a structure's project, gauge, draw and check, a quantizer's dither, quantize and mu)
+# the classes own (a structure's project, gauge, draw, check and width_bound, a quantizer's dither, quantize and mu)
 # instead of deciding it again
 DISPATCH_OWNERS = {("Sparse", "LowRank"): None, ("UniformQuantizer", "OneBitQuantizer"): None}
 
@@ -204,6 +206,17 @@ def test_no_type_dispatch_outside_its_module(path):
     source = path.read_text()
     assert [found for classes, owner in DISPATCH_OWNERS.items() if path.name != owner
             for found in type_dispatches(source, classes)] == []
+
+
+def test_every_structure_owns_its_rules():
+    # a structure of the ensemble (a dataclass with a projection) brings every rule the others read from it,
+    # so a new one cannot ship without, say, its width bound
+    from qlasso import ensemble
+
+    structures = [c for c in vars(ensemble).values() if dataclasses.is_dataclass(c) and hasattr(c, "project")]
+    assert {"Sparse", "LowRank"} <= {c.__name__ for c in structures}
+    assert [f"{c.__name__}.{rule}" for c in structures for rule in ("check", "gauge", "draw", "project", "width_bound")
+            if not callable(getattr(c, rule, None))] == []
 
 
 def named(source: str) -> set:
