@@ -10,7 +10,6 @@ import importlib
 _EXPORTS = {
     "ensemble": (
         "LowRank",
-        "SignalSpec",
         "Sparse",
         "gen_signal",
         "sample_measurements",

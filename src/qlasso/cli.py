@@ -275,7 +275,7 @@ def _width_row(flag, text, structure):
         a, b = int(parts[0]), int(parts[1])
         K, n = structure(a, b)
         return f"{a},{b},{K.width_bound(n):.3f}"
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an OverflowError: a bound beyond the float range
         raise ConfigError(f"{flag} {text}: {exc}") from exc
 
 

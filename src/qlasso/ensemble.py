@@ -3,9 +3,10 @@
 Signals are either exactly s-sparse vectors or vectorized d x d matrices of
 rank r, rescaled to a prescribed l2 (Frobenius) norm. Each structure owns its
 ball K: `project` onto it, `gauge(X)`, its norm of each row (the radius of K
-through the row), `draw(spec, rng)`, `check(n)`, which raises ValueError
-unless its fields fit the ambient dimension n, and `width_bound(n)`, a bound
-on the Gaussian width of K's tangent cone in R^n, so no caller branches on it.
+through the row), `check(n)`, which raises ValueError unless n and its fields
+are integers that fit together, and the methods that take n and run it first:
+`draw(n, norm_target, rng)` and `width_bound(n)`, a bound on the Gaussian width
+of K's tangent cone in R^n; so no caller branches on it.
 Measurement matrices stack iid isotropic rows: standard Gaussian or Rademacher entries.
 `numpy.random` loads at the first draw, not at import, so annotations name it only as strings.
 
@@ -27,7 +28,7 @@ widens each panel once into a float64 buffer of its workspace.
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -54,7 +55,8 @@ class Sparse:
     project = staticmethod(project_l1_rows)
 
     def check(self, n: int) -> None:
-        """Raise ValueError unless the sparsity fits the ambient dimension n."""
+        """Raise ValueError unless n and s are integers and the sparsity fits the ambient dimension n."""
+        check_integers(n=n, s=self.s)
         if not 1 <= self.s <= n:
             raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={self.s}, n={n}")
 
@@ -67,16 +69,18 @@ class Sparse:
         """The l1 norm of each row of a (k, n) stack: the radius of K through it."""
         return np.sum(np.abs(X), axis=1)
 
-    def draw(self, spec: "SignalSpec", rng: "np.random.Generator") -> np.ndarray:
-        """Draw an s-sparse signal: uniform support, iid normal nonzeros, rescaled."""
-        support = rng.choice(spec.n, size=self.s, replace=False)
+    def draw(self, n: int, norm_target: float, rng: "np.random.Generator") -> np.ndarray:
+        """Draw an s-sparse signal in R^n: uniform support, iid normal nonzeros, rescaled to norm_target."""
+        self.check(n)
+        check_positive("norm_target", norm_target)
+        support = rng.choice(n, size=self.s, replace=False)
         while True:
             values = rng.standard_normal(self.s)
             norm = np.linalg.norm(values)
             if norm > 0:  # all-zero draw has probability zero
                 break
-        x0 = np.zeros(spec.n)
-        x0[support] = values * (spec.norm_target / norm)
+        x0 = np.zeros(n)
+        x0[support] = values * (norm_target / norm)
         return x0
 
 
@@ -89,7 +93,8 @@ class LowRank:
     project = staticmethod(project_nuclear_rows)
 
     def check(self, n: int) -> None:
-        """Raise ValueError unless 1 <= r <= d and the ambient dimension n is d^2."""
+        """Raise ValueError unless n, d and r are integers, 1 <= r <= d and the ambient dimension n is d^2."""
+        check_integers(n=n, d=self.d, r=self.r)
         if not 1 <= self.r <= self.d:
             raise ValueError(f"rank must satisfy 1 <= r <= d, got r={self.r}, d={self.d}")
         if n != self.d * self.d:
@@ -104,8 +109,10 @@ class LowRank:
         """The nuclear norm of each row of a (k, d*d) stack, by one batched SVD: the radius of K through it."""
         return np.linalg.norm(np.linalg.svd(X.reshape(-1, self.d, self.d), compute_uv=False), 1, axis=1)
 
-    def draw(self, spec: "SignalSpec", rng: "np.random.Generator") -> np.ndarray:
-        """Draw X0 = U V^T with iid normal d x r factors, rescaled; row-major vectorized."""
+    def draw(self, n: int, norm_target: float, rng: "np.random.Generator") -> np.ndarray:
+        """Draw X0 = U V^T with iid normal d x r factors, rescaled to norm_target; row-major vectorized, n = d^2."""
+        self.check(n)
+        check_positive("norm_target", norm_target)
         while True:
             U = rng.standard_normal((self.d, self.r))
             V = rng.standard_normal((self.d, self.r))
@@ -113,31 +120,15 @@ class LowRank:
             norm = np.linalg.norm(X0)
             if norm > 0:
                 break
-        return (X0 * (spec.norm_target / norm)).reshape(-1)
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    n: int
-    structure: Union[Sparse, LowRank]
-    norm_target: float
-
-    def __post_init__(self):
-        if not callable(getattr(self.structure, "check", None)):  # a structure checks its own fields against n
-            raise ValueError(f"unknown structure {self.structure!r}")
-        check_integers(n=self.n, **vars(self.structure))
-        if self.n < 1:
-            raise ValueError(f"ambient dimension must be positive, got n={self.n}")
-        check_positive("norm_target", self.norm_target)
-        self.structure.check(self.n)
+        return (X0 * (norm_target / norm)).reshape(-1)
 
 
 ENSEMBLES = {"gaussian": np.float64, "rademacher": np.float32}  # each one's dtype: float32 holds +-1 exactly
 
 
-def gen_signal(spec: SignalSpec, rng: "np.random.Generator") -> np.ndarray:
-    """Draw a signal of spec from rng by its structure's draw."""
-    return spec.structure.draw(spec, rng)
+def gen_signal(cfg, rng: "np.random.Generator") -> np.ndarray:
+    """Draw the signal of an ExperimentConfig from rng by its structure's draw."""
+    return cfg.structure.draw(cfg.n, cfg.norm_target, rng)
 
 
 # Rademacher entries drawn per pass over the raw words: every temporary stays below 128 KiB.

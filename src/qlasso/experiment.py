@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .ensemble import (
-    ENSEMBLES, LowRank, SignalSpec, Sparse, check_integers, check_positive, gen_signal, sample_measurements,
+    ENSEMBLES, LowRank, Sparse, check_integers, check_positive, gen_signal, sample_measurements,
 )
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure
 from .solver import MAX_ITERS, pgd_rows
@@ -40,7 +40,10 @@ class ExperimentConfig:
     def __post_init__(self):
         counts = {"trials": self.trials, **{f"m_grid[{i}]": m for i, m in enumerate(self.m_grid)}}
         check_integers(master_seed=self.master_seed, **counts)
-        SignalSpec(self.n, self.structure, self.norm_target)  # validates n, structure and norm
+        if not callable(getattr(self.structure, "check", None)):  # a structure checks n and its own fields
+            raise ValueError(f"unknown structure {self.structure!r}")
+        self.structure.check(self.n)
+        check_positive("norm_target", self.norm_target)
         # numpy sizes and indexes arrays by intp; the seed is exempt, since substream reduces it mod 2^64
         if huge := {k: v for k, v in {"n": self.n, **counts}.items() if v > np.iinfo(np.intp).max}:
             raise ValueError(f"counts must be at most {np.iinfo(np.intp).max}, got {huge}")
@@ -157,7 +160,6 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     the one-shot estimators report 0 iterations, converged.
     """
     k, n, K = len(trials), cfg.n, cfg.structure
-    spec = SignalSpec(n, K, cfg.norm_target)
     q = _channel(cfg, m)
     x0s = np.empty((k, n))
     b = np.zeros((k, n))
@@ -165,7 +167,7 @@ def _solve_block(cfg: ExperimentConfig, m: int, trials: range, estimators: Tuple
     G = G[:k]
     G[...] = 0.0
     for i, t in enumerate(trials):
-        x0 = gen_signal(spec, substream(cfg.master_seed, m, t, "signal"))
+        x0 = gen_signal(cfg, substream(cfg.master_seed, m, t, "signal"))
         matrix_rng, dither_rng = (substream(cfg.master_seed, m, t, purpose) for purpose in ("matrix", "dither"))
         for start in range(0, m, len(panel)):
             S = panel[: m - start]

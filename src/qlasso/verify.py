@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .ensemble import LowRank, SignalSpec, Sparse, gen_signal, sample_measurements
+from .ensemble import LowRank, Sparse, sample_measurements
 from .quantizer import OneBitQuantizer, UniformQuantizer, measure, qfunc
 from .solver import glasso_solve, gram_stats, pgd_rows
 from .streams import substream
@@ -163,7 +163,7 @@ def solver_correctness(seed: int, size: int):
     worst_rel, monotone, ref_converged = 0.0, True, 0
     stats, X_ls = [], []
     for i in range(max(1, size // 50_000)):
-        x0 = gen_signal(SignalSpec(50, Sparse(10), 3.0), substream(seed, "verify-solver", i, "signal"))
+        x0 = Sparse(10).draw(50, 3.0, substream(seed, "verify-solver", i, "signal"))
         A = sample_measurements("gaussian", 300, 50, substream(seed, "verify-solver", i, "matrix"))
         y = measure(A @ x0, UniformQuantizer(1.0), substream(seed, "verify-solver", i, "dither"))
         res = glasso_solve(A, y, 1.0, _whole_space, 1.0)
@@ -242,14 +242,13 @@ def stacked_solver(seed: int, size: int):
     row of the stacked pgd_rows converges and lands within 1e-6 (relative) of glasso_solve, which
     converges too; the detail gives each ensemble's range of pgd_rows iterations."""
     n, count = 100, max(1, size // 10_000)
-    spec, q = SignalSpec(n, Sparse(25), 8.0), UniformQuantizer(3.0)
-    K = spec.structure
+    K, q = Sparse(25), UniformQuantizer(3.0)
     worst, ok, details = 0.0, True, []
     for kind in ("rademacher", "gaussian"):
         refs, stats, radii = [], [], []
         for i in range(count):
             m = (200, 2000)[i % 2]
-            x0 = gen_signal(spec, substream(seed, "verify-stacked", kind, i, "signal"))
+            x0 = K.draw(n, 8.0, substream(seed, "verify-stacked", kind, i, "signal"))
             A = sample_measurements(kind, m, n, substream(seed, "verify-stacked", kind, i, "matrix"))
             y = measure(A @ x0, q, substream(seed, "verify-stacked", kind, i, "dither"))
             radii.append(K.gauge(x0[None])[0])

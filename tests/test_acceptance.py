@@ -16,11 +16,9 @@ from qlasso import (
     ErrorCurve,
     ExperimentConfig,
     LowRank,
-    SignalSpec,
     Sparse,
     UniformQuantizer,
     fit_rate,
-    gen_signal,
     glasso_solve,
     measure,
     project_l1_rows,
@@ -178,7 +176,7 @@ def test_09_noiseless_limit():
         rng_sig = substream(SEED, "acc9", trial, "sig")
         rng_mat = substream(SEED, "acc9", trial, "mat")
         rng_dith = substream(SEED, "acc9", trial, "dith")
-        x0 = gen_signal(SignalSpec(100, Sparse(10), 8.0), rng_sig)
+        x0 = Sparse(10).draw(100, 8.0, rng_sig)
         A = sample_measurements("rademacher", 500, 100, rng_mat)
         y = measure(A @ x0, UniformQuantizer(delta), rng_dith)
         res = glasso_solve(A, y, 1.0, project_l1_rows, float(np.abs(x0).sum()))

@@ -91,6 +91,8 @@ def test_widths_requires_arguments(capsys):
     ["compare", "--jobs", "-2"],
     ["quantize-demo", "--delta", "inf"],
     ["widths", "--lowrank", "5:6"],
+    ["widths", "--sparse", f"{10**400}:5"],
+    ["widths", "--lowrank", f"{10**400}:5"],
 ])
 def test_bad_arguments_exit_2_before_any_output(argv, capsys):
     assert main(argv) == 2
@@ -635,6 +637,12 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert main(["run-uniform", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+    # a config file that is missing, or whose JSON is not an object
+    (tmp_path / "list.json").write_text("[1, 2]")
+    for name, message in (("missing.json", "cannot read config file"), ("list.json", "config must be a JSON object")):
+        assert main(["run-uniform", "--config", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_field(tmp_path):
@@ -705,6 +713,9 @@ def test_unknown_config_field(tmp_path):
     ("run-uniform", dict(n=10**30)),
     ("run-uniform", dict(m_grid=[100, 200, 10**30])),
     ("run-uniform", dict(trials=10**30)),
+    # an estimator the package does not have
+    ("compare", dict(estimators=["glasso", "lasso"])),
+    ("run-uniform", dict(estimators=["glasso", "lasso"])),
 ])
 def test_config_mistakes_exit_2_before_any_trial(command, overrides, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **overrides)

@@ -3,9 +3,7 @@ import pytest
 
 from qlasso import (
     LowRank,
-    SignalSpec,
     Sparse,
-    gen_signal,
     sample_measurements,
     substream,
 )
@@ -13,20 +11,19 @@ from qlasso.ensemble import ENSEMBLES, RADEMACHER_CHUNK
 
 
 def test_sparse_signal_support_and_norm():
-    spec = SignalSpec(100, Sparse(25), 8.0)
-    x0 = gen_signal(spec, substream(7, "sig"))
+    x0 = Sparse(25).draw(100, 8.0, substream(7, "sig"))
     assert np.count_nonzero(x0) == 25
     assert abs(np.linalg.norm(x0) - 8.0) <= 1e-9
 
 
 def test_sparse_fully_dense_unit():
-    x0 = gen_signal(SignalSpec(4, Sparse(4), 1.0), substream(3, "sig"))
+    x0 = Sparse(4).draw(4, 1.0, substream(3, "sig"))
     assert np.count_nonzero(x0) == 4
     assert abs(np.linalg.norm(x0) - 1.0) <= 1e-9
 
 
 def test_sparse_single_spike():
-    x0 = gen_signal(SignalSpec(10, Sparse(1), 3.0), substream(11, "sig"))
+    x0 = Sparse(1).draw(10, 3.0, substream(11, "sig"))
     nz = np.nonzero(x0)[0]
     assert nz.size == 1
     assert abs(abs(x0[nz[0]]) - 3.0) <= 1e-9
@@ -34,19 +31,20 @@ def test_sparse_single_spike():
 
 def test_invalid_sparse_specs():
     with pytest.raises(ValueError):
-        SignalSpec(10, Sparse(11), 1.0)
+        Sparse(11).check(10)
     with pytest.raises(ValueError):
-        SignalSpec(10, Sparse(5), -1.0)
+        Sparse(11).draw(10, 1.0, substream(0, "sig"))
+    with pytest.raises(ValueError):
+        Sparse(5).draw(10, -1.0, substream(0, "sig"))
     with pytest.raises(ValueError, match="counts must be integers"):
-        SignalSpec(20, Sparse(2.5), 1.0)
+        Sparse(2.5).check(20)
     for norm in (float("nan"), float("inf"), True, "3"):  # True built a norm of 1, "3" raised a bare TypeError
         with pytest.raises(ValueError, match="norm_target must be finite and positive"):
-            SignalSpec(20, Sparse(3), norm)
+            Sparse(3).draw(20, norm, substream(0, "sig"))
 
 
 def test_lowrank_rank_and_norm():
-    spec = SignalSpec(64, LowRank(8, 2), 8.0)
-    x0 = gen_signal(spec, substream(5, "sig"))
+    x0 = LowRank(8, 2).draw(64, 8.0, substream(5, "sig"))
     X = x0.reshape(8, 8)
     s = np.linalg.svd(X, compute_uv=False)
     assert abs(np.linalg.norm(X) - 8.0) <= 1e-9
@@ -55,31 +53,30 @@ def test_lowrank_rank_and_norm():
 
 
 def test_lowrank_rank_one_and_full():
-    x1 = gen_signal(SignalSpec(100, LowRank(10, 1), 1.0), substream(9, "s"))
+    x1 = LowRank(10, 1).draw(100, 1.0, substream(9, "s"))
     s = np.linalg.svd(x1.reshape(10, 10), compute_uv=False)
     assert s[1] < 1e-10
-    x2 = gen_signal(SignalSpec(25, LowRank(5, 5), 2.0), substream(9, "s2"))
+    x2 = LowRank(5, 5).draw(25, 2.0, substream(9, "s2"))
     assert abs(np.linalg.norm(x2) - 2.0) <= 1e-9
 
 
 def test_lowrank_invalid():
     with pytest.raises(ValueError):
-        SignalSpec(64, LowRank(8, 9), 1.0)
+        LowRank(8, 9).check(64)
     with pytest.raises(ValueError):
-        SignalSpec(63, LowRank(8, 2), 1.0)
+        LowRank(8, 2).draw(63, 1.0, substream(0, "sig"))
     for d, r in ((8.0, 2), (8, 2.0), (8, True)):
         with pytest.raises(ValueError, match="counts must be integers"):
-            SignalSpec(64, LowRank(d, r), 1.0)
+            LowRank(d, r).check(64)
 
 
 @pytest.mark.parametrize("rows", [1, 13])
 def test_gauges_are_bitwise_the_per_row_norms(rows):
     # the engine computed each radius as one of these per-row expressions before the structures owned it
-    sparse, lowrank = SignalSpec(64, Sparse(10), 8.0), SignalSpec(64, LowRank(8, 2), 8.0)
-    for spec, norm in ((sparse, lambda x: np.sum(np.abs(x))),
-                       (lowrank, lambda x: np.linalg.norm(np.linalg.svd(x.reshape(8, 8), compute_uv=False), 1))):
-        X = np.stack([gen_signal(spec, substream(rows, "gauge", i)) for i in range(rows)])
-        assert spec.structure.gauge(X).tobytes() == np.array([norm(x) for x in X]).tobytes()
+    for K, norm in ((Sparse(10), lambda x: np.sum(np.abs(x))),
+                    (LowRank(8, 2), lambda x: np.linalg.norm(np.linalg.svd(x.reshape(8, 8), compute_uv=False), 1))):
+        X = np.stack([K.draw(64, 8.0, substream(rows, "gauge", i)) for i in range(rows)])
+        assert K.gauge(X).tobytes() == np.array([norm(x) for x in X]).tobytes()
 
 
 def test_rademacher_entries():
@@ -151,6 +148,13 @@ def test_rademacher_draw_into_float32(shape):
     assert out.astype(np.float64).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+def test_draw_rejects_an_empty_shape(kind):
+    for m, n in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError):
+            sample_measurements(kind, m, n, substream(3, "A"))
+
+
 def test_rademacher_needs_64bit_raw_words():
     with pytest.raises(ValueError):
         sample_measurements("rademacher", 4, 5, np.random.Generator(np.random.MT19937(0)))
@@ -183,8 +187,8 @@ def test_determinism_bitwise():
     a = sample_measurements("gaussian", 50, 10, substream(42, "A"))
     b = sample_measurements("gaussian", 50, 10, substream(42, "A"))
     assert np.array_equal(a, b)
-    x = gen_signal(SignalSpec(30, Sparse(5), 2.0), substream(42, "x"))
-    y = gen_signal(SignalSpec(30, Sparse(5), 2.0), substream(42, "x"))
+    x = Sparse(5).draw(30, 2.0, substream(42, "x"))
+    y = Sparse(5).draw(30, 2.0, substream(42, "x"))
     assert np.array_equal(x, y)
 
 

@@ -14,7 +14,6 @@ from qlasso import (
     ErrorCurve,
     ExperimentConfig,
     OneBitQuantizer,
-    SignalSpec,
     Sparse,
     UniformQuantizer,
     block_size,
@@ -82,6 +81,8 @@ def test_config_validation():
         _cfg(m_grid=(0, 200))
     with pytest.raises(ValueError):
         _cfg(structure=Sparse(0))
+    with pytest.raises(ValueError, match="unknown structure"):
+        _cfg(structure="sparse")
     for counts in (dict(master_seed=1.5), dict(n=20.0), dict(trials=2.5), dict(trials=True),
                    dict(m_grid=(30.0, 40.0, 50.0))):
         with pytest.raises(ValueError, match="counts must be integers"):
@@ -142,9 +143,8 @@ def test_run_trial_paired_across_estimators():
     # matrix and dither substreams draw: rebuilt from them, the single-problem
     # estimators give the errors run_trial reports for pbp and glasso.
     cfg, m = _cfg(), 200
-    spec = SignalSpec(cfg.n, cfg.structure, cfg.norm_target)
     for t in range(3):
-        x0 = gen_signal(spec, substream(7, m, t, "signal"))
+        x0 = gen_signal(cfg, substream(7, m, t, "signal"))
         A = sample_measurements(cfg.ensemble, m, cfg.n, substream(7, m, t, "matrix"))
         y = measure(A @ x0, UniformQuantizer(cfg.delta), substream(7, m, t, "dither"))
         radius = float(np.abs(x0).sum())
@@ -263,7 +263,7 @@ def _spy_engine(monkeypatch):
 def _whole_draw(cfg, m, t):
     """A trial's matrix and measurements drawn whole, with its mu."""
     q = qlasso.experiment._channel(cfg, m)
-    x0 = gen_signal(SignalSpec(cfg.n, cfg.structure, cfg.norm_target), substream(cfg.master_seed, m, t, "signal"))
+    x0 = gen_signal(cfg, substream(cfg.master_seed, m, t, "signal"))
     A = sample_measurements(cfg.ensemble, m, cfg.n, substream(cfg.master_seed, m, t, "matrix"))
     return A, measure(A @ x0, q, substream(cfg.master_seed, m, t, "dither")), q.mu
 
@@ -438,7 +438,7 @@ def test_measure_on_float32_signs(q, n, monkeypatch):
         cfg = _cfg(n=n, structure=Sparse(min(n, 5)), ensemble="rademacher", m_grid=(m,), trials=1)
         ys.clear()
         qlasso.experiment._solve_block(cfg, m, range(1), ("pbp",), qlasso.experiment._workspace(n, cfg.ensemble))
-        x0 = gen_signal(SignalSpec(n, cfg.structure, cfg.norm_target), substream(cfg.master_seed, m, 0, "signal"))
+        x0 = gen_signal(cfg, substream(cfg.master_seed, m, 0, "signal"))
         A = sample_measurements("rademacher", m, n, substream(cfg.master_seed, m, 0, "matrix"))
         y = measure(A.astype(np.float64) @ x0, q, substream(cfg.master_seed, m, 0, "dither"))
         assert A.dtype == np.float32 and np.concatenate(ys).tobytes() == y.tobytes()
@@ -450,7 +450,7 @@ _PANEL_PRODUCTS_CODE = """if True:
     import sys
     import numpy as np
     import qlasso.experiment as engine
-    from qlasso import ExperimentConfig, SignalSpec, Sparse, gen_signal, sample_measurements, substream
+    from qlasso import ExperimentConfig, Sparse, gen_signal, sample_measurements, substream
     kind, m = sys.argv[1], 3000
     cfg = ExperimentConfig(n=100, structure=Sparse(10), norm_target=3.0, R=3.0, ensemble=kind, quantizer="uniform",
                            delta=1.0, m_grid=(m,), trials=5, master_seed=7)
@@ -459,7 +459,7 @@ _PANEL_PRODUCTS_CODE = """if True:
     engine._solve_block(cfg, m, range(5), ("pbp",), engine._workspace(cfg.n, kind))
     count = len(products) // 5
     for t in range(5):
-        x0 = gen_signal(SignalSpec(cfg.n, cfg.structure, cfg.norm_target), substream(7, m, t, "signal"))
+        x0 = gen_signal(cfg, substream(7, m, t, "signal"))
         A = sample_measurements(kind, m, cfg.n, substream(7, m, t, "matrix")).astype(np.float64)
         print(count, int(np.sum(np.concatenate(products[t * count:(t + 1) * count]) != A @ x0)))
 """

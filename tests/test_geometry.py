@@ -153,3 +153,5 @@ def test_width_bound_invalid():
         LowRank(5, 6).width_bound(25)
     with pytest.raises(ValueError, match="n = d\\^2"):
         LowRank(5, 5).width_bound(24)
+    with pytest.raises(ValueError, match="counts must be integers"):
+        Sparse(2.5).width_bound(20)

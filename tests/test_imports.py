@@ -6,8 +6,9 @@ some expression of the package or its tests reads each dataclass field of the
 package, every function the benchmark's tracer wraps exists in its module, every
 name of qlasso.__all__ resolves, no module branches on the type of a signal
 structure or of a quantizer, every structure has check, gauge, draw, project and
-width_bound, and the float32 +-1 panel stays behind the trial engine:
-only ensemble and experiment name the ensembles' dtypes, and the channel imports no draw."""
+width_bound, whose draw and width_bound raise at n = 0 just what its check does,
+and the float32 +-1 panel stays behind the trial engine: only ensemble and
+experiment name the ensembles' dtypes, and the channel imports no draw."""
 
 import ast
 import dataclasses
@@ -217,6 +218,20 @@ def test_every_structure_owns_its_rules():
     assert {"Sparse", "LowRank"} <= {c.__name__ for c in structures}
     assert [f"{c.__name__}.{rule}" for c in structures for rule in ("check", "gauge", "draw", "project", "width_bound")
             if not callable(getattr(c, rule, None))] == []
+
+
+def test_every_method_taking_n_runs_the_structures_check():
+    # a structure's check(n) is its whole rule, so each of its methods that takes n raises just what check(n) raises
+    from qlasso import ensemble, substream
+
+    for c in [c for c in vars(ensemble).values() if dataclasses.is_dataclass(c) and hasattr(c, "project")]:
+        K = c(**{field.name: 1 for field in dataclasses.fields(c)})
+        with pytest.raises(ValueError) as expected:
+            K.check(0)
+        for call in (lambda: K.draw(0, 1.0, substream(0, "guard")), lambda: K.width_bound(0)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == str(expected.value), c.__name__
 
 
 def named(source: str) -> set:

@@ -2,14 +2,19 @@
 
 The SVG digests and the CSV comment lines were recorded with the three-table
 `cli` and the seven hand-written `<text>` elements of `write_svg_lineplot`;
-any later front end must write the same bytes.
+any later front end must write the same bytes. The writers raise, writing
+nothing, on curves of different seeds and on data a log-log plot cannot show.
 """
 
 import hashlib
 import json
 
+import numpy as np
+import pytest
+
+from qlasso import ErrorCurve
 from qlasso.cli import main
-from qlasso.output import inv_sqrt_guide, write_svg_lineplot
+from qlasso.output import inv_sqrt_guide, write_error_curves_csv, write_svg_lineplot
 
 
 def _sha256(path):
@@ -31,6 +36,19 @@ def test_svg_bytes_of_one_point(tmp_path):
     path = tmp_path / "point.svg"
     write_svg_lineplot(path, [("glasso", [150], [0.25])], title="one point", xlabel="delta", ylabel="l2 error")
     assert _sha256(path) == "667bec0c54c944a91f1ac41c0fb109ed8e86ebad279861f6107bc4eacf3b9513"
+
+
+def test_curves_of_different_seeds_share_no_file(tmp_path):
+    curves = [ErrorCurve("glasso", (100,), np.ones(1), np.zeros(1), 1, seed) for seed in (1, 2)]
+    with pytest.raises(ValueError, match="share a master seed"):
+        write_error_curves_csv(tmp_path / "curves.csv", curves, "0" * 16)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_svg_rejects_a_zero_error(tmp_path):
+    with pytest.raises(ValueError, match="positive data"):
+        write_svg_lineplot(tmp_path / "zero.svg", [("glasso", [100, 200], [0.5, 0.0])], "zero", "m", "l2 error")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _comment_line(tmp_path, command, csv_name):

@@ -3,12 +3,10 @@ import pytest
 
 from qlasso import (
     LowRank,
-    SignalSpec,
     Sparse,
     UniformQuantizer,
     dm_estimate,
     estimate_lipschitz,
-    gen_signal,
     glasso_solve,
     gram_stats,
     measure,
@@ -27,7 +25,7 @@ def _instance(seed, m=300, n=50, s=10, delta=1.0):
     rng_sig = substream(seed, "sig")
     rng_mat = substream(seed, "mat")
     rng_dith = substream(seed, "dith")
-    x0 = gen_signal(SignalSpec(n, Sparse(s), 3.0), rng_sig)
+    x0 = Sparse(s).draw(n, 3.0, rng_sig)
     A = sample_measurements("gaussian", m, n, rng_mat)
     y = measure(A @ x0, UniformQuantizer(delta), rng_dith)
     return x0, A, y
@@ -54,6 +52,8 @@ def test_problem_shape_validation():
         glasso_solve(A_bad, y, 1.0, _whole_space, 1.0)
     with pytest.raises(ValueError):
         glasso_solve(A, y, np.inf, _whole_space, 1.0)
+    with pytest.raises(ValueError):
+        pbp_estimate(A, y[:-1], project_l1_rows, 1.0, 1.0)
 
 
 def test_lipschitz_scaled_identity():
@@ -66,6 +66,11 @@ def test_lipschitz_single_row():
     a = np.array([[1.0, 2.0, 2.0]])
     # lambda_max(a^T a) / 1 = ||a||^2 = 9
     assert estimate_lipschitz(a) == pytest.approx(1.01 * 9.0, rel=1e-6)
+
+
+def test_lipschitz_rejects_an_empty_matrix():
+    with pytest.raises(ValueError):
+        estimate_lipschitz(np.empty((0, 3)))
 
 
 def test_lipschitz_marchenko_pastur_edge():
@@ -168,7 +173,7 @@ def test_pgd_rows_matches_glasso_solve_nuclear():
     instances, radii = [], []
     for seed in range(4):
         rng = substream(300 + seed, "lr")
-        x0 = gen_signal(SignalSpec(d * d, LowRank(d, 1), 2.0), rng)
+        x0 = LowRank(d, 1).draw(d * d, 2.0, rng)
         A = sample_measurements("gaussian", 200, d * d, rng)
         y = measure(A @ x0, UniformQuantizer(0.5), rng)
         instances.append((A, y))
@@ -189,10 +194,9 @@ def test_pgd_rows_reaches_the_minimizer_at_small_m():
     # its defaults must land within 1e-6 of it; a stop on the relative
     # objective decrease left the solutions up to 6.3e-6 away.
     m, n, seed = 200, 100, 0
-    spec = SignalSpec(n, Sparse(25), 8.0)
     instances, radii = [], []
     for t in range(12):
-        x0 = gen_signal(spec, substream(seed, m, t, "signal"))
+        x0 = Sparse(25).draw(n, 8.0, substream(seed, m, t, "signal"))
         A = sample_measurements("rademacher", m, n, substream(seed, m, t, "matrix"))
         instances.append((A, measure(A @ x0, UniformQuantizer(3.0), substream(seed, m, t, "dither"))))
         radii.append(float(np.abs(x0).sum()))
@@ -229,6 +233,15 @@ def test_pgd_rows_reports_max_iters():
     assert not conv.any()
     for g, b_i, r, x in zip(G, b, radii, X):
         np.testing.assert_allclose(x, _fista_restart(g, b_i, r, 4)[0], rtol=1e-12, atol=1e-14)
+
+
+def test_pgd_rows_raises_on_a_non_finite_product():
+    # a NaN in one Gram matrix makes its row's product non-finite at the first step
+    G, b, radii = _max_iters_instances()
+    G = G.copy()
+    G[0, 0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite"):
+        pgd_rows(G, b, radii, project_l1_rows)
 
 
 def test_pgd_rows_restarts_like_fista_with_restart():
@@ -373,7 +386,7 @@ def _step_problems(case, noise=0.1):
     X0, B = np.empty((k, n)), np.empty((k, n))
     for i in range(k):
         rng = substream(20, "step-problem", case, i)
-        X0[i] = gen_signal(SignalSpec(n, Sparse(5), 3.0), rng)
+        X0[i] = Sparse(5).draw(n, 3.0, rng)
         B[i] = G[i] @ X0[i]
         B[i] += noise * np.linalg.norm(B[i]) / np.sqrt(n) * rng.standard_normal(n)
     return G, B, 0.8 * np.abs(X0).sum(axis=1)
@@ -471,7 +484,7 @@ def test_backtracking_step_backtracks_per_matrix():
     G, b, radii = _step_problems("rademacher m=200 n=100")
     A, y, r = _bottom_eigenvector_problem(n=n)
     G_bottom, b_bottom = gram_stats(A, y, 1.0)
-    x0 = gen_signal(SignalSpec(n, Sparse(5), 3.0), substream(22, "identity-x0"))
+    x0 = Sparse(5).draw(n, 3.0, substream(22, "identity-x0"))
     G = np.concatenate([G[:3], G_bottom[None], 2.5 * np.eye(n)[None], G[3:5]])
     b = np.concatenate([b[:3], b_bottom[None], 2.5 * x0[None], b[3:5]])
     radii = np.concatenate([radii[:3], [r, 0.8 * np.abs(x0).sum()], radii[3:5]])
@@ -553,7 +566,7 @@ def test_noiseless_limit_single_trial():
     rng_sig = substream(14, "sig")
     rng_mat = substream(14, "mat")
     rng_dith = substream(14, "dith")
-    x0 = gen_signal(SignalSpec(100, Sparse(10), 3.0), rng_sig)
+    x0 = Sparse(10).draw(100, 3.0, rng_sig)
     A = sample_measurements("gaussian", 500, 100, rng_mat)
     delta = 1e-6
     y = measure(A @ x0, UniformQuantizer(delta), rng_dith)
